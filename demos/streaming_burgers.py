@@ -22,8 +22,7 @@ def run(grid_points=2048, n_snapshots=800, k=5, batch=100, ff=1.0,
 
     state, history = stream_all(
         BatchSource.from_matrix(a, batch),
-        StreamConfig(k_modes=k, forget_factor=ff, batch_columns=batch,
-                     buffer_columns=buffer),
+        StreamConfig(k_modes=k, forget_factor=ff, buffer_columns=buffer),
     )
     exact = svd_full(a, want_vt=False)
 

@@ -253,15 +253,11 @@ def _rank_work(ctx, cfg):
     if cfg.mode == "parallel-batch":
         block = read_submatrix(cfg.input, lo, hi, 0, cols)
         sketch = _sketch_config(cfg, cfg.r2) if cfg.randomized else None
-        acfg = ApmosConfig(
-            local_rank=cfg.r1, global_rank=cfg.r2, k_modes=cfg.k,
-            use_randomized=cfg.randomized, sketch=sketch,
-        )
+        acfg = ApmosConfig(local_rank=cfg.r1, global_rank=cfg.r2,
+                           k_modes=cfg.k, sketch=sketch)
         state = apmos(ctx, block, acfg)
     else:
-        scfg = StreamConfig(
-            k_modes=cfg.k, forget_factor=cfg.ff, batch_columns=cfg.batch,
-        )
+        scfg = StreamConfig(k_modes=cfg.k, forget_factor=cfg.ff)
         if cols == 0:
             raise ConfigError(f"{cfg.input} has no columns to stream")
         blocks = (read_submatrix(cfg.input, lo, hi, start,
@@ -333,9 +329,7 @@ def _cmd_decompose(args):
         }
     elif cfg.mode == "serial-stream":
         source = BatchSource.from_file(cfg.input, cfg.batch)
-        scfg = StreamConfig(
-            k_modes=cfg.k, forget_factor=cfg.ff, batch_columns=cfg.batch,
-        )
+        scfg = StreamConfig(k_modes=cfg.k, forget_factor=cfg.ff)
         state, history = stream_all(source, scfg)
         result = {
             "modes": state.modes, "values": state.singular_values,

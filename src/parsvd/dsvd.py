@@ -43,13 +43,12 @@ class ApmosConfig:
     """local_rank  r1, right vectors kept per rank before the exchange
     global_rank r2, columns kept from the stacked factorization
     k_modes     K,  modes actually assembled (K <= r2)
-    use_randomized / sketch: factor the stacked W with the randomized
-    kernel instead of a dense SVD; sketch defaults to target_rank=r2."""
+    sketch      factor the stacked W with the randomized kernel under these
+                settings (target_rank >= r2); None factors it densely."""
 
     local_rank: int
     global_rank: int
     k_modes: int
-    use_randomized: bool = False
     sketch: Optional[RandomSketchConfig] = None
 
     def __post_init__(self):
@@ -79,18 +78,15 @@ class LocalModes:
     singular_values: np.ndarray
 
 
-def generate_right_vectors(a_local, local_rank, method="svd"):
-    """Leading right singular vectors and values of a local slice.
+def generate_right_vectors(a_local, local_rank):
+    """Leading right singular vectors and values of a local slice, from a
+    thin SVD of the slice.
 
     Returns (v, s) with v of shape (n_cols, local_rank) and s of length
     local_rank. When the slice has fewer than local_rank nonzero directions
     (short blocks, min(rows, cols) < r1), both are zero-padded to exactly
     local_rank columns; padded columns carry sigma = 0 and do not disturb
     the W W^T = A^T A identity.
-
-    method="svd" factors the slice directly; method="gram" takes the
-    eigendecomposition of A^T A (the classical method of snapshots), whose
-    vectors agree with the svd route up to column sign.
     """
     a = as_matrix(a_local, "a_local")
     n = a.shape[1]
@@ -100,26 +96,10 @@ def generate_right_vectors(a_local, local_rank, method="svd"):
         raise ValueError(
             f"local_rank {local_rank} exceeds the snapshot count {n}"
         )
-    if method == "svd":
-        res = svd_full(a, want_vt=True)
-        have = res.s.size
-        keep = min(local_rank, have)
-        v = res.vt[:keep].T.copy()
-        s = res.s[:keep].copy()
-    elif method == "gram":
-        lam, vec = np.linalg.eigh(a.T @ a)
-        order = np.argsort(-lam, kind="stable")
-        # Roundoff can push tiny eigenvalues slightly negative.
-        lam = np.clip(lam[order], 0.0, None)
-        vec = vec[:, order]
-        idx = np.argmax(np.abs(vec), axis=0)
-        signs = np.sign(vec[idx, np.arange(vec.shape[1])])
-        signs[signs == 0.0] = 1.0
-        keep = min(local_rank, n)
-        v = (vec * signs)[:, :keep]
-        s = np.sqrt(lam[:keep])
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    res = svd_full(a, want_vt=True)
+    keep = min(local_rank, res.s.size)
+    v = res.vt[:keep].T.copy()
+    s = res.s[:keep].copy()
     if keep < local_rank:
         v = np.hstack([v, np.zeros((n, local_rank - keep))])
         s = np.concatenate([s, np.zeros(local_rank - keep)])
@@ -147,11 +127,8 @@ def apmos(ctx, a_local, config):
     parts = gather(ctx, w_local)
     if ctx.rank == 0:
         w = np.concatenate(parts, axis=1)
-        if config.use_randomized:
-            sketch = config.sketch
-            if sketch is None:
-                sketch = RandomSketchConfig(target_rank=r2)
-            res = low_rank_svd(w, sketch)
+        if config.sketch is not None:
+            res = low_rank_svd(w, config.sketch)
         else:
             res = svd_full(w, want_vt=False)
         if res.s.size < r2:

@@ -153,17 +153,20 @@ def read_batches(source):
             yield read_submatrix(source._path, 0, source.rows, start, stop)
 
 
-def _fmt(value):
-    return format(float(value), ".17g")
+def _write_csv(path, header, table):
+    """Write a header line, then one line per table row with every value
+    in 17 significant digits."""
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(line % tuple(row) for row in table.tolist())
 
 
 def write_singular_values_csv(path, values):
     """Columns: index,sigma. One row per value, 17 significant digits."""
     values = np.asarray(values, dtype=np.float64)
-    with open(path, "w") as fh:
-        fh.write("index,sigma\n")
-        for i, v in enumerate(values):
-            fh.write(f"{i},{_fmt(v)}\n")
+    _write_csv(path, "index,sigma",
+               np.column_stack([np.arange(values.size), values]))
 
 
 def read_singular_values_csv(path):
@@ -183,11 +186,7 @@ def write_modes_csv(path, grid, modes):
             f"grid length {grid.size} does not match {modes.shape[0]} mode rows"
         )
     names = ",".join(f"mode_{j + 1}" for j in range(modes.shape[1]))
-    with open(path, "w") as fh:
-        fh.write(f"grid,{names}\n")
-        for i in range(grid.size):
-            row = ",".join(_fmt(v) for v in modes[i])
-            fh.write(f"{_fmt(grid[i])},{row}\n")
+    _write_csv(path, f"grid,{names}", np.column_stack([grid, modes]))
 
 
 def read_modes_csv(path):
@@ -207,11 +206,8 @@ def write_history_csv(path, history):
     """Columns: iteration,sigma_1..sigma_K; one row per streaming step."""
     history = as_matrix(history, "history")
     names = ",".join(f"sigma_{j + 1}" for j in range(history.shape[1]))
-    with open(path, "w") as fh:
-        fh.write(f"iteration,{names}\n")
-        for i in range(history.shape[0]):
-            row = ",".join(_fmt(v) for v in history[i])
-            fh.write(f"{i},{row}\n")
+    _write_csv(path, f"iteration,{names}",
+               np.column_stack([np.arange(history.shape[0]), history]))
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")

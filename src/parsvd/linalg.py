@@ -191,29 +191,3 @@ def subspace_angles(a, b):
     cosines = np.linalg.svd(qa.T @ qb, compute_uv=False)
     return np.sort(np.arccos(np.clip(cosines, -1.0, 1.0)))
 
-
-def matmul(a, b):
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def concat_cols(a, b):
-    """Stack two matrices side by side; row counts must match."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"row mismatch: {a.shape} vs {b.shape}")
-    return np.concatenate([a, b], axis=1)
-
-
-def concat_rows(a, b):
-    """Stack two matrices vertically; column counts must match."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"column mismatch: {a.shape} vs {b.shape}")
-    return np.concatenate([a, b], axis=0)

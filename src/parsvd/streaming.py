@@ -59,13 +59,13 @@ CHOLESKY_COND_LIMIT = 100.0
 
 @dataclass(frozen=True)
 class StreamConfig:
-    """k_modes reported per update, forget factor in (0, 1], nominal batch
-    width, and buffer_columns carried beyond k_modes.
+    """k_modes reported per update, forget factor in (0, 1], and
+    buffer_columns carried beyond k_modes.
 
-    batch_columns is what drivers use to cut a column stream into batches;
-    the update itself accepts any positive batch width. The update carries
-    up to k_modes + buffer_columns columns, never more than the row count
-    and never a direction whose singular value is at rounding level.
+    The update accepts batches of any positive width; callers cut their own
+    (io.BatchSource does it for files). It carries up to k_modes +
+    buffer_columns columns, never more than the row count and never a
+    direction whose singular value is at rounding level.
     The default buffer of 30 brings K = 5 streaming of the 2048 x 800
     Burgers matrix in 100-column batches to 7e-8 of the one-shot singular
     values; a buffer of 0 truncates to exactly k_modes after every batch.
@@ -73,7 +73,6 @@ class StreamConfig:
 
     k_modes: int
     forget_factor: float = 0.95
-    batch_columns: int = 1
     buffer_columns: int = 30
 
     def __post_init__(self):
@@ -82,10 +81,6 @@ class StreamConfig:
         if not 0.0 < self.forget_factor <= 1.0:
             raise ValueError(
                 f"forget_factor must be in (0, 1], got {self.forget_factor}"
-            )
-        if self.batch_columns < 1:
-            raise ValueError(
-                f"batch_columns must be >= 1, got {self.batch_columns}"
             )
         if self.buffer_columns < 0:
             raise ValueError(

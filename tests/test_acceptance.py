@@ -58,7 +58,7 @@ def test_streaming_equivalence(acceptance, burgers_snapshots,
                                burgers_direct_svd):
     # ff=1.0 streaming over 100-column batches against the one-shot SVD.
     start = time.perf_counter()
-    config = StreamConfig(k_modes=5, forget_factor=1.0, batch_columns=100)
+    config = StreamConfig(k_modes=5, forget_factor=1.0)
     batches = [burgers_snapshots[:, i:i + 100] for i in range(0, 800, 100)]
     state, _ = stream_all(batches, config)
     exact = burgers_direct_svd.s[:5]

@@ -9,11 +9,14 @@ import pytest
 
 from conftest import free_port
 from parsvd.cli import main
-from parsvd.datagen import BurgersConfig, burgers_matrix, synthetic_spectrum_matrix
+from parsvd.comm import run_simulated
+from parsvd.datagen import (BurgersConfig, burgers_matrix, partition_bounds,
+                            synthetic_spectrum_matrix)
+from parsvd.dsvd import ApmosConfig, apmos, gather_modes
 from parsvd.io import (read_matrix, read_matrix_header, read_modes_csv,
-                       read_singular_values_csv, write_matrix,
+                       read_singular_values_csv, read_submatrix, write_matrix,
                        write_modes_csv, write_singular_values_csv)
-from parsvd.linalg import svd_full
+from parsvd.linalg import RandomSketchConfig, svd_full
 
 RESULT_FILES = ("singular_values.csv", "modes.csv", "modes.svg", "summary.txt")
 
@@ -101,6 +104,37 @@ def test_decompose_parallel_modes_match_serial(tmp_path):
                  "--r1", "6", "--r2", "6", "--k", "3"]) == 0
     assert _summary(para)["world_size"] == "2"
     assert main(["compare", str(serial), str(para), "--threshold", "1e-8"]) == 0
+
+
+def test_decompose_parallel_randomized_matches_library(tmp_path, capsys):
+    # the stacked exchange matrix is 16 x (2 * 8); the sketch is 5 + 10 wide
+    mat = tmp_path / "a.bin"
+    a = _write_test_matrix(mat, rows=32, cols=16, rank=10)
+    outdir = tmp_path / "randomized"
+    base = ["decompose", "--input", str(mat), "--mode", "parallel-batch",
+            "--world-size", "2", "--r1", "8", "--r2", "4", "--k", "3",
+            "--randomized", "--seed", "7"]
+    assert main(base + ["--outdir", str(outdir), "--sketch-rank", "5"]) == 0
+
+    config = ApmosConfig(local_rank=8, global_rank=4, k_modes=3,
+                         sketch=RandomSketchConfig(5, 10, 1, 7))
+    bounds = partition_bounds(a.shape[0], 2)
+
+    def program(ctx):
+        # the same column-major row block the CLI reads for this rank
+        lo, hi = bounds[ctx.rank]
+        block = read_submatrix(mat, lo, hi, 0, a.shape[1])
+        state = apmos(ctx, block, config)
+        return gather_modes(ctx, state), state.singular_values
+
+    modes, values = run_simulated(2, program)[0]
+    assert np.array_equal(
+        read_singular_values_csv(outdir / "singular_values.csv"), values)
+    assert np.array_equal(read_modes_csv(outdir / "modes.csv")[1], modes)
+
+    assert main(base + ["--outdir", str(tmp_path / "narrow"),
+                        "--sketch-rank", "3"]) == 1
+    assert "sketch-rank 3" in capsys.readouterr().err
 
 
 def test_decompose_parallel_stream_smoke(tmp_path):

@@ -116,24 +116,33 @@ def test_batch_source_validation(tmp_path):
 # ---------- CSV emitters ----------
 
 def test_singular_values_csv_round_trip(tmp_path):
-    values = np.array([3.0, np.pi, 2.0 ** -40, 1.2345678901234567e-10])
+    values = np.array([3.0, -0.0, 5e-324, 1e300, np.pi, 2.0 ** -40,
+                       1.2345678901234567e-10])
     path = tmp_path / "sv.csv"
     write_singular_values_csv(path, values)
     lines = path.read_text().splitlines()
-    assert lines[0] == "index,sigma"
-    assert len(lines) == 5
-    # 17 significant digits make float64 round trips exact
-    assert np.array_equal(read_singular_values_csv(path), values)
+    assert lines[:5] == ["index,sigma", "0,3", "1,-0",
+                         "2,4.9406564584124654e-324",
+                         "3,1.0000000000000001e+300"]
+    assert lines[5] == "4,3.1415926535897931"
+    assert len(lines) == 8
+    # 17 significant digits make float64 round trips exact, signed zero
+    # and subnormals included
+    back = read_singular_values_csv(path)
+    assert np.array_equal(back, values)
+    assert np.signbit(back[1])
 
 
 def test_modes_csv_round_trip(tmp_path):
     rng = np.random.Generator(np.random.Philox(73))
     grid = np.linspace(0.0, 1.0, 9)
     modes = rng.standard_normal((9, 3))
+    modes[1] = [-0.0, 0.1, 5e-324]
     path = tmp_path / "modes.csv"
     write_modes_csv(path, grid, modes)
-    header = path.read_text().splitlines()[0]
-    assert header == "grid,mode_1,mode_2,mode_3"
+    lines = path.read_text().splitlines()
+    assert lines[0] == "grid,mode_1,mode_2,mode_3"
+    assert lines[2] == "0.125,-0,0.10000000000000001,4.9406564584124654e-324"
     grid_back, modes_back = read_modes_csv(path)
     assert np.array_equal(grid_back, grid)
     assert np.array_equal(modes_back, modes)

@@ -6,9 +6,8 @@ import scipy.linalg
 
 import oracles
 from parsvd.linalg import (QrResult, RandomSketchConfig, SvdResult,
-                           aligned_mode_difference, concat_cols, concat_rows,
-                           low_rank_svd, matmul, qr_factor, randomized_range,
-                           subspace_angles, svd_full)
+                           aligned_mode_difference, low_rank_svd, qr_factor,
+                           randomized_range, subspace_angles, svd_full)
 
 
 # ---------- qr_factor ----------
@@ -200,26 +199,6 @@ def test_low_rank_svd_tail_quality_over_seeds():
 
 
 # ---------- helpers ----------
-
-def test_matmul_matches_triple_loop():
-    rng = np.random.Generator(np.random.Philox(18))
-    a = rng.standard_normal((4, 3))
-    b = rng.standard_normal((3, 5))
-    assert np.max(np.abs(matmul(a, b) - oracles.matmul_loops(a, b))) < 1e-13
-    with pytest.raises(ValueError):
-        matmul(a, rng.standard_normal((4, 2)))
-
-
-def test_concat_shapes_and_errors():
-    a = np.ones((3, 2))
-    b = np.zeros((3, 4))
-    assert concat_cols(a, b).shape == (3, 6)
-    assert concat_rows(np.ones((2, 4)), b).shape == (5, 4)
-    with pytest.raises(ValueError):
-        concat_cols(a, np.zeros((4, 1)))
-    with pytest.raises(ValueError):
-        concat_rows(a, np.zeros((1, 3)))
-
 
 def test_aligned_mode_difference_ignores_sign():
     rng = np.random.Generator(np.random.Philox(19))

@@ -26,8 +26,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         StreamConfig(k_modes=2, forget_factor=1.5)
     with pytest.raises(ValueError):
-        StreamConfig(k_modes=2, batch_columns=0)
-    with pytest.raises(ValueError):
         StreamConfig(k_modes=2, buffer_columns=-1)
     assert StreamConfig(k_modes=2).forget_factor == 0.95
     assert StreamConfig(k_modes=2).buffer_columns == 30
@@ -35,7 +33,7 @@ def test_config_validation():
 
 def test_initialize_diagonal_exact():
     state = stream_initialize(np.diag([3.0, 2.0, 1.0]),
-                              StreamConfig(k_modes=3, batch_columns=3))
+                              StreamConfig(k_modes=3))
     assert np.array_equal(state.singular_values, [3.0, 2.0, 1.0])
     assert np.array_equal(np.abs(state.modes), np.eye(3))
     assert state.iteration == 0
@@ -44,7 +42,7 @@ def test_initialize_diagonal_exact():
 def test_initialize_matches_direct_svd():
     rng = np.random.Generator(np.random.Philox(40))
     a0 = rng.standard_normal((30, 8))
-    state = stream_initialize(a0, StreamConfig(k_modes=8, batch_columns=8))
+    state = stream_initialize(a0, StreamConfig(k_modes=8))
     direct = svd_full(a0)
     # same factorization reached through QR + small SVD; equal to roundoff
     assert np.max(np.abs(state.singular_values - direct.s) / direct.s) < 1e-12
@@ -59,7 +57,7 @@ def test_initialize_needs_enough_columns():
 def test_single_shot_equivalence_constructed_spectrum():
     a = _constructed()
     direct = svd_full(a)
-    config = StreamConfig(k_modes=5, forget_factor=1.0, batch_columns=15)
+    config = StreamConfig(k_modes=5, forget_factor=1.0)
     state, _ = stream_all(BatchSource.from_matrix(a, 15), config)
     rel = np.abs(state.singular_values - direct.s[:5]) / direct.s[:5]
     assert np.max(rel) < 1e-8
@@ -70,7 +68,7 @@ def test_partition_invariance():
     a = _constructed()
     direct = svd_full(a)
     for width in (36, 12, 9, 7, 5):
-        config = StreamConfig(k_modes=5, forget_factor=1.0, batch_columns=width)
+        config = StreamConfig(k_modes=5, forget_factor=1.0)
         state, history = stream_all(BatchSource.from_matrix(a, width), config)
         rel = np.abs(state.singular_values - direct.s[:5]) / direct.s[:5]
         assert np.max(rel) < 1e-6, f"width {width}"
@@ -83,7 +81,7 @@ def test_exact_when_k_covers_rank():
     # rank-3 data, K = 3, no forgetting: streaming loses nothing
     a = synthetic_spectrum_matrix(40, 24, [4.0, 2.0, 1.0], seed=12)
     direct = svd_full(a)
-    config = StreamConfig(k_modes=3, forget_factor=1.0, batch_columns=6)
+    config = StreamConfig(k_modes=3, forget_factor=1.0)
     state, _ = stream_all(BatchSource.from_matrix(a, 6), config)
     assert np.allclose(state.singular_values, direct.s[:3], rtol=1e-10)
     assert np.max(aligned_mode_difference(state.modes, direct.u[:, :3])) < 1e-9
@@ -94,7 +92,7 @@ def test_incorporate_batch_in_current_span():
     # values are exactly the svd of [diag(d) | coefficients]
     rng = np.random.Generator(np.random.Philox(41))
     a0 = rng.standard_normal((25, 6))
-    config = StreamConfig(k_modes=4, forget_factor=1.0, batch_columns=6)
+    config = StreamConfig(k_modes=4, forget_factor=1.0)
     state = stream_initialize(a0, config)
     coeff = rng.standard_normal((4, 3))
     batch = state.modes @ coeff
@@ -111,8 +109,8 @@ def test_incorporate_batch_in_current_span():
 
 def test_forget_factor_damps_history():
     a = _constructed(rows=50, cols=20, seed=13)
-    plain = StreamConfig(k_modes=5, forget_factor=1.0, batch_columns=10)
-    damped = StreamConfig(k_modes=5, forget_factor=0.95, batch_columns=10)
+    plain = StreamConfig(k_modes=5, forget_factor=1.0)
+    damped = StreamConfig(k_modes=5, forget_factor=0.95)
     s_plain, _ = stream_all(BatchSource.from_matrix(a, 10), plain)
     s_damped, _ = stream_all(BatchSource.from_matrix(a, 10), damped)
     assert s_damped.singular_values[0] < s_plain.singular_values[0]
@@ -121,7 +119,7 @@ def test_forget_factor_damps_history():
 
 def test_modes_stay_orthonormal_over_many_updates():
     rng = np.random.Generator(np.random.Philox(42))
-    config = StreamConfig(k_modes=6, forget_factor=0.95, batch_columns=8)
+    config = StreamConfig(k_modes=6, forget_factor=0.95)
     state = stream_initialize(rng.standard_normal((64, 8)), config)
     for _ in range(50):
         state = stream_incorporate(state, rng.standard_normal((64, 8)), config)
@@ -134,7 +132,7 @@ def test_modes_stay_orthonormal_over_many_updates():
 
 def test_variable_batch_width_accepted():
     rng = np.random.Generator(np.random.Philox(43))
-    config = StreamConfig(k_modes=3, forget_factor=1.0, batch_columns=5)
+    config = StreamConfig(k_modes=3, forget_factor=1.0)
     state = stream_initialize(rng.standard_normal((20, 5)), config)
     state = stream_incorporate(state, rng.standard_normal((20, 1)), config)
     state = stream_incorporate(state, rng.standard_normal((20, 9)), config)
@@ -143,13 +141,13 @@ def test_variable_batch_width_accepted():
 
 
 def test_incorporate_validates_shapes():
-    config = StreamConfig(k_modes=2, batch_columns=4)
+    config = StreamConfig(k_modes=2)
     state = stream_initialize(np.diag([2.0, 1.0, 0.5])[:, :3], config)
     with pytest.raises(ValueError):
         stream_incorporate(state, np.ones((4, 2)), config)  # wrong rows
     with pytest.raises(ValueError):
         stream_incorporate(state, np.ones((3, 0)), config)  # empty batch
-    wrong_k = StreamConfig(k_modes=3, batch_columns=4)
+    wrong_k = StreamConfig(k_modes=3)
     with pytest.raises(ValueError):
         stream_incorporate(state, np.ones((3, 2)), wrong_k)
 
@@ -158,7 +156,7 @@ def test_rescue_pass_restores_orthonormality():
     # feed a state whose modes have drifted well past the guard threshold;
     # the update must hand back an orthonormal block anyway
     rng = np.random.Generator(np.random.Philox(44))
-    config = StreamConfig(k_modes=3, forget_factor=1.0, batch_columns=4)
+    config = StreamConfig(k_modes=3, forget_factor=1.0)
     q = qr_factor(rng.standard_normal((30, 3))).q
     drifted = q + 1e-4 * rng.standard_normal((30, 3))
     state = StreamState(drifted, np.array([3.0, 2.0, 1.0]), 0)
@@ -175,7 +173,7 @@ def test_rescue_pass_keeps_the_carried_matrix(lean):
     # way the update must factor [U diag(s) | A] exactly, since nothing is
     # truncated here
     rng = np.random.Generator(np.random.Philox(45))
-    config = StreamConfig(k_modes=3, forget_factor=1.0, batch_columns=4)
+    config = StreamConfig(k_modes=3, forget_factor=1.0)
     q = qr_factor(rng.standard_normal((30, 3))).q
     drifted = q.copy()
     drifted[:, 2] = lean * q[:, 0] + np.sqrt(1.0 - lean ** 2) * q[:, 2]
@@ -195,11 +193,11 @@ def test_carried_width_follows_rank_and_row_count():
     # not carried; six rows: at most six columns are
     low_rank = synthetic_spectrum_matrix(40, 24, [4.0, 2.0, 1.0], seed=12)
     state, _ = stream_all(BatchSource.from_matrix(low_rank, 6),
-                          StreamConfig(k_modes=3, batch_columns=6))
+                          StreamConfig(k_modes=3))
     assert state.carried_modes.shape == (40, 3)
     rng = np.random.Generator(np.random.Philox(46))
     short = rng.standard_normal((6, 20))
-    config = StreamConfig(k_modes=2, forget_factor=1.0, batch_columns=4)
+    config = StreamConfig(k_modes=2, forget_factor=1.0)
     state, _ = stream_all(BatchSource.from_matrix(short, 4), config)
     assert state.carried_modes.shape == (6, 6)
     assert state.modes.shape == (6, 2)
@@ -215,7 +213,7 @@ def test_stream_all_checks_the_last_block():
     a0 = rng.standard_normal((50, 6))
     last = a0 @ rng.standard_normal((6, 3)) \
         + 1e-10 * rng.standard_normal((50, 3))
-    config = StreamConfig(k_modes=3, forget_factor=1.0, batch_columns=6)
+    config = StreamConfig(k_modes=3, forget_factor=1.0)
     raw = stream_incorporate(stream_initialize(a0, config), last, config)
     width = raw.carried_modes.shape[1]
     gram = raw.carried_modes.T @ raw.carried_modes
@@ -235,7 +233,7 @@ def test_stream_all_requires_batches():
 
 def test_first_burgers_batch_matches_direct(burgers_snapshots):
     a0 = burgers_snapshots[:, :100]
-    state = stream_initialize(a0, StreamConfig(k_modes=10, batch_columns=100))
+    state = stream_initialize(a0, StreamConfig(k_modes=10))
     direct = svd_full(a0)
     rel = np.abs(state.singular_values - direct.s[:10]) / direct.s[:10]
     assert np.max(rel) < 1e-10
