@@ -31,8 +31,8 @@ from .errors import CapacityError, CollectiveTimeout, ConfigError, \
 from .io import BatchSource, read_matrix, read_matrix_header, read_modes_csv, \
     read_singular_values_csv, read_submatrix, write_history_csv, write_matrix, \
     write_mode_svg, write_modes_csv, write_singular_values_csv
-from .linalg import RandomSketchConfig, aligned_mode_difference, low_rank_svd, \
-    svd_full
+from .linalg import RandomSketchConfig, aligned_mode_difference, \
+    blas_thread_budget, low_rank_svd, svd_full
 from .streaming import StreamConfig, stream_all
 
 MODES = ("serial-batch", "serial-stream", "parallel-batch", "parallel-stream")
@@ -359,10 +359,12 @@ def _cmd_rank(args):
             )
         cfg = RunConfig(**{**cfg.__dict__, "world_size": ctx.world_size,
                            "transport": "tcp"})
-        result = _rank_work(ctx, cfg)
-        if ctx.rank == 0:
-            _write_outputs(cfg, result)
-            print(f"wrote results for {cfg.mode} to {cfg.outdir}")
+        # The ranks are taken to share this host, as simulated ranks do.
+        with blas_thread_budget(ctx.world_size):
+            result = _rank_work(ctx, cfg)
+            if ctx.rank == 0:
+                _write_outputs(cfg, result)
+                print(f"wrote results for {cfg.mode} to {cfg.outdir}")
     finally:
         ctx.transport.close()
     return 0

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CollectiveTimeout, ConfigError, ProtocolError
-from .linalg import as_matrix
+from .linalg import as_matrix, blas_thread_budget
 
 FRAME_HEADER = struct.Struct("<III")
 MATRIX_HEADER = struct.Struct("<QQ")
@@ -537,6 +537,11 @@ def run_simulated(world_size, fn, *, deadline=DEFAULT_DEADLINE, channel_capacity
     Returns the per-rank results in rank order. If any rank raises, the
     world is aborted so the rest unblock immediately, and the lowest-rank
     original exception is re-raised.
+
+    While the ranks run, OpenBLAS gets the per-rank share of the CPUs that
+    `linalg.blas_thread_budget` gives, the same count each `parsvd rank`
+    process of a world of this size uses, so both transports run the same
+    kernels. The previous count is back when this returns or raises.
     """
     transport = SimTransport(world_size, channel_capacity)
     contexts = [
@@ -557,10 +562,11 @@ def run_simulated(world_size, fn, *, deadline=DEFAULT_DEADLINE, channel_capacity
         threading.Thread(target=runner, args=(rank,), daemon=True)
         for rank in range(world_size)
     ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    with blas_thread_budget(world_size):
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
     # Prefer a root-cause exception over _WorldAborted fallout in victims.
     for exc in failures:
         if exc is not None and not isinstance(exc, _WorldAborted):

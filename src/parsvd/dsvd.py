@@ -6,11 +6,12 @@ global matrix. Two assembly strategies are provided:
 * apmos: approximate partitioned method of snapshots. Each rank compresses
   its slice to r1 right singular vectors scaled by their singular values,
   W^i = V~ S~^T (snapshots x r1, cheap to ship since it has no row
-  dimension). Rank 0 stacks the W^i, factors the stack (exactly or with the
-  randomized kernel), keeps r2 columns, and broadcasts them; each rank then
-  lifts its local mode rows as U^i_j = A^i X_j / lambda_j. The stack
-  satisfies W W^T = A^T A, which is what makes the assembly exact when
-  nothing is truncated.
+  dimension). A tall slice gets them from the SVD of its n x n triangular
+  QR factor, without forming its left singular vectors. Rank 0 stacks the
+  W^i, factors the stack (exactly or with the randomized kernel), keeps r2
+  columns, and broadcasts them; each rank then lifts its local mode rows
+  as U^i_j = A^i X_j / lambda_j. The stack satisfies W W^T = A^T A, which
+  is what makes the assembly exact when nothing is truncated.
 
 * parallel_qr + the parallel streaming functions: a tall-skinny QR across
   ranks (local QR, QR of the stacked triangular factors at rank 0, lift the
@@ -28,8 +29,8 @@ import numpy as np
 
 from .comm import broadcast, gather, recv, send
 from .errors import DegenerateModeError
-from .linalg import (QrResult, RandomSketchConfig, as_matrix, low_rank_svd,
-                     qr_factor, svd_full)
+from .linalg import (QrResult, RandomSketchConfig, _positive_column_signs,
+                     as_matrix, low_rank_svd, qr_factor, svd_full)
 from .streaming import (StreamKernels, _drive, _incorporate, _initialize,
                         _settle)
 
@@ -79,8 +80,15 @@ class LocalModes:
 
 
 def generate_right_vectors(a_local, local_rank):
-    """Leading right singular vectors and values of a local slice, from a
-    thin SVD of the slice.
+    """Leading right singular vectors and values of a local slice.
+
+    A tall slice (more rows than columns) has the right vectors and values
+    of its triangular factor R, so it is reduced by a QR that keeps only R
+    and the SVD runs on the n x n R; the rows x n left factor is never
+    formed (Chan's R-SVD). Other slices take a thin SVD directly. Either
+    way the signs are those of svd_full of the slice itself: the entry of
+    largest magnitude in each left vector is positive. The R route reads
+    them from a_local @ v = U S, at the cost of one rows x n x r1 product.
 
     Returns (v, s) with v of shape (n_cols, local_rank) and s of length
     local_rank. When the slice has fewer than local_rank nonzero directions
@@ -96,9 +104,14 @@ def generate_right_vectors(a_local, local_rank):
         raise ValueError(
             f"local_rank {local_rank} exceeds the snapshot count {n}"
         )
-    res = svd_full(a, want_vt=True)
+    tall = a.shape[0] > n
+    res = svd_full(np.linalg.qr(a, mode="r") if tall else a)
     keep = min(local_rank, res.s.size)
-    v = res.vt[:keep].T.copy()
+    vt = res.vt[:keep]
+    if tall:
+        # R's left vectors carry their own signs; a @ v = U S has the slab's
+        _, vt = _positive_column_signs(a @ vt.T, vt)
+    v = vt.T.copy()
     s = res.s[:keep].copy()
     if keep < local_rank:
         v = np.hstack([v, np.zeros((n, local_rank - keep))])

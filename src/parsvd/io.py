@@ -252,7 +252,8 @@ def write_mode_svg(path, grid, modes, width=720, height=420):
     for j in range(modes.shape[1]):
         color = _SVG_COLORS[j % len(_SVG_COLORS)]
         ys = (height - margin) - (modes[:, j] - y_lo) / y_span * (height - 2 * margin)
-        points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+        points = " ".join(map("%.2f,%.2f".__mod__,
+                              zip(xs.tolist(), ys.tolist())))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
             f'points="{points}"/>'

@@ -9,8 +9,16 @@ so that repeated runs and independently computed factorizations agree:
 Randomness enters only through `RandomSketchConfig.seed`, which drives a
 counter-based Philox generator, so sketches are reproducible across runs and
 machines.
+
+`blas_thread_budget` divides the CPUs among the ranks of a world that runs
+on one host, by setting the thread count of the OpenBLAS numpy uses.
 """
 
+import contextlib
+import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -191,3 +199,90 @@ def subspace_angles(a, b):
     cosines = np.linalg.svd(qa.T @ qb, compute_uv=False)
     return np.sort(np.arccos(np.clip(cosines, -1.0, 1.0)))
 
+
+# (set, get) thread-count entry points of the OpenBLAS builds numpy ships
+# with: scipy-openblas wheels, 64-bit-integer builds, plain builds.
+_OPENBLAS_THREAD_API = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """(set, get) thread-count functions of the OpenBLAS numpy loaded, or
+    None when numpy uses another BLAS.
+
+    The symbols are looked up through numpy's LAPACK extension module: a
+    handle to a loaded library also searches the libraries it was linked
+    against, so this finds the copy numpy calls and loads nothing new.
+    """
+    from numpy.linalg import _umath_linalg
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for set_name, get_name in _OPENBLAS_THREAD_API:
+        try:
+            set_threads = getattr(lib, set_name)
+            get_threads = getattr(lib, get_name)
+        except AttributeError:
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        return set_threads, get_threads
+    return None
+
+
+def _available_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _BudgetHolders:
+    """The budgets open in this process. The OpenBLAS thread count is one
+    process-wide setting, so budgets entered by several threads at once
+    share it: each may lower it, and the last one out restores the count
+    the first one found."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.count = 0
+        self.restore = None
+
+
+_BUDGETS = _BudgetHolders()
+
+
+@contextlib.contextmanager
+def blas_thread_budget(world_size):
+    """Run the body with at most cpus // world_size OpenBLAS threads.
+
+    `world_size` ranks on one host each get an equal share of the CPUs this
+    process may run on (at least one thread), and never more threads than
+    OpenBLAS had on entry, so OPENBLAS_NUM_THREADS stays a cap. The
+    previous count is restored on exit, also when the body raises; budgets
+    that overlap in time restore the count from before the first of them
+    when the last one exits. Without an OpenBLAS entry point this does
+    nothing.
+    """
+    api = _openblas_threads()
+    if api is None:
+        yield
+        return
+    set_threads, get_threads = api
+    with _BUDGETS.lock:
+        current = get_threads()
+        if _BUDGETS.count == 0:
+            _BUDGETS.restore = current
+        _BUDGETS.count += 1
+        set_threads(max(1, min(current, _available_cpus() // world_size)))
+    try:
+        yield
+    finally:
+        with _BUDGETS.lock:
+            _BUDGETS.count -= 1
+            if _BUDGETS.count == 0:
+                set_threads(_BUDGETS.restore)

@@ -1,5 +1,7 @@
 """Wire codec, simulator, TCP star, and collective semantics."""
 
+import os
+import sys
 import threading
 import time
 
@@ -13,6 +15,7 @@ from parsvd.comm import (FRAME_HEADER, GATHER_TAG, MAX_USER_TAG, RankContext,
                          encode_matrix, gather, recv, run_simulated, send,
                          tcp_context_from_env)
 from parsvd.errors import CollectiveTimeout, ConfigError, ProtocolError
+from parsvd.linalg import _openblas_threads, blas_thread_budget
 
 
 # ---------- codec ----------
@@ -181,6 +184,63 @@ def test_failure_aborts_world_quickly():
     assert time.monotonic() - start < 5.0
 
 
+def _blas_threads_or_skip():
+    api = _openblas_threads()
+    if api is None:
+        pytest.skip("numpy's BLAS has no OpenBLAS thread entry point")
+    return api[1]
+
+
+def test_run_simulated_budgets_blas_threads():
+    get_threads = _blas_threads_or_skip()
+    prev = get_threads()
+    budget = max(1, min(prev, len(os.sched_getaffinity(0)) // 2))
+    assert run_simulated(2, lambda ctx: get_threads()) == [budget, budget]
+    assert get_threads() == prev
+
+    def program(ctx):
+        if ctx.rank == 1:
+            raise RuntimeError("rank 1 exploded")
+        return get_threads()
+
+    with pytest.raises(RuntimeError, match="rank 1 exploded"):
+        run_simulated(2, program)
+    assert get_threads() == prev
+    # a TCP rank raises through the budget itself
+    with pytest.raises(RuntimeError, match="rank body failed"):
+        with blas_thread_budget(2):
+            raise RuntimeError("rank body failed")
+    assert get_threads() == prev
+
+
+def test_overlapping_budgets_restore_the_first_count():
+    # worlds launched from several threads at once share the one OpenBLAS
+    # setting: none may see more than its budget, and the count from
+    # before the first world is back after the last
+    get_threads = _blas_threads_or_skip()
+    prev = get_threads()
+    budget = max(1, min(prev, len(os.sched_getaffinity(0)) // 2))
+    seen = []
+
+    def launcher():
+        for _ in range(20):
+            seen.extend(run_simulated(2, lambda ctx: get_threads()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        launchers = [threading.Thread(target=launcher) for _ in range(4)]
+        for thread in launchers:
+            thread.start()
+        for thread in launchers:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in launchers)
+    assert len(seen) == 4 * 20 * 2 and max(seen) <= budget
+    assert get_threads() == prev
+
+
 def test_stats_count_framed_bytes():
     a = np.ones((4, 3))
     frame_bytes = FRAME_HEADER.size + len(encode_matrix(a))
@@ -219,7 +279,8 @@ def test_rank_context_validation():
 # ---------- TCP transport ----------
 
 def run_tcp(world_size, fn, deadline=15.0):
-    """Drive a TCP world with one thread per rank on localhost."""
+    """Drive a TCP world with one thread per rank on localhost, under the
+    BLAS thread budget that `parsvd rank` processes and run_simulated use."""
     address = f"127.0.0.1:{free_port()}"
     results = [None] * world_size
     errors = [None] * world_size
@@ -242,10 +303,11 @@ def run_tcp(world_size, fn, deadline=15.0):
 
     threads = [threading.Thread(target=runner, args=(rank,))
                for rank in range(world_size)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=60.0)
+    with blas_thread_budget(world_size):
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
     for exc in errors:
         if exc is not None:
             raise exc

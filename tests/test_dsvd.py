@@ -53,6 +53,19 @@ def test_right_vectors_zero_padding_keeps_gram_identity():
     assert np.max(np.abs(w @ w.T - a.T @ a)) < 1e-12
 
 
+@pytest.mark.parametrize("rows", [slice(1024, None), slice(1024, 1824),
+                                  slice(1024, 1424)],
+                         ids=["tall", "square", "wide"])
+def test_right_vectors_match_slab_svd(burgers_snapshots, rows):
+    # a tall slab goes through its R factor, the others through a direct
+    # SVD; values and sign-fixed vectors must be those of svd_full(slab)
+    slab = burgers_snapshots[rows]
+    ref = svd_full(slab)
+    v, s = generate_right_vectors(slab, 20)
+    assert np.max(np.abs(s - ref.s[:20])) <= 1e-13 * ref.s[0]
+    assert np.max(np.abs(v - ref.vt[:20].T)) <= 1e-13
+
+
 def test_right_vectors_validation():
     with pytest.raises(ValueError):
         generate_right_vectors(np.ones((3, 2)), 3)  # r1 > columns
