@@ -25,9 +25,9 @@ from .dsvd import (ApmosConfig, LocalModes, apmos, gather_modes,
 from .errors import (CapacityError, CollectiveTimeout, ConfigError,
                      ConvergenceError, DegenerateModeError,
                      MatrixFormatError, ProtocolError)
-from .io import (BatchSource, read_batches, read_matrix, read_matrix_header,
-                 read_submatrix, write_matrix, write_mode_svg,
-                 write_modes_csv, write_singular_values_csv)
+from .io import (BatchSource, read_matrix, read_matrix_header, read_submatrix,
+                 write_matrix, write_mode_svg, write_modes_csv,
+                 write_singular_values_csv)
 from .linalg import (QrResult, RandomSketchConfig, SvdResult,
                      aligned_mode_difference, low_rank_svd, qr_factor,
                      randomized_range, subspace_angles, svd_full)

@@ -11,6 +11,9 @@ Wire layout, little endian throughout:
     matrix = [u64 rows][u64 cols][rows * cols float64, column-major]
     frame  = [u32 tag][u32 source][u32 dest][matrix]
 
+A TCP frame whose matrix header announces more than MAX_PAYLOAD_BYTES is
+refused with ProtocolError before its payload is read.
+
 Collectives are built from point-to-point sends with rank-ordered assembly,
 so gather results do not depend on arrival order. Every blocking operation
 carries a deadline (default 30 s) and raises CollectiveTimeout when it
@@ -42,6 +45,17 @@ BCAST_TAG = 0xFFFF0002
 
 DEFAULT_DEADLINE = 30.0
 _POLL = 0.02
+
+# Largest matrix payload a TCP frame may announce. The biggest frames the
+# package sends are a rank's rows of the modes (gather_modes): 8192 x 5, or
+# 320 KB, in the benchmark; 4 GiB leaves room for 10 million rows of 50
+# modes. A header above this is corrupt and raises ProtocolError before any
+# of its payload is read.
+MAX_PAYLOAD_BYTES = 1 << 32
+# Most bytes asked of one recv call. CPython allocates the whole requested
+# size before data arrives, so a wire-supplied length is never passed on
+# whole.
+_RECV_CHUNK = 1 << 20
 
 
 def encode_matrix(a):
@@ -180,7 +194,7 @@ def _recv_exact(sock, n, deadline, closing=None):
         if not ready:
             continue
         try:
-            chunk = sock.recv(n - len(buf))
+            chunk = sock.recv(min(n - len(buf), _RECV_CHUNK))
         except OSError:
             raise ProtocolError("socket failed mid-read") from None
         if not chunk:
@@ -195,7 +209,8 @@ def _recv_exact(sock, n, deadline, closing=None):
 
 def _read_frame(sock, deadline, closing=None):
     """Read one full frame; returns (tag, source, dest, payload) or None on
-    clean EOF between frames."""
+    clean EOF between frames. A matrix header announcing more than
+    MAX_PAYLOAD_BYTES raises ProtocolError before the payload is read."""
     head = _recv_exact(sock, FRAME_HEADER.size, deadline, closing)
     if head is None:
         return None
@@ -204,9 +219,15 @@ def _read_frame(sock, deadline, closing=None):
     if mhead is None:
         raise ProtocolError("connection closed between frame and matrix header")
     rows, cols = MATRIX_HEADER.unpack(mhead)
+    size = 8 * rows * cols
+    if size > MAX_PAYLOAD_BYTES:
+        raise ProtocolError(
+            f"frame announces a {rows}x{cols} matrix ({size} bytes), above "
+            f"the {MAX_PAYLOAD_BYTES}-byte limit"
+        )
     body = b""
-    if rows * cols:
-        body = _recv_exact(sock, 8 * rows * cols, deadline, closing)
+    if size:
+        body = _recv_exact(sock, size, deadline, closing)
         if body is None:
             raise ProtocolError("connection closed before matrix payload")
     return tag, source, dest, mhead + body

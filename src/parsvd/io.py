@@ -139,18 +139,14 @@ class BatchSource:
         return -(-self.cols // self.batch_columns)
 
     def __iter__(self):
-        return read_batches(self)
-
-
-def read_batches(source):
-    """Generator over a BatchSource's column batches, in order."""
-    width = source.batch_columns
-    for start in range(0, source.cols, width):
-        stop = min(start + width, source.cols)
-        if source._matrix is not None:
-            yield source._matrix[:, start:stop]
-        else:
-            yield read_submatrix(source._path, 0, source.rows, start, stop)
+        """The column batches, in order."""
+        width = self.batch_columns
+        for start in range(0, self.cols, width):
+            stop = min(start + width, self.cols)
+            if self._matrix is not None:
+                yield self._matrix[:, start:stop]
+            else:
+                yield read_submatrix(self._path, 0, self.rows, start, stop)
 
 
 def _write_csv(path, header, table):

@@ -10,6 +10,11 @@ Randomness enters only through `RandomSketchConfig.seed`, which drives a
 counter-based Philox generator, so sketches are reproducible across runs and
 machines.
 
+`qr_factor` is the package's one QR entry point. Wider than
+QR_PANEL_COLUMNS, such as the streaming update's 16384 x 100 residual, it
+is a recursive Householder QR in compact WY form (Elmroth & Gustavson,
+2000; Schreiber & Van Loan, 1989) that does most of its work in GEMMs.
+
 `blas_thread_budget` divides the CPUs among the ranks of a world that runs
 on one host, by setting the thread count of the OpenBLAS numpy uses.
 """
@@ -25,6 +30,17 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConvergenceError
+
+# Widest column block qr_factor hands to LAPACK. np.linalg.qr runs LAPACK's
+# unblocked, BLAS-2 Householder loop below its 128-column crossover, at
+# 7-9 GFLOP/s on a 16384-row block, so qr_factor splits wider blocks into
+# panels at most this wide and does the rest in GEMMs. On a 16384 x 100
+# block (2 cores) panels of 4 to 24 columns time within 10% of each other;
+# 64 is 20% slower at one BLAS thread. Inputs with at most this many columns
+# or rows stay on LAPACK outright: small ones, such as the 20 x 10 root
+# factor of a parallel QR, cost less there than the recursion's Python
+# overhead, and their results stay those of the plain LAPACK call.
+QR_PANEL_COLUMNS = 16
 
 
 class QrResult(NamedTuple):
@@ -99,17 +115,102 @@ def _positive_column_signs(u, vt):
     return u, vt
 
 
+def _product(u, c):
+    """u @ c laid out column-major.
+
+    Tall operands here (matrix-file batches, the streaming block, QR
+    workspaces) are column-major, so the product is taken as (c^T u^T)^T:
+    BLAS then streams whole columns of u, and the result is column-major
+    too. A row-major tall result would make the next LAPACK call copy it
+    into column order first.
+    """
+    return (c.T @ u.T).T
+
+
+def _householder(a, v, r):
+    """Recursive Householder QR of a tall block, in compact WY form.
+
+    a (m x n with m >= n, column-major) is overwritten. The reflector
+    vectors go into v, unit lower trapezoidal (v must be zero above its
+    diagonal on entry), and the triangular factor into r. Returns the
+    n x n upper triangular T with H_1 ... H_n = I - V T V^T, so that
+    a = (I - V T V^T) [r; 0].
+
+    Blocks of at most QR_PANEL_COLUMNS columns go to LAPACK; wider ones are
+    split in half (Elmroth & Gustavson, 2000): factor the left half, apply
+    its reflectors to the right half with two GEMMs, factor the trailing
+    rows of the right half, and join the two T factors.
+    """
+    n = a.shape[1]
+    if n <= QR_PANEL_COLUMNS:
+        h, tau = np.linalg.qr(a, mode="raw")
+        h = h.T
+        np.copyto(r, np.triu(h[:n]))
+        np.copyto(v[n:], h[n:])
+        v[:n] = np.tril(h[:n], -1) + np.eye(n)
+        # Forward recurrence of LAPACK's dlarft; a zero tau (a zero column)
+        # gives a zero column of T, that is H_i = I.
+        gram = v.T @ v
+        t = np.zeros((n, n))
+        for i in range(n):
+            t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
+            t[i, i] = tau[i]
+        return t
+    n1 = n // 2
+    v1, v2 = v[:, :n1], v[n1:, n1:]
+    a2 = a[:, n1:]
+    t1 = _householder(a[:, :n1], v1, r[:n1, :n1])
+    a2 -= _product(v1, t1.T @ (v1.T @ a2))
+    r[:n1, n1:] = a2[:n1]
+    t2 = _householder(a2[n1:], v2, r[n1:, n1:])
+    t = np.zeros((n, n))
+    t[:n1, :n1] = t1
+    t[n1:, n1:] = t2
+    t[:n1, n1:] = -t1 @ (v1[n1:].T @ v2) @ t2
+    return t
+
+
+def _diagonal_signs(r):
+    """Signs that make diag(r) non-negative; a zero entry keeps sign +1."""
+    d = np.sign(np.diag(r))
+    d[d == 0.0] = 1.0
+    return d
+
+
 def qr_factor(a):
     """Reduced QR factorization with diag(r) >= 0.
 
     Returns QrResult(q, r) with q of shape (m, min(m, n)) having orthonormal
-    columns and r upper triangular such that q @ r reconstructs a.
+    columns and r upper triangular such that q @ r reconstructs a. The
+    result is deterministic for a given BLAS thread count.
+
+    With k = min(m, n) <= QR_PANEL_COLUMNS this is LAPACK's reduced QR.
+    Wider inputs go through the recursive compact-WY Householder QR of
+    `_householder`, whose work is mostly GEMMs, and q is formed with one
+    more: q = ([I; 0] - V T V[:k]^T) diag(d), where d flips the signs of
+    r's diagonal. A wide input (n > m) factors its leading k columns and
+    sets r[:, k:] = q^T a[:, k:].
     """
     a = as_matrix(a)
-    q, r = np.linalg.qr(a, mode="reduced")
-    d = np.sign(np.diag(r))
-    d[d == 0.0] = 1.0
-    return QrResult(q * d, r * d[:, None])
+    m, n = a.shape
+    k = min(m, n)
+    if k <= QR_PANEL_COLUMNS:
+        q, r = np.linalg.qr(a, mode="reduced")
+        d = _diagonal_signs(r)
+        return QrResult(q * d, r * d[:, None])
+    work = np.empty((m, k), order="F")
+    np.copyto(work, a[:, :k])
+    v = np.zeros((m, k), order="F")
+    r = np.zeros((k, n))
+    t = _householder(work, v, r[:, :k])
+    d = _diagonal_signs(r)
+    q = _product(v, (t @ v[:k].T) * -d)
+    diag = np.arange(k)
+    q[diag, diag] += d
+    r[:, :k] *= d[:, None]
+    if n > k:
+        r[:, k:] = q.T @ a[:, k:]
+    return QrResult(q, r)
 
 
 def svd_full(a, want_vt=True):

@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .linalg import as_matrix, qr_factor, svd_full
+from .linalg import _product, as_matrix, qr_factor, svd_full
 
 # When repeated updates erode orthonormality past this, the carried block is
 # re-orthonormalized before it is used. The check reads U^T U, which travels
@@ -149,12 +149,6 @@ def _carried(state):
 
 def _drift(gram):
     return np.max(np.abs(gram - np.eye(gram.shape[0])))
-
-
-def _product(u, c):
-    # u @ c laid out column-major: batches read from matrix files and the
-    # carried block are column-major too, so BLAS streams whole columns.
-    return (c.T @ u.T).T
 
 
 def _keep(values, shape, config, rows):

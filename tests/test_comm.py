@@ -1,19 +1,22 @@
 """Wire codec, simulator, TCP star, and collective semantics."""
 
 import os
+import socket
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import free_port
-from parsvd.comm import (FRAME_HEADER, GATHER_TAG, MAX_USER_TAG, RankContext,
-                         SimTransport, TcpTransport, broadcast, decode_matrix,
-                         encode_matrix, gather, recv, run_simulated, send,
-                         tcp_context_from_env)
+from parsvd.comm import (FRAME_HEADER, GATHER_TAG, MATRIX_HEADER,
+                         MAX_PAYLOAD_BYTES, MAX_USER_TAG, RankContext,
+                         SimTransport, TcpTransport, _read_frame, broadcast,
+                         decode_matrix, encode_matrix, gather, recv,
+                         run_simulated, send, tcp_context_from_env)
 from parsvd.errors import CollectiveTimeout, ConfigError, ProtocolError
 from parsvd.linalg import _openblas_threads, blas_thread_budget
 
@@ -412,6 +415,44 @@ def test_tcp_rejects_bad_hello():
     with pytest.raises(ProtocolError):
         TcpTransport.listen(2, address, deadline=5.0)
     thread.join(timeout=10.0)
+
+
+def test_oversized_frame_header_fails_fast():
+    # a corrupt header announcing a 2^32 x 2^32 matrix must be refused as a
+    # protocol error, without allocating its payload or waiting it out
+    reader, writer = socket.socketpair()
+    with reader, writer:
+        writer.sendall(FRAME_HEADER.pack(1, 1, 0)
+                       + MATRIX_HEADER.pack(2 ** 32, 2 ** 32))
+        tracemalloc.start()
+        start = time.monotonic()
+        try:
+            with pytest.raises(ProtocolError, match="limit"):
+                _read_frame(reader, start + 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.monotonic() - start < 1.0
+        assert peak < 1 << 20
+
+
+def test_frame_larger_than_one_recv_chunk():
+    # a payload of several receive chunks arrives whole; a header just over
+    # the limit is refused
+    a = np.arange(300 * 1000, dtype=np.float64).reshape(300, 1000)
+    frame = FRAME_HEADER.pack(5, 1, 0) + encode_matrix(a)
+    reader, writer = socket.socketpair()
+    with reader, writer:
+        thread = threading.Thread(target=writer.sendall, args=(frame,))
+        thread.start()
+        tag, source, dest, payload = _read_frame(reader, time.monotonic() + 10.0)
+        thread.join(timeout=10.0)
+        assert (tag, source, dest) == (5, 1, 0)
+        assert np.array_equal(decode_matrix(payload), a)
+        cols = MAX_PAYLOAD_BYTES // 8 + 1
+        writer.sendall(FRAME_HEADER.pack(5, 1, 0) + MATRIX_HEADER.pack(1, cols))
+        with pytest.raises(ProtocolError):
+            _read_frame(reader, time.monotonic() + 10.0)
 
 
 def test_address_parsing_errors():

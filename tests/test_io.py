@@ -5,10 +5,10 @@ import pytest
 
 import oracles
 from parsvd.errors import MatrixFormatError
-from parsvd.io import (BatchSource, read_batches, read_matrix,
-                       read_matrix_header, read_modes_csv,
-                       read_singular_values_csv, read_submatrix, write_matrix,
-                       write_history_csv, write_mode_svg, write_modes_csv,
+from parsvd.io import (BatchSource, read_matrix, read_matrix_header,
+                       read_modes_csv, read_singular_values_csv,
+                       read_submatrix, write_matrix, write_history_csv,
+                       write_mode_svg, write_modes_csv,
                        write_singular_values_csv)
 
 
@@ -110,7 +110,7 @@ def test_batch_source_validation(tmp_path):
         BatchSource(2, path=path, matrix=np.ones((2, 2)))
     src = BatchSource.from_file(path, 1)
     assert (src.rows, src.cols) == (2, 2)
-    assert len(list(read_batches(src))) == 2
+    assert len(list(src)) == 2
 
 
 # ---------- CSV emitters ----------

@@ -5,9 +5,11 @@ import pytest
 import scipy.linalg
 
 import oracles
-from parsvd.linalg import (QrResult, RandomSketchConfig, SvdResult,
-                           aligned_mode_difference, low_rank_svd, qr_factor,
-                           randomized_range, subspace_angles, svd_full)
+from parsvd.linalg import (QR_PANEL_COLUMNS, QrResult, RandomSketchConfig,
+                           SvdResult, aligned_mode_difference, low_rank_svd,
+                           qr_factor, randomized_range, subspace_angles,
+                           svd_full)
+from parsvd.streaming import StreamConfig, stream_initialize
 
 
 # ---------- qr_factor ----------
@@ -58,6 +60,98 @@ def test_qr_is_deterministic():
     second = qr_factor(a.copy())
     assert np.array_equal(first.q, second.q)
     assert np.array_equal(first.r, second.r)
+
+
+def _lapack_qr(a):
+    """np.linalg.qr with qr_factor's sign convention: the reference for the
+    recursive kernel."""
+    q, r = np.linalg.qr(a, mode="reduced")
+    d = np.sign(np.diag(r))
+    d[d == 0.0] = 1.0
+    return q * d, r * d[:, None]
+
+
+def _qr_inputs(m, n, rng):
+    """(name, matrix, full_rank) cases: Gaussian, graded column scales,
+    numerically low rank, an exact zero column, a repeated column (the last
+    one, so no row of R depends on the direction its rounding picks), and
+    all zeros."""
+    g = rng.standard_normal((m, n))
+    yield "gaussian", g, True
+    yield "graded", g * np.logspace(0, -16, n), True
+    rank = min(3, m, n)
+    low = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    yield "rank-deficient", low + 1e-15 * rng.standard_normal((m, n)), False
+    zero_col = g.copy()
+    zero_col[:, n // 2] = 0.0
+    yield "zero column", zero_col, False
+    if n > 1:
+        repeated = g.copy()
+        repeated[:, -1] = repeated[:, 0]
+        yield "repeated column", repeated, False
+    yield "zeros", np.zeros((m, n)), False
+
+
+def _check_qr_against_lapack(a, full_rank, label):
+    m, n = a.shape
+    q, r = qr_factor(a)
+    q_ref, r_ref = _lapack_qr(a)
+    scale = 1.0 + np.max(np.abs(a))
+    assert q.shape == q_ref.shape and r.shape == r_ref.shape, label
+    assert np.max(np.abs(q @ r - a)) <= 1e-13 * scale, label
+    assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= 1e-13 * max(m, n), label
+    assert np.all(np.diag(r) >= 0.0), label
+    assert np.all(np.tril(r, -1) == 0.0), label
+    assert np.max(np.abs(r - r_ref)) <= 1e-12 * scale, label
+    if full_rank:
+        assert np.max(np.abs(q - q_ref)) <= 1e-12, label
+
+
+@pytest.mark.parametrize("n", [1, 16, 17, 33, 100, 135])
+@pytest.mark.parametrize("rows_per_col", [1, 3])
+def test_qr_recursive_kernel_matches_lapack(n, rows_per_col):
+    # n <= QR_PANEL_COLUMNS is the plain LAPACK call; wider inputs take the
+    # recursive compact-WY route (17: one split, 33 and up: several)
+    rng = np.random.Generator(np.random.Philox(30 + n))
+    for name, a, full_rank in _qr_inputs(rows_per_col * n, n, rng):
+        _check_qr_against_lapack(a, full_rank, f"{rows_per_col * n}x{n} {name}")
+
+
+@pytest.mark.parametrize("shape", [(16384, 100), (20, 40)])
+def test_qr_recursive_kernel_tall_and_wide(shape):
+    # the streaming update's residual shape, and a wide input whose
+    # trailing columns are projected onto q
+    rng = np.random.Generator(np.random.Philox(40))
+    assert min(shape) > QR_PANEL_COLUMNS
+    for name, a, full_rank in _qr_inputs(*shape, rng):
+        _check_qr_against_lapack(a, full_rank, f"{shape} {name}")
+
+
+def test_qr_first_burgers_streaming_residual(burgers_snapshots):
+    # The residual the first streaming update factors: the second 100-column
+    # batch minus its projection onto the carried block. Its column norms
+    # grow from 1.7e-7 to 0.6 and its singular values fall to 1e-12, so
+    # rows of R past the ninth follow the rounding of the input: LAPACK's
+    # own R moves by 8e-4 when the residual is perturbed by one unit in the
+    # last place, or when its rows are reversed. What R determines here is
+    # R^T R = A^T A and the singular values, which are compared instead,
+    # along with the leading rows, whose diagonal stays far above rounding.
+    state = stream_initialize(burgers_snapshots[:, :100], StreamConfig(5))
+    u = state.carried_modes
+    batch = burgers_snapshots[:, 100:200]
+    resid = batch - u @ (u.T @ batch)
+    m, n = resid.shape
+    q, r = qr_factor(resid)
+    _, r_ref = _lapack_qr(resid)
+    scale = 1.0 + np.max(np.abs(resid))
+    assert np.max(np.abs(q @ r - resid)) <= 1e-13 * scale
+    assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-13 * m
+    assert np.all(np.diag(r) >= 0.0) and np.all(np.tril(r, -1) == 0.0)
+    assert np.max(np.abs(r.T @ r - r_ref.T @ r_ref)) <= 1e-13 * scale ** 2
+    s = np.linalg.svd(r, compute_uv=False)
+    s_ref = np.linalg.svd(r_ref, compute_uv=False)
+    assert np.max(np.abs(s - s_ref)) <= 1e-13 * s_ref[0]
+    assert np.max(np.abs(r[:5] - r_ref[:5])) <= 1e-12 * scale
 
 
 # ---------- svd_full ----------
