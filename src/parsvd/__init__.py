@@ -17,8 +17,7 @@ from .comm import (CommStats, RankContext, SimTransport, TcpTransport,
                    broadcast, decode_matrix, encode_matrix, gather, recv,
                    run_simulated, send, tcp_context_from_env)
 from .datagen import (BurgersConfig, burgers_matrix, burgers_solution,
-                      partition_bounds, row_partition,
-                      synthetic_spectrum_matrix)
+                      partition_bounds, synthetic_spectrum_matrix)
 from .dsvd import (ApmosConfig, LocalModes, apmos, gather_modes,
                    generate_right_vectors, parallel_qr, parallel_stream_all,
                    parallel_stream_incorporate, parallel_stream_initialize)
@@ -30,7 +29,7 @@ from .io import (BatchSource, read_matrix, read_matrix_header, read_submatrix,
                  write_singular_values_csv)
 from .linalg import (QrResult, RandomSketchConfig, SvdResult,
                      aligned_mode_difference, low_rank_svd, qr_factor,
-                     randomized_range, subspace_angles, svd_full)
+                     randomized_range, svd_full)
 from .streaming import (StreamConfig, StreamState, stream_all,
                         stream_incorporate, stream_initialize)
 

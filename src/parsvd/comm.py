@@ -12,7 +12,10 @@ Wire layout, little endian throughout:
     frame  = [u32 tag][u32 source][u32 dest][matrix]
 
 A TCP frame whose matrix header announces more than MAX_PAYLOAD_BYTES is
-refused with ProtocolError before its payload is read.
+refused with ProtocolError before its payload is read. Rank 0 records a
+peer's hang-up: once the frames that peer sent before closing are consumed,
+the next receive from it raises ProtocolError at once, as a receive at any
+other rank does when rank 0 closes.
 
 Collectives are built from point-to-point sends with rank-ordered assembly,
 so gather results do not depend on arrival order. Every blocking operation
@@ -247,6 +250,7 @@ class TcpTransport:
         self._peers = {}            # root only: rank -> socket
         self._send_locks = {}       # root only: rank -> Lock
         self._inbox = {}            # root only: source -> deque[(tag, bytes)]
+        self._hung_up = set()       # root only: ranks whose connection closed
         self._cond = threading.Condition()
         self._closing = threading.Event()
         self._router = None
@@ -328,7 +332,9 @@ class TcpTransport:
                 for sock in ready:
                     frame = _read_frame(sock, None, self._closing)
                     if frame is None:
-                        del by_sock[sock]
+                        with self._cond:
+                            self._hung_up.add(by_sock.pop(sock))
+                            self._cond.notify_all()
                         continue
                     tag, source, dest, payload = frame
                     if dest == 0:
@@ -373,6 +379,8 @@ class TcpTransport:
                     box = self._inbox.get(source)
                     if box:
                         return box.popleft()
+                    if source in self._hung_up:
+                        raise ProtocolError(f"rank {source} closed the connection")
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         raise CollectiveTimeout(

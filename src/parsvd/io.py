@@ -6,6 +6,10 @@ The binary matrix format is fixed and versioned by its magic:
 
 little endian, payload in column-major order so that a column batch is one
 contiguous span and streaming readers never touch columns they do not need.
+Payloads move between the file and numpy memory directly: the writer hands
+the file a view of a column-major array (copying only an input in another
+layout), and the readers `readinto` a column-major result, one call for a
+full-height window and one per column for a row window.
 
 CSV emitters print 17 significant digits, enough for float64 round trips;
 re-reading an emitted file reproduces the array bit for bit. The SVG emitter
@@ -13,6 +17,7 @@ is deliberately dependency-free and deterministic: equal inputs give
 byte-equal files.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -29,7 +34,9 @@ def write_matrix(path, a):
     a = as_matrix(a, "a", allow_empty=True)
     with open(path, "wb") as fh:
         fh.write(FILE_HEADER.pack(MAGIC, a.shape[0], a.shape[1]))
-        fh.write(a.tobytes(order="F"))
+        # the transpose of a column-major array is C-contiguous, the layout
+        # a buffer export needs; a column-major input is not copied
+        fh.write(memoryview(np.asfortranarray(a).T))
 
 
 def _read_file_header(fh, path):
@@ -57,15 +64,17 @@ def read_matrix(path):
     exactly, trailing garbage included."""
     with open(path, "rb") as fh:
         rows, cols = _read_file_header(fh, path)
-        body = fh.read()
-    expected = 8 * rows * cols
-    if len(body) != expected:
+        expected = 8 * rows * cols
+        size = os.fstat(fh.fileno()).st_size - FILE_HEADER.size
+        if size == expected:
+            out = np.empty((rows, cols), dtype="<f8", order="F")
+            size = fh.readinto(out.T)
+    if size != expected:
         raise MatrixFormatError(
-            f"{path}: payload is {len(body)} bytes, header promises {expected} "
+            f"{path}: payload is {size} bytes, header promises {expected} "
             f"for shape ({rows}, {cols})"
         )
-    flat = np.frombuffer(body, dtype="<f8", count=rows * cols)
-    return flat.reshape((rows, cols), order="F").copy(order="F")
+    return out
 
 
 def read_submatrix(path, row_start, row_stop, col_start, col_stop):
@@ -83,25 +92,19 @@ def read_submatrix(path, row_start, row_stop, col_start, col_stop):
             )
         n_rows = row_stop - row_start
         n_cols = col_stop - col_start
-        out = np.empty((n_rows, n_cols), dtype=np.float64, order="F")
+        out = np.empty((n_rows, n_cols), dtype="<f8", order="F")
         if out.size == 0:
             return out
         if n_rows == rows:
             # full-height block: one contiguous span
-            fh.seek(FILE_HEADER.size + 8 * rows * col_start)
-            buf = fh.read(8 * rows * n_cols)
-            if len(buf) != 8 * rows * n_cols:
-                raise MatrixFormatError(f"{path}: file ends inside the payload")
-            out[:] = np.frombuffer(buf, dtype="<f8").reshape(
-                (rows, n_cols), order="F"
-            )
-            return out
-        for j, col in enumerate(range(col_start, col_stop)):
+            spans = [(col_start, out.T)]
+        else:
+            spans = [(col, out[:, j])
+                     for j, col in enumerate(range(col_start, col_stop))]
+        for col, dest in spans:
             fh.seek(FILE_HEADER.size + 8 * (rows * col + row_start))
-            buf = fh.read(8 * n_rows)
-            if len(buf) != 8 * n_rows:
+            if fh.readinto(dest) != dest.nbytes:
                 raise MatrixFormatError(f"{path}: file ends inside the payload")
-            out[:, j] = np.frombuffer(buf, dtype="<f8")
     return out
 
 

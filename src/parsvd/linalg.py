@@ -288,19 +288,6 @@ def aligned_mode_difference(a, b):
     return np.max(np.abs(a * signs - b), axis=0)
 
 
-def subspace_angles(a, b):
-    """Principal angles (radians, ascending) between the column spans of two
-    matrices with equal row counts. Zero angles mean identical subspaces."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"row mismatch: {a.shape} vs {b.shape}")
-    qa = qr_factor(a).q
-    qb = qr_factor(b).q
-    cosines = np.linalg.svd(qa.T @ qb, compute_uv=False)
-    return np.sort(np.arccos(np.clip(cosines, -1.0, 1.0)))
-
-
 # (set, get) thread-count entry points of the OpenBLAS builds numpy ships
 # with: scipy-openblas wheels, 64-bit-integer builds, plain builds.
 _OPENBLAS_THREAD_API = (

@@ -96,6 +96,27 @@ def matmul_loops(a, b):
     return out
 
 
+def subspace_angles(a, b):
+    """Principal angles (radians, ascending) between the column spans of two
+    matrices with equal row counts, from numpy's QR and singular values.
+    Zero angles mean identical subspaces."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape[0] != b.shape[0]:
+        raise ValueError(f"row mismatch: {a.shape} vs {b.shape}")
+    qa = np.linalg.qr(a)[0]
+    qb = np.linalg.qr(b)[0]
+    cosines = np.linalg.svd(qa.T @ qb, compute_uv=False)
+    return np.sort(np.arccos(np.clip(cosines, -1.0, 1.0)))
+
+
+def row_partition(a, world_size):
+    """Per-rank row blocks (copies, in rank order); the first rows %
+    world_size ranks get one extra row, as `partition_bounds` promises."""
+    a = np.asarray(a, dtype=np.float64)
+    return [block.copy() for block in np.array_split(a, world_size, axis=0)]
+
+
 def encode_matrix_reference(a):
     """Wire-format matrix bytes built entry by entry with struct."""
     a = np.asarray(a, dtype=np.float64)

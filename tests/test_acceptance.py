@@ -13,13 +13,14 @@ import time
 import numpy as np
 
 from conftest import free_port
+from oracles import subspace_angles
 from parsvd.cli import main
 from parsvd.comm import run_simulated
 from parsvd.datagen import partition_bounds, synthetic_spectrum_matrix
 from parsvd.dsvd import ApmosConfig, apmos, gather_modes
 from parsvd.io import write_matrix
 from parsvd.linalg import (RandomSketchConfig, aligned_mode_difference,
-                           low_rank_svd, qr_factor, subspace_angles, svd_full)
+                           low_rank_svd, qr_factor, svd_full)
 from parsvd.streaming import StreamConfig, stream_all
 
 

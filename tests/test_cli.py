@@ -1,15 +1,18 @@
 """Command-line interface: subcommands, config precedence, exit codes."""
 
 import os
+import socket
+import struct
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 from conftest import free_port
 from parsvd.cli import main
-from parsvd.comm import run_simulated
+from parsvd.comm import FRAME_HEADER, MATRIX_HEADER, run_simulated
 from parsvd.datagen import (BurgersConfig, burgers_matrix, partition_bounds,
                             synthetic_spectrum_matrix)
 from parsvd.dsvd import ApmosConfig, apmos, gather_modes
@@ -295,6 +298,67 @@ def test_rank_connect_failure_exits_4(monkeypatch, tmp_path):
     monkeypatch.setenv("PARSVD_DEADLINE", "0.5")
     assert main(["rank", "--input", str(mat), "--outdir", str(tmp_path / "o"),
                  "--mode", "parallel-batch"]) == 4
+
+
+def _root_against_fake_peer(tmp_path, env, misbehave, deadline):
+    """Start `parsvd rank` as rank 0 of 2 on a small Burgers matrix, connect
+    a raw socket as rank 1, send its hello, then hand the socket to
+    `misbehave`. Returns (exit code, stderr, seconds from the misbehaviour
+    to the root's exit)."""
+    mat = tmp_path / "a.bin"
+    write_matrix(mat, burgers_matrix(BurgersConfig(grid_points=64,
+                                                   n_snapshots=20)))
+    port = free_port()
+    env = dict(env, PARSVD_WORLD_SIZE="2", PARSVD_RANK="0",
+               PARSVD_ROOT_ADDR=f"127.0.0.1:{port}",
+               PARSVD_DEADLINE=str(deadline))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "parsvd", "rank", "--input", str(mat),
+         "--outdir", str(tmp_path / "out"), "--mode", "parallel-stream",
+         "--k", "2", "--batch", "4"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        limit = time.monotonic() + 30.0
+        while True:
+            try:
+                sock = socket.create_connection(("127.0.0.1", port), timeout=1.0)
+                break
+            except OSError:
+                assert time.monotonic() < limit, "root never listened"
+                time.sleep(0.05)
+        with sock:
+            sock.sendall(struct.pack("<I", 1))
+            start = time.monotonic()
+            misbehave(sock)
+            _, err = proc.communicate(timeout=deadline + 10.0)
+            elapsed = time.monotonic() - start
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    return proc.returncode, err.decode(), elapsed
+
+
+def test_rank_root_refuses_oversized_frame(tmp_path, subprocess_env):
+    # the peer stays connected, so only the header can end the run
+    def oversized(sock):
+        sock.sendall(FRAME_HEADER.pack(1, 1, 0)
+                     + MATRIX_HEADER.pack(2 ** 32, 2 ** 32))
+
+    code, err, elapsed = _root_against_fake_peer(
+        tmp_path, subprocess_env, oversized, deadline=30.0)
+    assert code == 2, err
+    assert "limit" in err
+    assert elapsed < 5.0
+
+
+def test_rank_root_fails_fast_when_peer_hangs_up(tmp_path, subprocess_env):
+    code, err, elapsed = _root_against_fake_peer(
+        tmp_path, subprocess_env, lambda sock: sock.close(),
+        deadline=30.0)
+    assert code == 2, err
+    assert "rank 1 closed" in err
+    assert elapsed < 5.0
 
 
 def test_rank_world_size_one_matches_simulated(monkeypatch, tmp_path):

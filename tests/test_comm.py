@@ -2,6 +2,7 @@
 
 import os
 import socket
+import struct
 import sys
 import threading
 import time
@@ -415,6 +416,42 @@ def test_tcp_rejects_bad_hello():
     with pytest.raises(ProtocolError):
         TcpTransport.listen(2, address, deadline=5.0)
     thread.join(timeout=10.0)
+
+
+def test_root_recv_fails_fast_after_peer_hangs_up():
+    # frames a peer sent before closing are still delivered; the next
+    # receive from it fails at once instead of waiting out the deadline
+    address = f"127.0.0.1:{free_port()}"
+    host, port = address.split(":")
+    a = np.arange(6.0).reshape(2, 3)
+
+    def peer():
+        limit = time.monotonic() + 5.0
+        while True:  # the root may not be listening yet
+            try:
+                sock = socket.create_connection((host, int(port)), timeout=5.0)
+                break
+            except OSError:
+                if time.monotonic() > limit:
+                    raise
+                time.sleep(0.02)
+        sock.sendall(struct.pack("<I", 1))  # hello: rank 1
+        sock.sendall(FRAME_HEADER.pack(9, 1, 0) + encode_matrix(a))
+        sock.close()
+
+    thread = threading.Thread(target=peer)
+    thread.start()
+    transport = TcpTransport.listen(2, address, deadline=5.0)
+    try:
+        ctx = RankContext(0, 2, transport, deadline=20.0)
+        assert np.array_equal(recv(ctx, 1, 9), a)
+        start = time.monotonic()
+        with pytest.raises(ProtocolError, match="rank 1 closed"):
+            recv(ctx, 1, 9)
+        assert time.monotonic() - start < 2.0
+    finally:
+        thread.join(timeout=10.0)
+        transport.close()
 
 
 def test_oversized_frame_header_fails_fast():

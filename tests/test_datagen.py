@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
+import parsvd.datagen
 from parsvd.datagen import (BurgersConfig, burgers_matrix, burgers_solution,
-                            partition_bounds, row_partition,
-                            synthetic_spectrum_matrix)
+                            partition_bounds, synthetic_spectrum_matrix)
 from parsvd.errors import CapacityError
 from parsvd.linalg import svd_full
 
@@ -91,6 +91,33 @@ def test_burgers_matrix_columns_are_time_samples():
         assert np.array_equal(a[:, j], burgers_solution(x, t[j], config))
 
 
+def _burgers_expression(x, t, re):
+    """The Burgers formula as one broadcast expression, in the order of
+    operations the generators follow."""
+    log_term = 0.5 * (np.log1p(t) - re / 8.0) + re * x * x / (4.0 * (t + 1.0))
+    return (x / (t + 1.0)) * np.exp(-np.logaddexp(0.0, log_term))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("reynolds", [999.3, 1000.0, 1000.7])
+def test_burgers_matrix_equals_the_formula_bit_for_bit(monkeypatch, workers,
+                                                       reynolds):
+    # column blocks of 16 filled by one or several threads: single-block,
+    # exact-block and ragged column counts, and an odd row count
+    monkeypatch.setattr(parsvd.datagen, "_available_cpus", lambda: workers)
+    for grid_points, n_snapshots in [(2049, 1), (2049, 15), (2049, 16),
+                                     (2049, 17), (2049, 33), (64, 800)]:
+        config = BurgersConfig(reynolds=reynolds, grid_points=grid_points,
+                               n_snapshots=n_snapshots)
+        a = burgers_matrix(config)
+        assert a.shape == (grid_points, n_snapshots)
+        assert a.flags.f_contiguous
+        x = np.linspace(0.0, 1.0, grid_points)[:, None]
+        t = np.linspace(0.0, 2.0, n_snapshots)[None, :]
+        assert np.array_equal(a, _burgers_expression(x, t, reynolds))
+        assert np.array_equal(a, burgers_solution(x, t, config))
+
+
 def test_burgers_matrix_capacity_cap():
     config = BurgersConfig(grid_points=64, n_snapshots=64)
     with pytest.raises(CapacityError):
@@ -167,7 +194,7 @@ def test_partition_bounds_errors():
 def test_row_partition_stacks_back():
     rng = np.random.Generator(np.random.Philox(30))
     a = rng.standard_normal((11, 3))
-    blocks = row_partition(a, 3)
+    blocks = oracles.row_partition(a, 3)
     assert [b.shape[0] for b in blocks] == [4, 4, 3]
     assert np.array_equal(np.concatenate(blocks, axis=0), a)
     blocks[0][0, 0] = 99.0  # copies, not views

@@ -6,8 +6,8 @@ import pytest
 import oracles
 from parsvd.comm import run_simulated
 from test_comm import run_tcp
-from parsvd.datagen import partition_bounds, row_partition, \
-    synthetic_spectrum_matrix
+from oracles import row_partition
+from parsvd.datagen import partition_bounds, synthetic_spectrum_matrix
 from parsvd.dsvd import (ApmosConfig, LocalModes, apmos, gather_modes,
                          generate_right_vectors, parallel_qr,
                          parallel_stream_all, parallel_stream_incorporate,

@@ -18,17 +18,28 @@ def test_matrix_file_round_trip_and_exact_bytes(tmp_path):
     rng = np.random.Generator(np.random.Philox(70))
     a = rng.standard_normal((7, 5))
     path = tmp_path / "a.bin"
-    write_matrix(path, a)
-    assert path.read_bytes() == oracles.matrix_file_reference(a)
-    assert np.array_equal(read_matrix(path), a)
-    assert read_matrix_header(path) == (7, 5)
+    # C-ordered, F-ordered and strided inputs all write the column-major
+    # payload, and read back column-major
+    for arr in (a, np.asfortranarray(a), a[1::2, ::3], a.T[::-1]):
+        write_matrix(path, arr)
+        assert path.read_bytes() == oracles.matrix_file_reference(arr)
+        back = read_matrix(path)
+        assert back.flags.f_contiguous
+        assert np.array_equal(back, arr)
+    assert read_matrix_header(path) == (5, 7)
+    for bad in (np.nan, np.inf, -np.inf):
+        b = a.copy()
+        b[4, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            write_matrix(path, b)
 
 
 def test_matrix_file_empty(tmp_path):
     path = tmp_path / "empty.bin"
-    write_matrix(path, np.zeros((0, 0)))
-    assert path.stat().st_size == 24
-    assert read_matrix(path).shape == (0, 0)
+    for shape in ((0, 0), (3, 0)):
+        write_matrix(path, np.zeros(shape))
+        assert path.read_bytes() == oracles.matrix_file_reference(np.zeros(shape))
+        assert read_matrix(path).shape == shape
 
 
 def test_matrix_file_bad_magic(tmp_path):
@@ -65,6 +76,14 @@ def test_read_submatrix_blocks(tmp_path):
     assert np.array_equal(read_submatrix(path, 0, 10, 2, 5), a[:, 2:5])
     # strided row window
     assert np.array_equal(read_submatrix(path, 3, 7, 1, 8), a[3:7, 1:8])
+    # every window equals the same slice of the whole file
+    whole = read_matrix(path)
+    for r0, r1, c0, c1 in [(0, 10, 0, 8), (0, 10, 7, 8),  # full height
+                           (0, 5, 0, 8), (5, 10, 0, 8),   # row slabs
+                           (3, 9, 2, 7), (9, 10, 0, 1)]:  # interior
+        block = read_submatrix(path, r0, r1, c0, c1)
+        assert block.flags.f_contiguous
+        assert np.array_equal(block, whole[r0:r1, c0:c1])
     # empty selections are fine
     assert read_submatrix(path, 2, 2, 0, 8).shape == (0, 8)
     with pytest.raises(ValueError):
