@@ -18,7 +18,7 @@ timeout, 4 connection failure.
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -33,10 +33,9 @@ from .io import BatchSource, read_matrix, read_matrix_header, read_modes_csv, \
     write_mode_svg, write_modes_csv, write_singular_values_csv
 from .linalg import RandomSketchConfig, aligned_mode_difference, \
     blas_thread_budget, low_rank_svd, svd_full
-from .streaming import StreamConfig, stream_all
+from .streaming import StreamConfig
 
 MODES = ("serial-batch", "serial-stream", "parallel-batch", "parallel-stream")
-TRANSPORTS = ("simulated", "tcp")
 
 
 @dataclass(frozen=True)
@@ -57,15 +56,10 @@ class RunConfig:
     power_iters: int = 1
     seed: int = 0
     world_size: int = 1
-    transport: str = "simulated"
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
-        if self.transport not in TRANSPORTS:
-            raise ConfigError(
-                f"transport must be one of {', '.join(TRANSPORTS)}, got {self.transport!r}"
-            )
         for name in ("k", "batch", "r1", "r2", "world_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -120,7 +114,6 @@ def _build_parser():
         cmd.add_argument("--power-iters", type=int)
         cmd.add_argument("--seed", type=int)
         cmd.add_argument("--world-size", type=int)
-        cmd.add_argument("--transport", choices=TRANSPORTS)
         cmd.add_argument("--config", help="key=value settings file")
         cmd.set_defaults(func=func)
 
@@ -213,7 +206,6 @@ def _resolve_run_config(args):
         power_iters=pick("power_iters", None, int, RunConfig.power_iters),
         seed=pick("seed", None, int, RunConfig.seed),
         world_size=pick("world_size", "PARSVD_WORLD_SIZE", int, RunConfig.world_size),
-        transport=pick("transport", None, str, RunConfig.transport),
     )
 
 
@@ -245,8 +237,9 @@ def _cmd_generate(args):
 
 
 def _rank_work(ctx, cfg):
-    """The per-rank body of both parallel modes. Identical under the
-    simulator and over TCP; only the transport beneath ctx differs."""
+    """The per-rank body of every mode but serial-batch; serial-stream is
+    parallel-stream at world size 1. Identical under the simulator and over
+    TCP; only the transport beneath ctx differs."""
     rows, cols = read_matrix_header(cfg.input)
     lo, hi = partition_bounds(rows, ctx.world_size)[ctx.rank]
     history = None
@@ -260,10 +253,8 @@ def _rank_work(ctx, cfg):
         scfg = StreamConfig(k_modes=cfg.k, forget_factor=cfg.ff)
         if cols == 0:
             raise ConfigError(f"{cfg.input} has no columns to stream")
-        blocks = (read_submatrix(cfg.input, lo, hi, start,
-                                 min(start + cfg.batch, cols))
-                  for start in range(0, cols, cfg.batch))
-        state, history = parallel_stream_all(ctx, blocks, scfg)
+        source = BatchSource.from_file(cfg.input, cfg.batch, rows=(lo, hi))
+        state, history = parallel_stream_all(ctx, source, scfg)
     stacked = gather_modes(ctx, state)
     if ctx.rank != 0:
         return None
@@ -310,11 +301,6 @@ def _write_outputs(cfg, result):
 
 def _cmd_decompose(args):
     cfg = _resolve_run_config(args)
-    if cfg.transport == "tcp":
-        raise ConfigError(
-            "decompose runs the simulated transport; start one "
-            "'parsvd rank' process per rank for tcp"
-        )
     if cfg.mode == "serial-batch":
         a = read_matrix(cfg.input)
         if cfg.k > min(a.shape):
@@ -326,14 +312,6 @@ def _cmd_decompose(args):
         result = {
             "modes": res.u[:, :cfg.k], "values": res.s[:cfg.k],
             "history": None, "rows": a.shape[0], "cols": a.shape[1],
-        }
-    elif cfg.mode == "serial-stream":
-        source = BatchSource.from_file(cfg.input, cfg.batch)
-        scfg = StreamConfig(k_modes=cfg.k, forget_factor=cfg.ff)
-        state, history = stream_all(source, scfg)
-        result = {
-            "modes": state.modes, "values": state.singular_values,
-            "history": history, "rows": source.rows, "cols": source.cols,
         }
     else:
         read_matrix_header(cfg.input)  # fail fast before spawning a world
@@ -357,8 +335,7 @@ def _cmd_rank(args):
                 f"world-size {cfg.world_size} contradicts "
                 f"PARSVD_WORLD_SIZE {ctx.world_size}"
             )
-        cfg = RunConfig(**{**cfg.__dict__, "world_size": ctx.world_size,
-                           "transport": "tcp"})
+        cfg = replace(cfg, world_size=ctx.world_size)
         # The ranks are taken to share this host, as simulated ranks do.
         with blas_thread_budget(ctx.world_size):
             result = _rank_work(ctx, cfg)

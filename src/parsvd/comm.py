@@ -98,12 +98,6 @@ class CommStats:
     frames_received: int = 0
     bytes_received: int = 0
 
-    def reset(self):
-        self.frames_sent = 0
-        self.bytes_sent = 0
-        self.frames_received = 0
-        self.bytes_received = 0
-
 
 class _WorldAborted(ProtocolError):
     """Raised in simulator ranks blocked on a world another rank tore down."""

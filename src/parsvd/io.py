@@ -113,26 +113,35 @@ class BatchSource:
 
     Backed either by an open-on-demand matrix file (columns are read as
     needed, the whole matrix never resides in memory) or by an in-memory
-    array. The final batch is narrower when the width does not divide the
-    column count.
+    array. A file source may be limited to the half-open row window
+    `rows=(lo, hi)`, one rank's slice of the file; `rows` is then the
+    window's height. The final batch is narrower when the width does not
+    divide the column count.
     """
 
-    def __init__(self, batch_columns, *, path=None, matrix=None):
+    def __init__(self, batch_columns, *, path=None, matrix=None, rows=None):
         if batch_columns < 1:
             raise ValueError(f"batch_columns must be >= 1, got {batch_columns}")
         if (path is None) == (matrix is None):
             raise ValueError("exactly one of path or matrix is required")
+        if rows is not None and path is None:
+            raise ValueError("a row window needs a file source")
         self.batch_columns = batch_columns
         self._path = path
         self._matrix = None if matrix is None else as_matrix(matrix, "matrix")
         if path is not None:
-            self.rows, self.cols = read_matrix_header(path)
+            total, self.cols = read_matrix_header(path)
+            self._window = (0, total) if rows is None else rows
+            lo, hi = self._window
+            if not 0 <= lo <= hi <= total:
+                raise ValueError(f"row window [{lo}, {hi}) outside [0, {total})")
+            self.rows = hi - lo
         else:
             self.rows, self.cols = self._matrix.shape
 
     @classmethod
-    def from_file(cls, path, batch_columns):
-        return cls(batch_columns, path=path)
+    def from_file(cls, path, batch_columns, rows=None):
+        return cls(batch_columns, path=path, rows=rows)
 
     @classmethod
     def from_matrix(cls, a, batch_columns):
@@ -149,7 +158,7 @@ class BatchSource:
             if self._matrix is not None:
                 yield self._matrix[:, start:stop]
             else:
-                yield read_submatrix(self._path, 0, self.rows, start, stop)
+                yield read_submatrix(self._path, *self._window, start, stop)
 
 
 def _write_csv(path, header, table):

@@ -152,12 +152,30 @@ def test_decompose_parallel_stream_smoke(tmp_path):
     assert values.shape == (2,) and np.all(np.isfinite(values))
 
 
-def test_decompose_rejects_tcp(tmp_path, capsys):
+def test_serial_stream_is_parallel_stream_at_world_size_one(tmp_path):
     mat = tmp_path / "a.bin"
-    _write_test_matrix(mat)
-    assert main(["decompose", "--input", str(mat), "--outdir", str(tmp_path / "o"),
-                 "--mode", "parallel-batch", "--transport", "tcp"]) == 1
-    assert "rank" in capsys.readouterr().err
+    write_matrix(mat, burgers_matrix(BurgersConfig(grid_points=512,
+                                                   n_snapshots=120)))
+    args = ["--input", str(mat), "--k", "5", "--batch", "10", "--ff", "1.0"]
+    serial = tmp_path / "serial"
+    para = tmp_path / "para"
+    assert main(["decompose", "--outdir", str(serial),
+                 "--mode", "serial-stream"] + args) == 0
+    assert main(["decompose", "--outdir", str(para), "--mode",
+                 "parallel-stream", "--world-size", "1"] + args) == 0
+    for name in ("singular_values.csv", "modes.csv", "modes.svg",
+                 "singular_value_history.csv"):
+        assert (serial / name).read_bytes() == (para / name).read_bytes(), name
+    assert _summary(serial) == dict(_summary(para), mode="serial-stream")
+
+
+@pytest.mark.parametrize("mode", ["serial-stream", "parallel-stream"])
+def test_decompose_stream_rejects_zero_columns(tmp_path, capsys, mode):
+    mat = tmp_path / "empty.bin"
+    write_matrix(mat, np.zeros((4, 0)))
+    assert main(["decompose", "--input", str(mat), "--outdir",
+                 str(tmp_path / "o"), "--mode", mode]) == 1
+    assert f"{mat} has no columns to stream" in capsys.readouterr().err
 
 
 def test_decompose_missing_input(tmp_path, capsys):
@@ -349,6 +367,20 @@ def test_rank_root_refuses_oversized_frame(tmp_path, subprocess_env):
         tmp_path, subprocess_env, oversized, deadline=30.0)
     assert code == 2, err
     assert "limit" in err
+    assert elapsed < 5.0
+
+
+def test_rank_root_fails_fast_on_truncated_frame(tmp_path, subprocess_env):
+    # a 2x2 matrix needs 32 payload bytes; the peer sends 8 and hangs up
+    def truncated(sock):
+        sock.sendall(FRAME_HEADER.pack(1, 1, 0) + MATRIX_HEADER.pack(2, 2)
+                     + bytes(8))
+        sock.close()
+
+    code, err, elapsed = _root_against_fake_peer(
+        tmp_path, subprocess_env, truncated, deadline=30.0)
+    assert code == 2, err
+    assert "connection closed after 8 of 32 bytes" in err
     assert elapsed < 5.0
 
 

@@ -261,15 +261,6 @@ def test_stats_count_framed_bytes():
     assert results[2] == (1, frame_bytes, 0, 0)
 
 
-def test_stats_reset():
-    def program(ctx):
-        broadcast(ctx, np.ones((2, 2)) if ctx.rank == 0 else None)
-        ctx.stats.reset()
-        return ctx.stats.bytes_sent, ctx.stats.bytes_received
-
-    assert run_simulated(2, program) == [(0, 0), (0, 0)]
-
-
 def test_rank_context_validation():
     transport = SimTransport(2)
     with pytest.raises(ValueError):

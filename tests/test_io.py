@@ -112,10 +112,13 @@ def test_batches_tile_the_matrix(tmp_path):
 
     path = tmp_path / "a.bin"
     write_matrix(path, a)
-    from_file = list(BatchSource.from_file(path, 4))
-    from_memory = list(BatchSource.from_matrix(a, 4))
-    for fb, mb in zip(from_file, from_memory):
-        assert np.array_equal(fb, mb)
+    for rows in (None, (1, 4)):
+        lo, hi = rows or (0, a.shape[0])
+        from_file = list(BatchSource.from_file(path, 4, rows=rows))
+        from_memory = list(BatchSource.from_matrix(a[lo:hi], 4))
+        assert len(from_file) == len(from_memory) == 3
+        for fb, mb in zip(from_file, from_memory):
+            assert np.array_equal(fb, mb)
 
 
 def test_batch_source_validation(tmp_path):
@@ -127,9 +130,14 @@ def test_batch_source_validation(tmp_path):
     write_matrix(path, np.ones((2, 2)))
     with pytest.raises(ValueError):
         BatchSource(2, path=path, matrix=np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        BatchSource(2, matrix=np.ones((2, 2)), rows=(0, 1))
+    with pytest.raises(ValueError):
+        BatchSource.from_file(path, 2, rows=(1, 3))
     src = BatchSource.from_file(path, 1)
     assert (src.rows, src.cols) == (2, 2)
     assert len(list(src)) == 2
+    assert BatchSource.from_file(path, 1, rows=(1, 2)).rows == 1
 
 
 # ---------- CSV emitters ----------
