@@ -16,6 +16,7 @@ timeout, 4 connection failure.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -31,8 +32,9 @@ from .errors import CapacityError, CollectiveTimeout, ConfigError, \
 from .io import BatchSource, read_matrix, read_matrix_header, read_modes_csv, \
     read_singular_values_csv, read_submatrix, write_history_csv, write_matrix, \
     write_mode_svg, write_modes_csv, write_singular_values_csv
-from .linalg import RandomSketchConfig, aligned_mode_difference, \
-    blas_thread_budget, low_rank_svd, svd_full
+from .linalg import RandomSketchConfig, _available_cpus, \
+    _openblas_thread_count, aligned_mode_difference, blas_thread_budget, \
+    low_rank_svd, svd_full
 from .streaming import StreamConfig
 
 MODES = ("serial-batch", "serial-stream", "parallel-batch", "parallel-stream")
@@ -74,7 +76,9 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.mode.startswith("serial") and self.world_size != 1:
-            raise ConfigError(f"{self.mode} runs at world size 1, got {self.world_size}")
+            raise ConfigError(
+                f"{self.mode} picks its own world size, got {self.world_size}"
+            )
         if self.mode == "parallel-batch" and self.k > self.r2:
             raise ConfigError(f"k {self.k} exceeds r2 {self.r2}")
 
@@ -238,8 +242,10 @@ def _cmd_generate(args):
 
 def _rank_work(ctx, cfg):
     """The per-rank body of every mode but serial-batch; serial-stream is
-    parallel-stream at world size 1. Identical under the simulator and over
-    TCP; only the transport beneath ctx differs."""
+    parallel-stream at the world size `_serial_stream_world` picks. It
+    streams this rank's block of rows, and the parallel TSQR and rank sum
+    join the blocks. Identical under the simulator and over TCP; only the
+    transport beneath ctx differs."""
     rows, cols = read_matrix_header(cfg.input)
     lo, hi = partition_bounds(rows, ctx.world_size)[ctx.rank]
     history = None
@@ -264,6 +270,7 @@ def _rank_work(ctx, cfg):
         "history": history,
         "rows": rows,
         "cols": cols,
+        "world_size": ctx.world_size,
         "bytes_sent": ctx.stats.bytes_sent,
         "bytes_received": ctx.stats.bytes_received,
     }
@@ -289,7 +296,7 @@ def _write_outputs(cfg, result):
         f"rows={result['rows']}",
         f"cols={result['cols']}",
         f"k={cfg.k}",
-        f"world_size={cfg.world_size}",
+        f"world_size={result['world_size']}",
         f"seed={cfg.seed}",
         f"iterations={len(history) if history is not None else 1}",
         f"rank0_bytes_sent={result.get('bytes_sent', 0)}",
@@ -299,7 +306,29 @@ def _write_outputs(cfg, result):
         fh.write("\n".join(lines) + "\n")
 
 
+def _serial_stream_world(rows):
+    """Rank count of a serial-stream run: one single-threaded rank for
+    each OpenBLAS thread a world of one would have run, so the smaller of
+    the current thread count and the CPU count, and no more ranks than
+    rows. 1 when numpy's BLAS is not OpenBLAS.
+
+    The streaming update's tall, skinny QR and products gain little from a
+    second BLAS thread, while a second rank halves each rank's rows. The
+    parallel TSQR gives the same result at any rank count, to rounding."""
+    threads = _openblas_thread_count()
+    if threads is None:
+        return 1
+    return max(1, min(threads, _available_cpus(), rows))
+
+
 def _cmd_decompose(args):
+    """Run one decomposition in this process.
+
+    serial-batch factors the whole matrix with all BLAS threads. Every
+    other mode runs `_rank_work` on simulated ranks: parallel modes on the
+    world size asked for (APMOS results depend on it), serial-stream on
+    `_serial_stream_world` ranks of one BLAS thread each. summary.txt
+    records the world size that ran."""
     cfg = _resolve_run_config(args)
     if cfg.mode == "serial-batch":
         a = read_matrix(cfg.input)
@@ -312,12 +341,21 @@ def _cmd_decompose(args):
         result = {
             "modes": res.u[:, :cfg.k], "values": res.s[:cfg.k],
             "history": None, "rows": a.shape[0], "cols": a.shape[1],
+            "world_size": 1,
         }
     else:
-        read_matrix_header(cfg.input)  # fail fast before spawning a world
-        outcomes = run_simulated(
-            cfg.world_size, lambda ctx: _rank_work(ctx, cfg)
-        )
+        rows, _ = read_matrix_header(cfg.input)  # fail fast before spawning
+        if cfg.mode == "serial-stream":
+            world_size = _serial_stream_world(rows)
+            # inside a budget of one rank per CPU, run_simulated's own
+            # budget settles at one BLAS thread per rank
+            budget = blas_thread_budget(_available_cpus())
+        else:
+            world_size, budget = cfg.world_size, contextlib.nullcontext()
+        with budget:
+            outcomes = run_simulated(
+                world_size, lambda ctx: _rank_work(ctx, cfg)
+            )
         result = outcomes[0]
     _write_outputs(cfg, result)
     print(f"wrote results for {cfg.mode} to {cfg.outdir}")
@@ -342,8 +380,12 @@ def _cmd_rank(args):
             if ctx.rank == 0:
                 _write_outputs(cfg, result)
                 print(f"wrote results for {cfg.mode} to {cfg.outdir}")
-    finally:
-        ctx.transport.close()
+    except BaseException:
+        # The world is lost: a root cuts its peers loose at once instead
+        # of routing for them until they hang up.
+        ctx.transport.close(linger=0.0)
+        raise
+    ctx.transport.close()
     return 0
 
 

@@ -164,10 +164,11 @@ class BatchSource:
 def _write_csv(path, header, table):
     """Write a header line, then one line per table row with every value
     in 17 significant digits."""
+    # one % over the flattened table formats every row in a single call
     line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        fh.writelines(line % tuple(row) for row in table.tolist())
+        fh.write(header + "\n"
+                 + (line * table.shape[0]) % tuple(table.ravel().tolist()))
 
 
 def write_singular_values_csv(path, values):
@@ -260,8 +261,8 @@ def write_mode_svg(path, grid, modes, width=720, height=420):
     for j in range(modes.shape[1]):
         color = _SVG_COLORS[j % len(_SVG_COLORS)]
         ys = (height - margin) - (modes[:, j] - y_lo) / y_span * (height - 2 * margin)
-        points = " ".join(map("%.2f,%.2f".__mod__,
-                              zip(xs.tolist(), ys.tolist())))
+        points = " ".join(["%.2f,%.2f"] * xs.size) % tuple(
+            np.column_stack([xs, ys]).ravel().tolist())
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
             f'points="{points}"/>'

@@ -323,6 +323,13 @@ def _openblas_threads():
     return None
 
 
+def _openblas_thread_count():
+    """The OpenBLAS thread count in force now, or None when numpy uses
+    another BLAS."""
+    api = _openblas_threads()
+    return None if api is None else api[1]()
+
+
 def _available_cpus():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))

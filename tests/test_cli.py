@@ -10,16 +10,19 @@ import time
 import numpy as np
 import pytest
 
+import parsvd.cli
 from conftest import free_port
 from parsvd.cli import main
-from parsvd.comm import FRAME_HEADER, MATRIX_HEADER, run_simulated
+from parsvd.comm import (FRAME_HEADER, GATHER_TAG, MATRIX_HEADER,
+                         encode_matrix, run_simulated)
 from parsvd.datagen import (BurgersConfig, burgers_matrix, partition_bounds,
                             synthetic_spectrum_matrix)
 from parsvd.dsvd import ApmosConfig, apmos, gather_modes
 from parsvd.io import (read_matrix, read_matrix_header, read_modes_csv,
                        read_singular_values_csv, read_submatrix, write_matrix,
                        write_modes_csv, write_singular_values_csv)
-from parsvd.linalg import RandomSketchConfig, svd_full
+from parsvd.linalg import (RandomSketchConfig, _available_cpus,
+                           blas_thread_budget, svd_full)
 
 RESULT_FILES = ("singular_values.csv", "modes.csv", "modes.svg", "summary.txt")
 
@@ -152,21 +155,47 @@ def test_decompose_parallel_stream_smoke(tmp_path):
     assert values.shape == (2,) and np.all(np.isfinite(values))
 
 
-def test_serial_stream_is_parallel_stream_at_world_size_one(tmp_path):
+@pytest.mark.parametrize("threads", [1, 3])
+def test_serial_stream_is_parallel_stream_at_its_world_size(tmp_path,
+                                                            monkeypatch,
+                                                            threads):
+    # serial-stream trades each OpenBLAS thread for a one-thread rank
+    monkeypatch.setattr(parsvd.cli, "_openblas_thread_count", lambda: threads)
+    monkeypatch.setattr(parsvd.cli, "_available_cpus", lambda: threads)
     mat = tmp_path / "a.bin"
     write_matrix(mat, burgers_matrix(BurgersConfig(grid_points=512,
                                                    n_snapshots=120)))
     args = ["--input", str(mat), "--k", "5", "--batch", "10", "--ff", "1.0"]
     serial = tmp_path / "serial"
     para = tmp_path / "para"
-    assert main(["decompose", "--outdir", str(serial),
-                 "--mode", "serial-stream"] + args) == 0
-    assert main(["decompose", "--outdir", str(para), "--mode",
-                 "parallel-stream", "--world-size", "1"] + args) == 0
+    # one BLAS thread for the parallel ranks too, so both runs call the
+    # same kernels whatever this host's thread count
+    with blas_thread_budget(_available_cpus()):
+        assert main(["decompose", "--outdir", str(serial),
+                     "--mode", "serial-stream"] + args) == 0
+        assert main(["decompose", "--outdir", str(para), "--mode",
+                     "parallel-stream", "--world-size", str(threads)]
+                    + args) == 0
     for name in ("singular_values.csv", "modes.csv", "modes.svg",
                  "singular_value_history.csv"):
         assert (serial / name).read_bytes() == (para / name).read_bytes(), name
     assert _summary(serial) == dict(_summary(para), mode="serial-stream")
+    assert _summary(serial)["world_size"] == str(threads)
+
+
+@pytest.mark.parametrize("threads, rows, world_size", [(3, 2, 2), (None, 16, 1)])
+def test_serial_stream_world_size_limits(tmp_path, monkeypatch, threads, rows,
+                                         world_size):
+    # no more ranks than rows; without OpenBLAS (no thread count to read)
+    # there are no threads to trade, so the world is one rank
+    monkeypatch.setattr(parsvd.cli, "_openblas_thread_count", lambda: threads)
+    monkeypatch.setattr(parsvd.cli, "_available_cpus", lambda: 8)
+    mat = tmp_path / "a.bin"
+    _write_test_matrix(mat, rows=rows, cols=8, rank=2)
+    outdir = tmp_path / "stream"
+    assert main(["decompose", "--input", str(mat), "--outdir", str(outdir),
+                 "--mode", "serial-stream", "--k", "2", "--batch", "3"]) == 0
+    assert _summary(outdir)["world_size"] == str(world_size)
 
 
 @pytest.mark.parametrize("mode", ["serial-stream", "parallel-stream"])
@@ -318,16 +347,17 @@ def test_rank_connect_failure_exits_4(monkeypatch, tmp_path):
                  "--mode", "parallel-batch"]) == 4
 
 
-def _root_against_fake_peer(tmp_path, env, misbehave, deadline):
-    """Start `parsvd rank` as rank 0 of 2 on a small Burgers matrix, connect
-    a raw socket as rank 1, send its hello, then hand the socket to
-    `misbehave`. Returns (exit code, stderr, seconds from the misbehaviour
-    to the root's exit)."""
+def _root_against_fake_peers(tmp_path, env, misbehave, deadline,
+                             world_size=2):
+    """Start `parsvd rank` as rank 0 of `world_size` on a small Burgers
+    matrix, connect a raw socket for each other rank, send their hellos,
+    then hand the sockets, in rank order, to `misbehave`. Returns (exit
+    code, stderr, seconds from the misbehaviour to the root's exit)."""
     mat = tmp_path / "a.bin"
     write_matrix(mat, burgers_matrix(BurgersConfig(grid_points=64,
                                                    n_snapshots=20)))
     port = free_port()
-    env = dict(env, PARSVD_WORLD_SIZE="2", PARSVD_RANK="0",
+    env = dict(env, PARSVD_WORLD_SIZE=str(world_size), PARSVD_RANK="0",
                PARSVD_ROOT_ADDR=f"127.0.0.1:{port}",
                PARSVD_DEADLINE=str(deadline))
     proc = subprocess.Popen(
@@ -335,22 +365,27 @@ def _root_against_fake_peer(tmp_path, env, misbehave, deadline):
          "--outdir", str(tmp_path / "out"), "--mode", "parallel-stream",
          "--k", "2", "--batch", "4"],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    socks = []
     try:
         limit = time.monotonic() + 30.0
-        while True:
-            try:
-                sock = socket.create_connection(("127.0.0.1", port), timeout=1.0)
-                break
-            except OSError:
-                assert time.monotonic() < limit, "root never listened"
-                time.sleep(0.05)
-        with sock:
-            sock.sendall(struct.pack("<I", 1))
-            start = time.monotonic()
-            misbehave(sock)
-            _, err = proc.communicate(timeout=deadline + 10.0)
-            elapsed = time.monotonic() - start
+        for rank in range(1, world_size):
+            while True:
+                try:
+                    sock = socket.create_connection(("127.0.0.1", port),
+                                                    timeout=1.0)
+                    break
+                except OSError:
+                    assert time.monotonic() < limit, "root never listened"
+                    time.sleep(0.05)
+            socks.append(sock)
+            sock.sendall(struct.pack("<I", rank))
+        start = time.monotonic()
+        misbehave(*socks)
+        _, err = proc.communicate(timeout=deadline + 10.0)
+        elapsed = time.monotonic() - start
     finally:
+        for sock in socks:
+            sock.close()
         if proc.poll() is None:
             proc.kill()
             proc.communicate()
@@ -363,7 +398,7 @@ def test_rank_root_refuses_oversized_frame(tmp_path, subprocess_env):
         sock.sendall(FRAME_HEADER.pack(1, 1, 0)
                      + MATRIX_HEADER.pack(2 ** 32, 2 ** 32))
 
-    code, err, elapsed = _root_against_fake_peer(
+    code, err, elapsed = _root_against_fake_peers(
         tmp_path, subprocess_env, oversized, deadline=30.0)
     assert code == 2, err
     assert "limit" in err
@@ -377,7 +412,7 @@ def test_rank_root_fails_fast_on_truncated_frame(tmp_path, subprocess_env):
                      + bytes(8))
         sock.close()
 
-    code, err, elapsed = _root_against_fake_peer(
+    code, err, elapsed = _root_against_fake_peers(
         tmp_path, subprocess_env, truncated, deadline=30.0)
     assert code == 2, err
     assert "connection closed after 8 of 32 bytes" in err
@@ -385,11 +420,66 @@ def test_rank_root_fails_fast_on_truncated_frame(tmp_path, subprocess_env):
 
 
 def test_rank_root_fails_fast_when_peer_hangs_up(tmp_path, subprocess_env):
-    code, err, elapsed = _root_against_fake_peer(
+    code, err, elapsed = _root_against_fake_peers(
         tmp_path, subprocess_env, lambda sock: sock.close(),
         deadline=30.0)
     assert code == 2, err
     assert "rank 1 closed" in err
+    assert elapsed < 5.0
+
+
+def test_rank_root_fails_fast_when_peer_exits_mid_gather(tmp_path,
+                                                        subprocess_env):
+    # rank 1 sends its part of the first gather and waits, as a live rank
+    # would; rank 2 hangs up before sending its part
+    def one_sends_two_exits(peer1, peer2):
+        peer1.sendall(FRAME_HEADER.pack(GATHER_TAG, 1, 0)
+                      + encode_matrix(np.zeros((2, 2))))
+        peer2.close()
+
+    code, err, elapsed = _root_against_fake_peers(
+        tmp_path, subprocess_env, one_sends_two_exits, deadline=30.0,
+        world_size=3)
+    assert code == 2, err
+    assert "rank 2 closed" in err
+    assert elapsed < 5.0
+
+
+def test_rank_exits_fast_when_root_exits(tmp_path, subprocess_env):
+    # a fake root accepts rank 1's hello and hangs up. The rank's one send
+    # before its first receive still succeeds (the kernel buffers it; the
+    # closed root answers it with a reset), and that receive reads the
+    # root's end of stream or the reset. Both raise ProtocolError, exit 2;
+    # exit 4 is left for a root that never answered
+    mat = tmp_path / "a.bin"
+    write_matrix(mat, burgers_matrix(BurgersConfig(grid_points=64,
+                                                   n_snapshots=20)))
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        port = server.getsockname()[1]
+        env = dict(subprocess_env, PARSVD_WORLD_SIZE="2", PARSVD_RANK="1",
+                   PARSVD_ROOT_ADDR=f"127.0.0.1:{port}",
+                   PARSVD_DEADLINE="30")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "parsvd", "rank", "--input", str(mat),
+             "--outdir", str(tmp_path / "out"), "--mode", "parallel-stream",
+             "--k", "2", "--batch", "4"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            server.settimeout(30.0)
+            conn, _ = server.accept()
+            with conn:
+                assert conn.recv(4) == struct.pack("<I", 1)
+            start = time.monotonic()
+            _, err = proc.communicate(timeout=40.0)
+            elapsed = time.monotonic() - start
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+    err = err.decode()
+    assert proc.returncode == 2, err
+    assert ("root closed the connection" in err
+            or "socket failed mid-read" in err), err
     assert elapsed < 5.0
 
 
