@@ -177,10 +177,11 @@ def _parse_address(address):
         raise ConfigError(f"address has a non-numeric port: {address!r}") from None
 
 
-def _recv_exact(sock, n, deadline, closing=None):
+def _recv_exact(sock, n, deadline, closing=None, peer="peer"):
     """Read exactly n bytes. Returns None on a clean EOF at offset zero;
-    raises ProtocolError on EOF mid-read and CollectiveTimeout past the
-    deadline. `closing` (an Event) aborts the wait during shutdown."""
+    raises ProtocolError on EOF mid-read or a failed read, naming `peer`
+    (who is on the other end) and the OS error, and CollectiveTimeout past
+    the deadline. `closing` (an Event) aborts the wait during shutdown."""
     buf = bytearray()
     while len(buf) < n:
         if closing is not None and closing.is_set():
@@ -192,8 +193,10 @@ def _recv_exact(sock, n, deadline, closing=None):
             continue
         try:
             chunk = sock.recv(min(n - len(buf), _RECV_CHUNK))
-        except OSError:
-            raise ProtocolError("socket failed mid-read") from None
+        except OSError as exc:
+            raise ProtocolError(
+                f"connection to {peer} failed mid-read: {exc}"
+            ) from None
         if not chunk:
             if not buf:
                 return None
@@ -204,15 +207,16 @@ def _recv_exact(sock, n, deadline, closing=None):
     return bytes(buf)
 
 
-def _read_frame(sock, deadline, closing=None):
-    """Read one full frame; returns (tag, source, dest, payload) or None on
-    clean EOF between frames. A matrix header announcing more than
-    MAX_PAYLOAD_BYTES raises ProtocolError before the payload is read."""
-    head = _recv_exact(sock, FRAME_HEADER.size, deadline, closing)
+def _read_frame(sock, deadline, closing=None, peer="peer"):
+    """Read one full frame from `peer`; returns (tag, source, dest,
+    payload) or None on clean EOF between frames. A matrix header
+    announcing more than MAX_PAYLOAD_BYTES raises ProtocolError before the
+    payload is read."""
+    head = _recv_exact(sock, FRAME_HEADER.size, deadline, closing, peer)
     if head is None:
         return None
     tag, source, dest = FRAME_HEADER.unpack(head)
-    mhead = _recv_exact(sock, MATRIX_HEADER.size, deadline, closing)
+    mhead = _recv_exact(sock, MATRIX_HEADER.size, deadline, closing, peer)
     if mhead is None:
         raise ProtocolError("connection closed between frame and matrix header")
     rows, cols = MATRIX_HEADER.unpack(mhead)
@@ -224,7 +228,7 @@ def _read_frame(sock, deadline, closing=None):
         )
     body = b""
     if size:
-        body = _recv_exact(sock, size, deadline, closing)
+        body = _recv_exact(sock, size, deadline, closing, peer)
         if body is None:
             raise ProtocolError("connection closed before matrix payload")
     return tag, source, dest, mhead + body
@@ -271,9 +275,10 @@ class TcpTransport:
                 ready, _, _ = select.select([server], [], [], _POLL)
                 if not ready:
                     continue
-                conn, _addr = server.accept()
+                conn, addr = server.accept()
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                hello = _recv_exact(conn, 4, limit)
+                who = f"connecting peer {addr[0]}:{addr[1]}"
+                hello = _recv_exact(conn, 4, limit, peer=who)
                 if hello is None:
                     conn.close()
                     continue
@@ -324,7 +329,8 @@ class TcpTransport:
                     return
                 ready, _, _ = select.select(list(by_sock), [], [], _POLL)
                 for sock in ready:
-                    frame = _read_frame(sock, None, self._closing)
+                    frame = _read_frame(sock, None, self._closing,
+                                        f"rank {by_sock[sock]}")
                     if frame is None:
                         with self._cond:
                             self._hung_up.add(by_sock.pop(sock))
@@ -386,7 +392,8 @@ class TcpTransport:
             if box:
                 return box.popleft()
             while True:
-                frame = _read_frame(self._sock, deadline, self._closing)
+                frame = _read_frame(self._sock, deadline, self._closing,
+                                    "root")
                 if frame is None:
                     raise ProtocolError("root closed the connection")
                 tag, src, dst, payload = frame

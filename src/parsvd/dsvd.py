@@ -14,9 +14,11 @@ global matrix. Two assembly strategies are provided:
   is what makes the assembly exact when nothing is truncated.
 
 * parallel_qr + the parallel streaming functions: a tall-skinny QR across
-  ranks (local QR, QR of the stacked triangular factors at rank 0, lift the
-  global Q slices back) and a rank sum of small matrices, handed to the
-  same update body as the serial streaming module.
+  ranks (local QR, QR of the stacked triangular factors at rank 0, ship
+  each rank its slice of the stacked Q) and a rank sum of small matrices,
+  handed to the same update body as the serial streaming module. A rank's
+  block of the global Q, its local Q times its slice, is formed only when
+  read; the streaming update only applies it to a small rotation.
 
 All collectives run through a RankContext, so the same functions work on
 the simulator and over TCP.
@@ -168,16 +170,19 @@ def apmos(ctx, a_local, config):
 def parallel_qr(ctx, a_local):
     """Tall-skinny QR of the row-stacked global matrix.
 
-    Returns QrResult(q_local, r) where q_local is this rank's row block of
-    the global orthonormal factor and r, identical on every rank, is the
-    shared triangular factor. At world size 1 this is exactly qr_factor, the
-    same kernel call with no wire traffic.
+    Returns a QrResult whose q is this rank's row block of the global
+    orthonormal factor and whose r, identical on every rank, is the shared
+    triangular factor. That q block is the local factor's q times this
+    rank's slice of the stacked factor's q, and is formed only when read:
+    `apply(x)` takes the local factor through the slice times x. At world
+    size 1 this is exactly qr_factor, the same kernel call with no wire
+    traffic.
     """
     a = as_matrix(a_local, "a_local")
     if ctx.world_size == 1:
         return qr_factor(a)
-    q_local, r_local = qr_factor(a)
-    parts = gather(ctx, r_local)
+    local = qr_factor(a)
+    parts = gather(ctx, local.r)
     if ctx.rank == 0:
         heights = [p.shape[0] for p in parts]
         q_stack, r_final = qr_factor(np.concatenate(parts, axis=0))
@@ -191,7 +196,7 @@ def parallel_qr(ctx, a_local):
     else:
         q_slice = recv(ctx, 0, QR_SLICE_TAG + ctx.rank)
         r_final = broadcast(ctx, None)
-    return QrResult(q_local @ q_slice, r_final)
+    return QrResult(local.basis, r_final, local.wy, q_slice)
 
 
 def _rank_sum(ctx, x):

@@ -240,6 +240,9 @@ def write_mode_svg(path, grid, modes, width=720, height=420):
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
     xs = margin + (grid - x_lo) / x_span * (width - 2 * margin)
+    # The x coordinates are shared: format them once, leaving a %.2f slot
+    # after each for the y value of every mode.
+    x_part = " ".join(["%.2f,%%.2f"] * xs.size) % tuple(xs.tolist())
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -261,8 +264,7 @@ def write_mode_svg(path, grid, modes, width=720, height=420):
     for j in range(modes.shape[1]):
         color = _SVG_COLORS[j % len(_SVG_COLORS)]
         ys = (height - margin) - (modes[:, j] - y_lo) / y_span * (height - 2 * margin)
-        points = " ".join(["%.2f,%.2f"] * xs.size) % tuple(
-            np.column_stack([xs, ys]).ravel().tolist())
+        points = x_part % tuple(ys.tolist())
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
             f'points="{points}"/>'

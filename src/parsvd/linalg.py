@@ -14,6 +14,8 @@ machines.
 QR_PANEL_COLUMNS, such as the streaming update's 16384 x 100 residual, it
 is a recursive Householder QR in compact WY form (Elmroth & Gustavson,
 2000; Schreiber & Van Loan, 1989) that does most of its work in GEMMs.
+It keeps Q as those reflectors, as the TSQR of Demmel, Grigori, Hoemmen
+& Langou (2012) keeps Q implicit, and forms it only when it is read.
 
 `blas_thread_budget` divides the CPUs among the ranks of a world that runs
 on one host, by setting the thread count of the OpenBLAS numpy uses.
@@ -41,11 +43,6 @@ from .errors import ConvergenceError
 # factor of a parallel QR, cost less there than the recursion's Python
 # overhead, and their results stay those of the plain LAPACK call.
 QR_PANEL_COLUMNS = 16
-
-
-class QrResult(NamedTuple):
-    q: np.ndarray
-    r: np.ndarray
 
 
 class SvdResult(NamedTuple):
@@ -177,19 +174,89 @@ def _diagonal_signs(r):
     return d
 
 
+class QrResult:
+    """Reduced QR factors: the triangular r, and q formed on demand.
+
+    q is held as a tall `basis` in one of three forms:
+
+    * formed: basis is q itself. LAPACK's factors, up to QR_PANEL_COLUMNS
+      columns, are held this way.
+    * reflectors, wy = (T, d): basis is the unit lower trapezoidal V of the
+      compact-WY form, q = ([I; 0] - V T V[:k]^T) diag(d).
+    * either of these times a small matrix on the `right`: parallel_qr's
+      local factor times this rank's slice of the stacked factor's q.
+
+    `apply` multiplies by q without forming it. Reading `q`, or unpacking
+    the result as `q, r`, forms q once and keeps it.
+    """
+
+    def __init__(self, basis, r, wy=None, right=None):
+        self.basis = basis
+        self.r = r
+        self.wy = wy
+        self.right = right
+        self._q = basis if wy is None and right is None else None
+
+    def apply(self, x, beside=None, beside_x=None):
+        """q @ x, column-major, without forming q.
+
+        q @ x is basis @ c with a head added to its first rows: c = x and
+        no head for a formed basis, c = -T V[:k]^T d x and head d x for
+        reflectors. Given a block `beside` with q's rows, this returns
+        beside @ beside_x + q @ x through one product over the stacked
+        [beside | basis]: at a few columns that product is memory-bound,
+        and a second tall one would cost more than it saves.
+        """
+        if self.right is not None:
+            x = self.right @ x
+        head = None
+        if self.wy is not None:
+            t, d = self.wy
+            head = d[:, None] * x
+            x = -(t @ (self.basis[:t.shape[0]].T @ head))
+        tall = self.basis
+        if beside is not None:
+            width = beside.shape[1]
+            tall = np.empty((beside.shape[0], width + self.basis.shape[1]),
+                            order="F")
+            tall[:, :width] = beside
+            tall[:, width:] = self.basis
+            x = np.concatenate([beside_x, x])
+        out = _product(tall, x)
+        if head is not None:
+            out[:head.shape[0]] += head
+        return out
+
+    @property
+    def q(self):
+        if self._q is None:
+            q = self.basis
+            if self.wy is not None:
+                t, d = self.wy
+                k = t.shape[0]
+                q = _product(q, (t @ q[:k].T) * -d)
+                diag = np.arange(k)
+                q[diag, diag] += d
+            self._q = q if self.right is None else q @ self.right
+        return self._q
+
+    def __iter__(self):
+        return iter((self.q, self.r))
+
+
 def qr_factor(a):
     """Reduced QR factorization with diag(r) >= 0.
 
-    Returns QrResult(q, r) with q of shape (m, min(m, n)) having orthonormal
-    columns and r upper triangular such that q @ r reconstructs a. The
-    result is deterministic for a given BLAS thread count.
+    Returns a QrResult whose q, of shape (m, min(m, n)), has orthonormal
+    columns and whose r is upper triangular, such that q @ r reconstructs
+    a. The result is deterministic for a given BLAS thread count.
 
-    With k = min(m, n) <= QR_PANEL_COLUMNS this is LAPACK's reduced QR.
-    Wider inputs go through the recursive compact-WY Householder QR of
-    `_householder`, whose work is mostly GEMMs, and q is formed with one
-    more: q = ([I; 0] - V T V[:k]^T) diag(d), where d flips the signs of
-    r's diagonal. A wide input (n > m) factors its leading k columns and
-    sets r[:, k:] = q^T a[:, k:].
+    With k = min(m, n) <= QR_PANEL_COLUMNS this is LAPACK's reduced QR,
+    with q formed. Wider inputs go through the recursive compact-WY
+    Householder QR of `_householder`, whose work is mostly GEMMs, and q
+    stays in the reflector form of QrResult until it is read, with d the
+    signs that make r's diagonal non-negative. A wide input (n > m)
+    factors its leading k columns and sets r[:, k:] = q^T a[:, k:].
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -204,13 +271,11 @@ def qr_factor(a):
     r = np.zeros((k, n))
     t = _householder(work, v, r[:, :k])
     d = _diagonal_signs(r)
-    q = _product(v, (t @ v[:k].T) * -d)
-    diag = np.arange(k)
-    q[diag, diag] += d
     r[:, :k] *= d[:, None]
+    res = QrResult(v, r, (t, d))
     if n > k:
-        r[:, k:] = q.T @ a[:, k:]
-    return QrResult(q, r)
+        r[:, k:] = res.q.T @ a[:, k:]
+    return res
 
 
 def svd_full(a, want_vt=True):

@@ -38,6 +38,13 @@ and the QR of the tall residual. `StreamKernels` names both. The serial
 functions here pass the identity and qr_factor; dsvd passes a sum that
 rank 0 gathers and broadcasts, and its tall-skinny QR, so at world size 1
 both paths run the same arithmetic.
+
+The update does not form the residual's Q to rotate it. Both QRs return
+a QrResult, which writes Q x as B c(x) plus a correction to its first
+rows: B holds the Householder vectors of a residual wider than
+QR_PANEL_COLUMNS, and LAPACK's formed Q for a narrower one. So [U Q] U~
+is one product of the stacked [U | B] with the rotation's top rows and c
+of its bottom rows, the same shape as a product over [U | Q].
 """
 
 from dataclasses import dataclass
@@ -119,7 +126,9 @@ class StreamKernels(NamedTuple):
     """The two operations of an update that span ranks.
 
     total(x)  sum of a small matrix over all ranks, returned on every rank
-    qr(a)     QrResult of the row-stacked matrix whose local rows are a
+    qr(a)     QrResult of the row-stacked matrix whose local rows are a: r,
+              and this rank's rows of q, which it can apply to a small
+              matrix without forming them
     """
 
     total: Callable
@@ -171,10 +180,10 @@ def _initialize(a0, config, kernels, name):
         raise ValueError(
             f"initial batch has {a0.shape[1]} columns, need at least k_modes={k}"
         )
-    q, r = kernels.qr(a0)
-    res = svd_full(r, want_vt=False)
-    keep = _keep(res.s, r.shape, config, r.shape[0])
-    return _state(_product(q, res.u[:, :keep]), res.s[:keep], k, 0,
+    qr = kernels.qr(a0)
+    res = svd_full(qr.r, want_vt=False)
+    keep = _keep(res.s, qr.r.shape, config, qr.r.shape[0])
+    return _state(qr.apply(res.u[:, :keep]), res.s[:keep], k, 0,
                   _total_rows(a0.shape[0], kernels))
 
 
@@ -185,7 +194,8 @@ def _reorthonormalize(u, gram, kernels):
     fold is None), and the drifted block equals it times the upper
     triangular tri. A well-conditioned Gram matrix is factored by Cholesky,
     gram = tri^T tri and fold = tri^-1, which never touches the tall block;
-    any other block goes through QR.
+    any other block goes through QR, whose q is formed (unpacking the
+    result forms it): the update multiplies by it more than once.
     """
     if np.linalg.cond(gram) <= CHOLESKY_COND_LIMIT:
         tri = np.linalg.cholesky(gram).T
@@ -230,7 +240,8 @@ def _incorporate(state, a_new, config, kernels, name):
             coeff = fold.T @ coeff
     resid = _product(u, coeff if fold is None else fold @ coeff)
     np.subtract(a_new, resid, out=resid)
-    q, r = kernels.qr(resid)
+    qr = kernels.qr(resid)
+    r = qr.r
     small = np.zeros((width + r.shape[0], width + a_new.shape[1]))
     small[:width, :width] = top
     small[:width, width:] = coeff
@@ -238,13 +249,8 @@ def _incorporate(state, a_new, config, kernels, name):
     res = svd_full(small, want_vt=False)
     keep = _keep(res.s, small.shape, config, rows)
     lift = res.u[:, :keep]
-    if fold is not None:
-        lift = np.concatenate([fold @ lift[:width], lift[width:]])
-    # One product lifts the rotation onto [U Q].
-    stacked = np.empty((u.shape[0], width + q.shape[1]), order="F")
-    stacked[:, :width] = u
-    stacked[:, width:] = q
-    basis = _product(stacked, lift)
+    lift_top = lift[:width] if fold is None else fold @ lift[:width]
+    basis = qr.apply(lift[width:], u, lift_top)
     return _state(basis, res.s[:keep], k, state.iteration + 1, rows)
 
 

@@ -449,8 +449,8 @@ def test_rank_exits_fast_when_root_exits(tmp_path, subprocess_env):
     # a fake root accepts rank 1's hello and hangs up. The rank's one send
     # before its first receive still succeeds (the kernel buffers it; the
     # closed root answers it with a reset), and that receive reads the
-    # root's end of stream or the reset. Both raise ProtocolError, exit 2;
-    # exit 4 is left for a root that never answered
+    # root's end of stream or the reset. Both raise ProtocolError naming
+    # the root, exit 2; exit 4 is left for a root that never answered
     mat = tmp_path / "a.bin"
     write_matrix(mat, burgers_matrix(BurgersConfig(grid_points=64,
                                                    n_snapshots=20)))
@@ -479,7 +479,7 @@ def test_rank_exits_fast_when_root_exits(tmp_path, subprocess_env):
     err = err.decode()
     assert proc.returncode == 2, err
     assert ("root closed the connection" in err
-            or "socket failed mid-read" in err), err
+            or "connection to root failed mid-read" in err), err
     assert elapsed < 5.0
 
 

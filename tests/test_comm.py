@@ -483,6 +483,23 @@ def test_frame_larger_than_one_recv_chunk():
             _read_frame(reader, time.monotonic() + 10.0)
 
 
+def test_reset_mid_read_names_the_peer_and_the_error():
+    # a peer that closes with SO_LINGER 0 sends a reset instead of an end
+    # of stream; the read fails with the peer's name and the OS error
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        writer = socket.create_connection(server.getsockname())
+        reader, _ = server.accept()
+        with reader:
+            writer.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                              struct.pack("ii", 1, 0))
+            writer.close()
+            with pytest.raises(ProtocolError) as info:
+                _read_frame(reader, time.monotonic() + 10.0, peer="rank 1")
+    message = str(info.value)
+    assert message.startswith("connection to rank 1 failed mid-read: ")
+    assert "reset" in message.lower()
+
+
 def test_address_parsing_errors():
     with pytest.raises(ConfigError):
         TcpTransport.connect(1, 2, "no-port-here", deadline=0.1)

@@ -214,6 +214,27 @@ def test_parallel_qr_handles_short_blocks():
     assert np.max(np.abs(q.T @ q - np.eye(5))) < 1e-12
 
 
+@pytest.mark.parametrize("world_size", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(60, 8), (300, 40)])
+def test_parallel_qr_apply_matches_formed_q(world_size, shape):
+    # 8 columns keep LAPACK's formed local q; 40 columns keep reflectors,
+    # and the local factor goes through this rank's slice of the root's q
+    a = _random(*shape, seed=68)
+    x = _random(shape[1], 6, seed=69)
+    blocks = row_partition(a, world_size)
+
+    def program(ctx):
+        res = parallel_qr(ctx, blocks[ctx.rank])
+        return res.apply(x), res.q
+
+    results = run_simulated(world_size, program)
+    applied = np.concatenate([res[0] for res in results], axis=0)
+    q = np.concatenate([res[1] for res in results], axis=0)
+    assert np.max(np.abs(applied - q @ x)) <= 1e-13 * np.max(np.abs(x))
+    if world_size == 1:
+        assert np.array_equal(applied, qr_factor(a).apply(x))
+
+
 # ---------- parallel streaming ----------
 
 def test_parallel_stream_single_rank_is_serial_bitwise():

@@ -232,6 +232,25 @@ def test_svg_point_text(tmp_path):
     assert points in path.read_text()
 
 
+def test_svg_polylines_format_every_point(tmp_path):
+    # the x text is formatted once and shared by the modes; each polyline
+    # must read as if every point were formatted on its own
+    rng = np.random.Generator(np.random.Philox(75))
+    grid = np.sort(rng.uniform(-1.0, 3.0, 1000))
+    modes = rng.standard_normal((1000, 3))
+    path = tmp_path / "many.svg"
+    write_mode_svg(path, grid, modes)
+    margin, width, height = 56, 720, 420
+    xs = margin + (grid - grid.min()) / np.ptp(grid) * (width - 2 * margin)
+    lo, span = modes.min(), np.ptp(modes)
+    body = path.read_text()
+    for j in range(3):
+        ys = (height - margin) - (modes[:, j] - lo) / span * (height - 2 * margin)
+        points = " ".join("%.2f,%.2f" % (x, y) for x, y in zip(xs, ys))
+        assert f'points="{points}"' in body, j
+    assert body.count("<polyline") == 3
+
+
 def test_svg_flat_data(tmp_path):
     # constant modes: the y span is zero; must not divide by zero
     path = tmp_path / "flat.svg"

@@ -153,6 +153,50 @@ def test_qr_first_burgers_streaming_residual(burgers_snapshots):
     assert np.max(np.abs(r[:5] - r_ref[:5])) <= 1e-12 * scale
 
 
+def _reflector_q(res):
+    """q as qr_factor has formed it from reflectors since the recursive
+    kernel came in: ([I; 0] - V T V[:k]^T) diag(d), as one column-major
+    product over V plus d on the diagonal."""
+    t, d = res.wy
+    k = t.shape[0]
+    v = res.basis
+    q = (((t @ v[:k].T) * -d).T @ v.T).T
+    q[np.arange(k), np.arange(k)] += d
+    return q
+
+
+@pytest.mark.parametrize("shape", [(40, 1), (50, 16), (16, 16), (300, 17),
+                                   (1000, 100), (20, 10), (200, 100),
+                                   (20, 40), (30, 8), (7, 12)])
+def test_qr_apply_matches_formed_q(shape):
+    # narrow inputs (at most QR_PANEL_COLUMNS) keep LAPACK's formed q;
+    # wider ones keep reflectors, with more columns than rows too; 20 x 10
+    # and 200 x 100 are the root stacks of a two-rank parallel QR
+    rng = np.random.Generator(np.random.Philox(31))
+    res = qr_factor(rng.standard_normal(shape))
+    k = min(shape)
+    assert (res.wy is None) == (k <= QR_PANEL_COLUMNS)
+    x = rng.standard_normal((k, 7))
+    applied = res.apply(x)
+    assert applied.shape == (shape[0], 7)
+    assert np.max(np.abs(applied - res.q @ x)) <= 1e-13 * np.max(np.abs(x))
+
+
+def test_qr_forms_q_once_by_the_reflector_formula():
+    rng = np.random.Generator(np.random.Philox(32))
+    for shape in [(20, 10), (200, 100), (135, 33), (20, 40)]:
+        a = rng.standard_normal(shape)
+        res = qr_factor(a)
+        q, r = qr_factor(a)
+        assert np.array_equal(q, res.q) and np.array_equal(r, res.r)
+        assert res.q is res.q
+        if res.wy is None:
+            assert res.q is res.basis
+            assert np.array_equal(q, _lapack_qr(a)[0])
+        else:
+            assert np.array_equal(q, _reflector_q(res))
+
+
 # ---------- svd_full ----------
 
 def test_svd_diagonal_exact():
