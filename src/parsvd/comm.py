@@ -59,6 +59,11 @@ MAX_PAYLOAD_BYTES = 1 << 32
 # size before data arrives, so a wire-supplied length is never passed on
 # whole.
 _RECV_CHUNK = 1 << 20
+# A rank that finds the root not yet listening retries after this many
+# seconds, doubling the wait up to the second value: rank processes start
+# together, and a fixed nap of the longer length cost a fresh world about
+# that much wall time.
+_CONNECT_RETRY = (0.001, 0.05)
 
 
 def encode_matrix(a):
@@ -207,6 +212,26 @@ def _recv_exact(sock, n, deadline, closing=None, peer="peer"):
     return bytes(buf)
 
 
+def _send_exact(sock, data, deadline, peer="peer"):
+    """Write all of data to a blocking socket, raising CollectiveTimeout
+    when `peer` has not taken it all by the deadline. Errors of the socket
+    itself propagate."""
+    view = memoryview(data)
+    while view:
+        try:
+            view = view[sock.send(view, socket.MSG_DONTWAIT):]
+            continue
+        except BlockingIOError:
+            pass
+        wait = deadline - time.monotonic()
+        if wait <= 0:
+            raise CollectiveTimeout(
+                f"timed out sending a {len(data)}-byte block to {peer} "
+                f"({len(data) - len(view)} bytes sent)"
+            )
+        select.select([], [sock], [], wait)
+
+
 def _read_frame(sock, deadline, closing=None, peer="peer"):
     """Read one full frame from `peer`; returns (tag, source, dest,
     payload) or None on clean EOF between frames. A matrix header
@@ -255,13 +280,16 @@ class TcpTransport:
         self._router_error = None
         self._sock = None           # client connection, or root server socket
         self._pending = {}          # client only: source -> deque[(tag, bytes)]
+        self._deadline = DEFAULT_DEADLINE  # root only: bounds each forward
 
     @classmethod
     def listen(cls, world_size, address, deadline=DEFAULT_DEADLINE):
         """Rank 0 entry point: accept world_size - 1 peers, each announcing
-        its rank in a 4-byte hello, then start routing."""
+        its rank in a 4-byte hello, then start routing. The deadline bounds
+        the accepting, and each frame the router forwards between peers."""
         host, port = _parse_address(address)
         self = cls(0, world_size)
+        self._deadline = deadline
         server = socket.create_server((host, port))
         self._sock = server
         limit = time.monotonic() + deadline
@@ -304,19 +332,25 @@ class TcpTransport:
         host, port = _parse_address(address)
         self = cls(rank, world_size)
         limit = time.monotonic() + deadline
+        pause, longest = _CONNECT_RETRY
         while True:
             try:
                 sock = socket.create_connection((host, port), timeout=1.0)
                 break
             except OSError as exc:
-                if time.monotonic() > limit:
+                remaining = limit - time.monotonic()
+                if remaining <= 0:
                     raise ConnectionError(
                         f"rank {rank} could not reach root at {host}:{port} "
                         f"within {deadline:.1f}s: {exc}"
                     ) from exc
-                time.sleep(0.05)
+                time.sleep(min(pause, remaining))
+                pause = min(2 * pause, longest)
+        # The 1 s bounds each connect attempt only; sends are bounded by
+        # the collective deadline instead (_send_exact).
+        sock.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.sendall(struct.pack("<I", rank))
+        _send_exact(sock, struct.pack("<I", rank), limit, "root")
         self._sock = sock
         self._send_locks[0] = threading.Lock()
         return self
@@ -346,7 +380,9 @@ class TcpTransport:
                     elif dest in self._peers:
                         raw = FRAME_HEADER.pack(tag, source, dest) + payload
                         with self._send_locks[dest]:
-                            self._peers[dest].sendall(raw)
+                            _send_exact(self._peers[dest], raw,
+                                        time.monotonic() + self._deadline,
+                                        f"rank {dest}")
                     else:
                         raise ProtocolError(f"frame addressed to unknown rank {dest}")
         except _WorldAborted:
@@ -362,20 +398,22 @@ class TcpTransport:
             if dest not in self._peers:
                 raise ProtocolError(f"no connection to rank {dest}")
             with self._send_locks[dest]:
-                self._peers[dest].sendall(raw)
+                _send_exact(self._peers[dest], raw, deadline, f"rank {dest}")
         else:
             # Everything leaves through the root, which forwards as needed.
             with self._send_locks[0]:
-                self._sock.sendall(raw)
+                _send_exact(self._sock, raw, deadline, "root")
 
     def recv_frame(self, source, dest, deadline):
         if self.rank == 0:
             with self._cond:
                 while True:
-                    if self._router_error is not None:
-                        raise ProtocolError(
-                            f"router failed: {self._router_error}"
-                        ) from self._router_error
+                    err = self._router_error
+                    if err is not None:
+                        kind = (CollectiveTimeout
+                                if isinstance(err, CollectiveTimeout)
+                                else ProtocolError)
+                        raise kind(f"router failed: {err}") from err
                     box = self._inbox.get(source)
                     if box:
                         return box.popleft()

@@ -167,7 +167,7 @@ def apmos(ctx, a_local, config):
     return LocalModes(u_local, lam[:k].copy())
 
 
-def parallel_qr(ctx, a_local):
+def parallel_qr(ctx, a_local, overwrite_a=False, check_finite=True):
     """Tall-skinny QR of the row-stacked global matrix.
 
     Returns a QrResult whose q is this rank's row block of the global
@@ -176,12 +176,11 @@ def parallel_qr(ctx, a_local):
     rank's slice of the stacked factor's q, and is formed only when read:
     `apply(x)` takes the local factor through the slice times x. At world
     size 1 this is exactly qr_factor, the same kernel call with no wire
-    traffic.
+    traffic. overwrite_a and check_finite go to the local qr_factor.
     """
-    a = as_matrix(a_local, "a_local")
+    local = qr_factor(a_local, overwrite_a, check_finite)
     if ctx.world_size == 1:
-        return qr_factor(a)
-    local = qr_factor(a)
+        return local
     parts = gather(ctx, local.r)
     if ctx.rank == 0:
         heights = [p.shape[0] for p in parts]
@@ -216,18 +215,22 @@ def _rank_sum(ctx, x):
 
 
 def _stream_kernels(ctx):
-    return StreamKernels(lambda x: _rank_sum(ctx, x),
-                         lambda a: parallel_qr(ctx, a))
+    return StreamKernels(
+        lambda x: _rank_sum(ctx, x),
+        lambda a, overwrite_a=False: parallel_qr(ctx, a, overwrite_a,
+                                                 check_finite=False))
 
 
-def parallel_stream_initialize(ctx, a0_local, config):
+def parallel_stream_initialize(ctx, a0_local, config, workspace=None):
     """Distributed counterpart of stream_initialize: same update, but the QR
     runs across ranks and each rank's StreamState holds only its row block
-    of the modes."""
-    return _initialize(a0_local, config, _stream_kernels(ctx), "a0_local")
+    of the modes. `workspace` is as for stream_initialize."""
+    return _initialize(a0_local, config, _stream_kernels(ctx), "a0_local",
+                       workspace)
 
 
-def parallel_stream_incorporate(ctx, state, a_new_local, config):
+def parallel_stream_incorporate(ctx, state, a_new_local, config,
+                                workspace=None):
     """Distributed counterpart of stream_incorporate.
 
     Every rank passes its slice of the new batch. The projections onto the
@@ -235,20 +238,22 @@ def parallel_stream_incorporate(ctx, state, a_new_local, config):
     tall-skinny QR, and after a shared small SVD each rank holds its rows of
     the updated block. Singular values are identical across ranks, and at
     world size 1 the result is bit for bit that of stream_incorporate,
-    whose note on the orthonormality of the returned block holds here too.
+    whose notes on the orthonormality of the returned block and on
+    `workspace` hold here too.
     """
     return _incorporate(state, a_new_local, config, _stream_kernels(ctx),
-                        "a_new_local")
+                        "a_new_local", workspace)
 
 
 def parallel_stream_all(ctx, batches, config):
     """Distributed counterpart of stream_all over this rank's row slices of
-    the batches. Returns (final_state, history) on every rank."""
+    the batches, in one workspace. Returns (final_state, history) on every
+    rank."""
     return _drive(
-        batches,
-        lambda batch: parallel_stream_initialize(ctx, batch, config),
-        lambda state, batch: parallel_stream_incorporate(ctx, state, batch,
-                                                         config),
+        batches, config,
+        lambda batch, ws: parallel_stream_initialize(ctx, batch, config, ws),
+        lambda state, batch, ws: parallel_stream_incorporate(
+            ctx, state, batch, config, ws),
         lambda state: _settle(state, _stream_kernels(ctx)),
     )
 

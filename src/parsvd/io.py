@@ -8,8 +8,9 @@ little endian, payload in column-major order so that a column batch is one
 contiguous span and streaming readers never touch columns they do not need.
 Payloads move between the file and numpy memory directly: the writer hands
 the file a view of a column-major array (copying only an input in another
-layout), and the readers `readinto` a column-major result, one call for a
-full-height window and one per column for a row window.
+layout), and the readers `readinto` a column-major result (or the caller's
+column-major array), one call for a full-height window and one per column
+for a row window.
 
 CSV emitters print 17 significant digits, enough for float64 round trips;
 re-reading an emitted file reproduces the array bit for bit. The SVG emitter
@@ -77,9 +78,11 @@ def read_matrix(path):
     return out
 
 
-def read_submatrix(path, row_start, row_stop, col_start, col_stop):
+def read_submatrix(path, row_start, row_stop, col_start, col_stop, out=None):
     """Read the half-open block [row_start:row_stop, col_start:col_stop]
-    without loading the rest of the file."""
+    without loading the rest of the file. `out`, when given, is the
+    column-major float64 array of the block's shape that receives it (such
+    as columns of a streaming workspace), and is returned."""
     with open(path, "rb") as fh:
         rows, cols = _read_file_header(fh, path)
         if not (0 <= row_start <= row_stop <= rows):
@@ -92,7 +95,14 @@ def read_submatrix(path, row_start, row_stop, col_start, col_stop):
             )
         n_rows = row_stop - row_start
         n_cols = col_stop - col_start
-        out = np.empty((n_rows, n_cols), dtype="<f8", order="F")
+        if out is None:
+            out = np.empty((n_rows, n_cols), dtype="<f8", order="F")
+        elif (out.shape != (n_rows, n_cols) or out.dtype != np.float64
+              or not out.flags.f_contiguous):
+            raise ValueError(
+                f"out must be a column-major float64 array of shape "
+                f"{(n_rows, n_cols)}, got {out.dtype} {out.shape}"
+            )
         if out.size == 0:
             return out
         if n_rows == rows:
@@ -152,13 +162,25 @@ class BatchSource:
 
     def __iter__(self):
         """The column batches, in order."""
+        return self.batches()
+
+    def batches(self, into=None):
+        """The column batches, in order. `into(width)`, when given, returns
+        the column-major array each batch is read (or copied) into, such as
+        the columns next to the carried block in a streaming workspace; it
+        is called just before that batch is needed."""
         width = self.batch_columns
         for start in range(0, self.cols, width):
             stop = min(start + width, self.cols)
-            if self._matrix is not None:
+            out = None if into is None else into(stop - start)
+            if self._matrix is None:
+                yield read_submatrix(self._path, *self._window, start, stop,
+                                     out=out)
+            elif out is None:
                 yield self._matrix[:, start:stop]
             else:
-                yield read_submatrix(self._path, *self._window, start, stop)
+                np.copyto(out, self._matrix[:, start:stop])
+                yield out
 
 
 def _write_csv(path, header, table):

@@ -83,18 +83,20 @@ class RandomSketchConfig:
         return self.target_rank + self.oversampling
 
 
-def as_matrix(a, name="a", allow_empty=False):
+def as_matrix(a, name="a", allow_empty=False, check_finite=True):
     """Coerce to a float64 2-D array, rejecting non-finite entries.
 
     Zero-sized dimensions are rejected unless allow_empty is set; the comm
     layer is the only caller that legitimately moves empty matrices.
+    check_finite=False skips the scan for non-finite entries, for arrays
+    built from inputs that were already scanned.
     """
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got {arr.ndim}-D")
     if not allow_empty and min(arr.shape) < 1:
         raise ValueError(f"{name} must have positive dimensions, got {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if check_finite and arr.size and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -112,26 +114,30 @@ def _positive_column_signs(u, vt):
     return u, vt
 
 
-def _product(u, c):
-    """u @ c laid out column-major.
+def _product(u, c, out=None):
+    """u @ c laid out column-major, written into `out` when given.
 
-    Tall operands here (matrix-file batches, the streaming block, QR
-    workspaces) are column-major, so the product is taken as (c^T u^T)^T:
+    Tall operands here (matrix-file batches, the streaming workspace, QR
+    reflectors) are column-major, so the product is taken as (c^T u^T)^T:
     BLAS then streams whole columns of u, and the result is column-major
     too. A row-major tall result would make the next LAPACK call copy it
-    into column order first.
+    into column order first. `out` must be column-major; the product is
+    the same BLAS call either way.
     """
-    return (c.T @ u.T).T
+    if out is None:
+        return (c.T @ u.T).T
+    np.matmul(c.T, u.T, out=out.T)
+    return out
 
 
-def _householder(a, v, r):
-    """Recursive Householder QR of a tall block, in compact WY form.
+def _householder(a, r):
+    """Recursive Householder QR of a tall block, in compact WY form, in place.
 
-    a (m x n with m >= n, column-major) is overwritten. The reflector
-    vectors go into v, unit lower trapezoidal (v must be zero above its
-    diagonal on entry), and the triangular factor into r. Returns the
-    n x n upper triangular T with H_1 ... H_n = I - V T V^T, so that
-    a = (I - V T V^T) [r; 0].
+    a (m x n with m >= n, column-major) is overwritten with the reflector
+    vectors V, unit lower trapezoidal (ones on the diagonal, zeros above
+    it), and r receives the triangular factor. Returns the n x n upper
+    triangular T with H_1 ... H_n = I - V T V^T, so that the input equals
+    (I - V T V^T) [r; 0].
 
     Blocks of at most QR_PANEL_COLUMNS columns go to LAPACK; wider ones are
     split in half (Elmroth & Gustavson, 2000): factor the left half, apply
@@ -143,23 +149,24 @@ def _householder(a, v, r):
         h, tau = np.linalg.qr(a, mode="raw")
         h = h.T
         np.copyto(r, np.triu(h[:n]))
-        np.copyto(v[n:], h[n:])
-        v[:n] = np.tril(h[:n], -1) + np.eye(n)
+        np.copyto(a[n:], h[n:])
+        a[:n] = np.tril(h[:n], -1) + np.eye(n)
         # Forward recurrence of LAPACK's dlarft; a zero tau (a zero column)
         # gives a zero column of T, that is H_i = I.
-        gram = v.T @ v
+        gram = a.T @ a
         t = np.zeros((n, n))
         for i in range(n):
             t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
             t[i, i] = tau[i]
         return t
     n1 = n // 2
-    v1, v2 = v[:, :n1], v[n1:, n1:]
-    a2 = a[:, n1:]
-    t1 = _householder(a[:, :n1], v1, r[:n1, :n1])
+    v1, a2 = a[:, :n1], a[:, n1:]
+    t1 = _householder(v1, r[:n1, :n1])
     a2 -= _product(v1, t1.T @ (v1.T @ a2))
     r[:n1, n1:] = a2[:n1]
-    t2 = _householder(a2[n1:], v2, r[n1:, n1:])
+    a2[:n1] = 0.0
+    v2 = a2[n1:]
+    t2 = _householder(v2, r[n1:, n1:])
     t = np.zeros((n, n))
     t[:n1, :n1] = t1
     t[n1:, n1:] = t2
@@ -197,14 +204,17 @@ class QrResult:
         self.right = right
         self._q = basis if wy is None and right is None else None
 
-    def apply(self, x, beside=None, beside_x=None):
-        """q @ x, column-major, without forming q.
+    def apply(self, x, out=None, tall=None, tall_x=None):
+        """q @ x, column-major, without forming q; written into `out` when
+        given.
 
         q @ x is basis @ c with a head added to its first rows: c = x and
         no head for a formed basis, c = -T V[:k]^T d x and head d x for
-        reflectors. Given a block `beside` with q's rows, this returns
-        beside @ beside_x + q @ x through one product over the stacked
-        [beside | basis]: at a few columns that product is memory-bound,
+        reflectors. `tall`, when given, is a column-major [L | basis] whose
+        last columns are this result's basis in place, as qr_factor's
+        overwrite_a leaves it next to the carried block in a streaming
+        workspace. The result is then L @ tall_x + q @ x, through one
+        product over tall: at a few columns that product is memory-bound,
         and a second tall one would cost more than it saves.
         """
         if self.right is not None:
@@ -214,15 +224,11 @@ class QrResult:
             t, d = self.wy
             head = d[:, None] * x
             x = -(t @ (self.basis[:t.shape[0]].T @ head))
-        tall = self.basis
-        if beside is not None:
-            width = beside.shape[1]
-            tall = np.empty((beside.shape[0], width + self.basis.shape[1]),
-                            order="F")
-            tall[:, :width] = beside
-            tall[:, width:] = self.basis
-            x = np.concatenate([beside_x, x])
-        out = _product(tall, x)
+        if tall is None:
+            tall = self.basis
+        else:
+            x = np.concatenate([tall_x, x])
+        out = _product(tall, x, out)
         if head is not None:
             out[:head.shape[0]] += head
         return out
@@ -244,7 +250,7 @@ class QrResult:
         return iter((self.q, self.r))
 
 
-def qr_factor(a):
+def qr_factor(a, overwrite_a=False, check_finite=True):
     """Reduced QR factorization with diag(r) >= 0.
 
     Returns a QrResult whose q, of shape (m, min(m, n)), has orthonormal
@@ -257,22 +263,29 @@ def qr_factor(a):
     stays in the reflector form of QrResult until it is read, with d the
     signs that make r's diagonal non-negative. A wide input (n > m)
     factors its leading k columns and sets r[:, k:] = q^T a[:, k:].
+
+    overwrite_a lets a writable column-major float64 `a` hold the work:
+    its first k columns are overwritten with the result's basis (the
+    reflectors, or the formed q), which the result then reads in place, so
+    it stays valid while those columns do. Other inputs are copied as
+    usual. check_finite=False skips the scan for non-finite entries, for
+    callers whose input is known to be finite.
     """
-    a = as_matrix(a)
+    a = as_matrix(a, check_finite=check_finite)
     m, n = a.shape
     k = min(m, n)
+    in_place = overwrite_a and a.flags.f_contiguous and a.flags.writeable
     if k <= QR_PANEL_COLUMNS:
         q, r = np.linalg.qr(a, mode="reduced")
         d = _diagonal_signs(r)
-        return QrResult(q * d, r * d[:, None])
-    work = np.empty((m, k), order="F")
-    np.copyto(work, a[:, :k])
-    v = np.zeros((m, k), order="F")
+        q = np.multiply(q, d, out=a[:, :k] if in_place else None)
+        return QrResult(q, r * d[:, None])
+    work = a[:, :k] if in_place else np.array(a[:, :k], order="F")
     r = np.zeros((k, n))
-    t = _householder(work, v, r[:, :k])
+    t = _householder(work, r[:, :k])
     d = _diagonal_signs(r)
     r[:, :k] *= d[:, None]
-    res = QrResult(v, r, (t, d))
+    res = QrResult(work, r, (t, d))
     if n > k:
         r[:, k:] = res.q.T @ a[:, k:]
     return res

@@ -39,19 +39,39 @@ functions here pass the identity and qr_factor; dsvd passes a sum that
 rank 0 gathers and broadcasts, and its tall-skinny QR, so at world size 1
 both paths run the same arithmetic.
 
-The update does not form the residual's Q to rotate it. Both QRs return
-a QrResult, which writes Q x as B c(x) plus a correction to its first
-rows: B holds the Householder vectors of a residual wider than
-QR_PANEL_COLUMNS, and LAPACK's formed Q for a narrower one. So [U Q] U~
-is one product of the stacked [U | B] with the rotation's top rows and c
-of its bottom rows, the same shape as a product over [U | Q].
+Workspace. An update's tall arrays live in a `Workspace`: two
+column-major buffers with the stream's rows and K + p + b columns, b the
+widest batch so far. The front buffer holds [U | A], the carried block in
+its first columns and the batch right after it. The residual A - U C is
+formed in the batch's columns, with U C passing through the back buffer,
+and qr_factor factors it there (overwrite_a): Q's Householder vectors V,
+or up to QR_PANEL_COLUMNS columns LAPACK's formed Q, take the residual's
+place. So [U | V] is one contiguous block, and the lift [U Q] U~ is one
+product over it (QrResult.apply), written into the back buffer. The
+buffers then swap, and the new block is the first columns of the next
+update's front buffer.
+
+Who owns what. stream_all and parallel_stream_all own one workspace for
+the whole stream, and a BatchSource reads each batch straight into the
+front buffer next to U. The states they pass from one update to the next
+are views of the buffers and are overwritten two updates later; the final
+state is not touched again. stream_initialize, stream_incorporate and
+their dsvd counterparts run the same body on a workspace of their own
+unless handed one, so the states they return are never overwritten, and
+the batches passed to them are copied, never modified. Either way a batch
+is scanned for non-finite entries once, where it enters the workspace,
+and nowhere after.
 """
 
+import ctypes
+import functools
+import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .io import BatchSource
 from .linalg import _product, as_matrix, qr_factor, svd_full
 
 # When repeated updates erode orthonormality past this, the carried block is
@@ -125,10 +145,13 @@ class StreamState:
 class StreamKernels(NamedTuple):
     """The two operations of an update that span ranks.
 
-    total(x)  sum of a small matrix over all ranks, returned on every rank
-    qr(a)     QrResult of the row-stacked matrix whose local rows are a: r,
-              and this rank's rows of q, which it can apply to a small
-              matrix without forming them
+    total(x)           sum of a small matrix over all ranks, returned on
+                       every rank
+    qr(a, overwrite_a) QrResult of the row-stacked matrix whose local rows
+                       are a: r, and this rank's rows of q, which it can
+                       apply to a small matrix without forming them. With
+                       overwrite_a the local factor works in a's columns.
+                       Inputs are finite, so they are not scanned.
     """
 
     total: Callable
@@ -138,7 +161,86 @@ class StreamKernels(NamedTuple):
 def _serial_kernels():
     # qr_factor is looked up per call, so timing wrappers installed on the
     # module namespace (perfbench/tracer.py) see it.
-    return StreamKernels(lambda x: x, qr_factor)
+    return StreamKernels(
+        lambda x: x,
+        lambda a, overwrite_a=False: qr_factor(a, overwrite_a,
+                                               check_finite=False))
+
+
+# glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, and
+# the highest mmap threshold its own dynamic rule reaches on 64-bit hosts.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+# Environment variables through which a user tunes glibc's malloc.
+_MALLOC_ENV = ("GLIBC_TUNABLES", "MALLOC_MMAP_THRESHOLD_",
+               "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_")
+
+
+@functools.cache
+def _keep_freed_memory():
+    """Have glibc keep freed blocks under 32 MB for reuse, instead of
+    handing them back to the system to fault in again. Runs once per
+    process, when the first workspace is made.
+
+    glibc maps blocks above a threshold that starts at 128 KB, and gives
+    the free top of a heap back to the system above a trim threshold; it
+    raises both (the trim threshold to twice the other) only when it frees
+    a mapped block larger than the map threshold. A workspace lives as long
+    as its stream, so no such block is freed, and the temporaries of the
+    LAPACK calls in every update took fresh pages each time: about 600
+    page faults per update at 10-column batches. This sets the thresholds
+    where glibc's own rule tops out (32 MB, and 64 MB to trim). Nothing is
+    changed where the environment tunes malloc, or where the C library has
+    no mallopt.
+    """
+    if any(name in os.environ for name in _MALLOC_ENV):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
+
+
+class Workspace:
+    """The two column-major buffers of a stream (module docstring).
+
+    `spare` is the number of columns kept beyond each batch: K + p for a
+    whole stream, so the buffers stop growing once the carried block is
+    full, and 0 for a single update.
+    """
+
+    def __init__(self, spare=0):
+        _keep_freed_memory()
+        self.spare = spare
+        self.front = self.back = np.empty((0, 0), order="F")
+        self._carried = None
+
+    def load(self, u, width):
+        """The front buffer's first u.shape[1] + width columns, u in the
+        first of them. u is copied in unless it is already there: the
+        block the last update left, or the u of the last call. Both buffers
+        grow, keeping u, when they are too small or have other rows."""
+        rows, held = u.shape
+        need = held + width
+        if self.front.shape[0] != rows or self.front.shape[1] < need:
+            cols = max(need, self.spare + width)
+            self.front = np.empty((rows, cols), order="F")
+            self.back = np.empty((rows, cols), order="F")
+            self._carried = None
+        if u is not self._carried:
+            self.front[:, :held] = u
+            self._carried = u
+        return self.front[:, :need]
+
+    def turn(self, basis):
+        """Swap the buffers once the update has written its new block,
+        `basis`, into the back one."""
+        self.front, self.back = self.back, self.front
+        self._carried = basis
 
 
 def _state(basis, values, k, iteration, rows):
@@ -172,18 +274,24 @@ def _keep(values, shape, config, rows):
                config.k_modes + config.buffer_columns, rows)
 
 
-def _initialize(a0, config, kernels, name):
-    """Shared body of stream_initialize and its distributed counterpart."""
+def _initialize(a0, config, kernels, name, workspace):
+    """Shared body of stream_initialize and its distributed counterpart; a
+    workspace of None gets one of its own."""
     a0 = as_matrix(a0, name)
     k = config.k_modes
     if a0.shape[1] < k:
         raise ValueError(
             f"initial batch has {a0.shape[1]} columns, need at least k_modes={k}"
         )
-    qr = kernels.qr(a0)
+    workspace = Workspace() if workspace is None else workspace
+    front = workspace.load(np.empty((a0.shape[0], 0)), a0.shape[1])
+    np.copyto(front, a0)  # no copy when the batch was read in place
+    qr = kernels.qr(front, overwrite_a=True)
     res = svd_full(qr.r, want_vt=False)
     keep = _keep(res.s, qr.r.shape, config, qr.r.shape[0])
-    return _state(qr.apply(res.u[:, :keep]), res.s[:keep], k, 0,
+    basis = qr.apply(res.u[:, :keep], out=workspace.back[:, :keep])
+    workspace.turn(basis)
+    return _state(basis, res.s[:keep], k, 0,
                   _total_rows(a0.shape[0], kernels))
 
 
@@ -204,8 +312,9 @@ def _reorthonormalize(u, gram, kernels):
     return q, None, tri
 
 
-def _incorporate(state, a_new, config, kernels, name):
-    """Shared body of stream_incorporate and its distributed counterpart."""
+def _incorporate(state, a_new, config, kernels, name, workspace):
+    """Shared body of stream_incorporate and its distributed counterpart; a
+    workspace of None gets one of its own."""
     a_new = as_matrix(a_new, name)
     k = config.k_modes
     if state.modes.shape[1] != k:
@@ -221,10 +330,14 @@ def _incorporate(state, a_new, config, kernels, name):
     rows = state.total_rows
     if rows is None:
         rows = _total_rows(a_new.shape[0], kernels)
+    workspace = Workspace() if workspace is None else workspace
+    front = workspace.load(u, a_new.shape[1])
+    u, batch = front[:, :width], front[:, width:]
+    np.copyto(batch, a_new)  # no copy when the batch was read in place
     # One rank sum carries the drift check U^T U and the projection U^T A.
-    head = np.empty((width, width + a_new.shape[1]))
+    head = np.empty((width, width + batch.shape[1]))
     head[:, :width] = u.T @ u
-    head[:, width:] = u.T @ a_new
+    head[:, width:] = u.T @ batch
     head = kernels.total(head)
     coeff = head[:, width:]
     top = np.diag(config.forget_factor * s)
@@ -235,14 +348,17 @@ def _incorporate(state, a_new, config, kernels, name):
         u, fold, tri = _reorthonormalize(u, head[:, :width], kernels)
         top = tri * (config.forget_factor * s)
         if fold is None:
-            coeff = kernels.total(u.T @ a_new)
+            coeff = kernels.total(u.T @ batch)
         else:
             coeff = fold.T @ coeff
-    resid = _product(u, coeff if fold is None else fold @ coeff)
-    np.subtract(a_new, resid, out=resid)
-    qr = kernels.qr(resid)
+    # The residual A - U C replaces the batch, then its QR factors replace
+    # the residual.
+    np.subtract(batch, _product(u, coeff if fold is None else fold @ coeff,
+                                workspace.back[:, :batch.shape[1]]),
+                out=batch)
+    qr = kernels.qr(batch, overwrite_a=True)
     r = qr.r
-    small = np.zeros((width + r.shape[0], width + a_new.shape[1]))
+    small = np.zeros((width + r.shape[0], width + batch.shape[1]))
     small[:width, :width] = top
     small[:width, width:] = coeff
     small[width:, width:] = r
@@ -250,7 +366,12 @@ def _incorporate(state, a_new, config, kernels, name):
     keep = _keep(res.s, small.shape, config, rows)
     lift = res.u[:, :keep]
     lift_top = lift[:width] if fold is None else fold @ lift[:width]
-    basis = qr.apply(lift[width:], u, lift_top)
+    # A block re-orthonormalized by QR takes U's place; u is U otherwise.
+    np.copyto(front[:, :width], u)
+    basis = qr.apply(lift[width:], out=workspace.back[:, :keep],
+                     tall=front[:, :width + qr.basis.shape[1]],
+                     tall_x=lift_top)
+    workspace.turn(basis)
     return _state(basis, res.s[:keep], k, state.iteration + 1, rows)
 
 
@@ -269,14 +390,28 @@ def _settle(state, kernels):
                   state.iteration, state.total_rows)
 
 
-def _drive(batches, start, step, settle):
-    """Initialize on the first batch, incorporate the rest, settle the last
-    state. Returns (final_state, history) where history lists the K values
-    after every step, the initial one included."""
+def _drive(batches, config, start, step, settle):
+    """Initialize on the first batch, incorporate the rest and settle the
+    last state, in one workspace. start(batch, workspace) and
+    step(state, batch, workspace) run the single-step functions; a
+    BatchSource reads each batch into the workspace columns next to the
+    carried block. Returns (final_state, history) where history lists the
+    K values after every step, the initial one included."""
+    workspace = Workspace(config.k_modes + config.buffer_columns)
     state = None
+
+    def slot(width):
+        u = np.empty((batches.rows, 0)) if state is None else _carried(state)[0]
+        return workspace.load(u, width)[:, -width:]
+
+    source = batches.batches(slot) if isinstance(batches, BatchSource) \
+        else batches
     history = []
-    for batch in batches:
-        state = start(batch) if state is None else step(state, batch)
+    for batch in source:
+        if state is None:
+            state = start(batch, workspace)
+        else:
+            state = step(state, batch, workspace)
         history.append(state.singular_values.copy())
     if state is None:
         raise ValueError("batch stream is empty")
@@ -285,16 +420,18 @@ def _drive(batches, start, step, settle):
     return state, history
 
 
-def stream_initialize(a0, config):
+def stream_initialize(a0, config, workspace=None):
     """Build the initial state from the first batch.
 
     a0 needs at least k_modes columns; fewer would leave the mode block
-    rank-deficient from the start.
+    rank-deficient from the start. `workspace` is for stream_all, which
+    passes its own; the states of a workspace are overwritten two updates
+    later (module docstring).
     """
-    return _initialize(a0, config, _serial_kernels(), "a0")
+    return _initialize(a0, config, _serial_kernels(), "a0", workspace)
 
 
-def stream_incorporate(state, a_new, config):
+def stream_incorporate(state, a_new, config, workspace=None):
     """Fold one new batch into the state; returns the updated state.
 
     The batch may have any positive column count but must match the row
@@ -302,9 +439,11 @@ def stream_incorporate(state, a_new, config):
     orthonormality past ORTHO_DRIFT_TOL is re-orthonormalized first. The
     block returned is not checked again: where the batch lay in span(modes)
     up to a small residual it may have drifted, and only the next update or
-    stream_all's final check repairs it.
+    stream_all's final check repairs it. `workspace` is as for
+    stream_initialize.
     """
-    return _incorporate(state, a_new, config, _serial_kernels(), "a_new")
+    return _incorporate(state, a_new, config, _serial_kernels(), "a_new",
+                        workspace)
 
 
 def stream_all(batches, config):
@@ -313,8 +452,8 @@ def stream_all(batches, config):
     (final_state, history) where history lists the singular values after
     every step, the initial one included."""
     return _drive(
-        batches,
-        lambda batch: stream_initialize(batch, config),
-        lambda state, batch: stream_incorporate(state, batch, config),
+        batches, config,
+        lambda batch, ws: stream_initialize(batch, config, ws),
+        lambda state, batch, ws: stream_incorporate(state, batch, config, ws),
         lambda state: _settle(state, _serial_kernels()),
     )

@@ -207,6 +207,23 @@ def test_decompose_stream_rejects_zero_columns(tmp_path, capsys, mode):
     assert f"{mat} has no columns to stream" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["serial-stream", "parallel-stream"])
+def test_decompose_stream_rejects_a_non_finite_later_batch(tmp_path, capsys,
+                                                           mode):
+    mat = tmp_path / "a.bin"
+    rows = 16
+    _write_test_matrix(mat, rows=rows, cols=8)
+    with open(mat, "r+b") as fh:  # row 13, column 6: a later batch
+        fh.seek(24 + 8 * (rows * 6 + 13))
+        fh.write(np.float64(np.nan).tobytes())
+    args = ["decompose", "--input", str(mat), "--outdir", str(tmp_path / "o"),
+            "--mode", mode, "--k", "2", "--batch", "3"]
+    if mode == "parallel-stream":
+        args += ["--world-size", "2"]
+    assert main(args) == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_decompose_missing_input(tmp_path, capsys):
     assert main(["decompose", "--input", str(tmp_path / "absent.bin"),
                  "--outdir", str(tmp_path / "o"), "--mode", "serial-batch"]) == 2

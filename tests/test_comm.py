@@ -15,7 +15,8 @@ import oracles
 from conftest import free_port
 from parsvd.comm import (FRAME_HEADER, GATHER_TAG, MATRIX_HEADER,
                          MAX_PAYLOAD_BYTES, MAX_USER_TAG, RankContext,
-                         SimTransport, TcpTransport, _read_frame, broadcast,
+                         SimTransport, TcpTransport, _read_frame, _recv_exact,
+                         broadcast,
                          decode_matrix, encode_matrix, gather, recv,
                          run_simulated, send, tcp_context_from_env)
 from parsvd.errors import CollectiveTimeout, ConfigError, ProtocolError
@@ -387,6 +388,142 @@ def test_tcp_late_client_is_fine():
     thread.join(timeout=20.0)
     transport.close()
     assert np.array_equal(got["client"], [[8.0]])
+
+
+def test_tcp_connect_retries_after_short_growing_pauses(monkeypatch):
+    # rank processes start together, so a rank often dials before its root
+    # listens; it retries after 1 ms, doubling up to 50 ms
+    pauses = []
+    real_sleep = time.sleep
+
+    def record(seconds):
+        pauses.append(seconds)
+        real_sleep(seconds)
+
+    monkeypatch.setattr(time, "sleep", record)
+    start = time.monotonic()
+    with pytest.raises(ConnectionError):
+        TcpTransport.connect(1, 2, f"127.0.0.1:{free_port()}", deadline=0.3)
+    assert pauses[:6] == [0.001, 0.002, 0.004, 0.008, 0.016, 0.032]
+    assert all(0.0 < p <= 0.05 for p in pauses)
+    assert time.monotonic() - start < 2.0
+
+
+_BIG = (8 << 20, 1)  # 64 MB: more than localhost socket buffers hold
+
+
+def _serve_one_rank(server, pause, got):
+    """A fake root: take one rank's hello, wait `pause` seconds, then read
+    until the rank hangs up and record the byte count in `got`."""
+    conn, _ = server.accept()
+    with conn:
+        _recv_exact(conn, 4, time.monotonic() + 10.0)
+        time.sleep(pause)
+        total = 0
+        while chunk := conn.recv(1 << 20):
+            total += len(chunk)
+        got.append(total)
+
+
+def test_tcp_send_longer_than_a_second_keeps_the_deadline():
+    # the connect timeout of 1 s once stayed on the socket and cut every
+    # later send short at 1 s, whatever the collective deadline
+    got = []
+    value = np.ones(_BIG)
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        root = threading.Thread(target=_serve_one_rank,
+                                args=(server, 2.5, got))
+        root.start()
+        host, port = server.getsockname()
+        transport = TcpTransport.connect(1, 2, f"{host}:{port}", deadline=30.0)
+        try:
+            send(RankContext(1, 2, transport, deadline=30.0), value, 0, 1)
+        finally:
+            transport.close()
+            root.join(timeout=30.0)
+    assert got == [FRAME_HEADER.size + MATRIX_HEADER.size + value.nbytes]
+
+
+def test_tcp_rank_send_to_a_root_that_never_reads_times_out():
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        host, port = server.getsockname()
+        transport = TcpTransport.connect(1, 2, f"{host}:{port}", deadline=5.0)
+        conn, _ = server.accept()
+        try:
+            ctx = RankContext(1, 2, transport, deadline=0.5)
+            start = time.monotonic()
+            with pytest.raises(CollectiveTimeout, match="to root"):
+                send(ctx, np.ones(_BIG), 0, 1)
+            assert time.monotonic() - start < 5.0
+        finally:
+            transport.close()
+            conn.close()
+
+
+def test_tcp_root_send_to_a_rank_that_never_reads_times_out():
+    address = f"127.0.0.1:{free_port()}"
+    host, port = address.split(":")
+    release = threading.Event()
+
+    def silent_rank():
+        limit = time.monotonic() + 5.0
+        while True:  # the root may not be listening yet
+            try:
+                sock = socket.create_connection((host, int(port)), timeout=5.0)
+                break
+            except OSError:
+                if time.monotonic() > limit:
+                    raise
+                time.sleep(0.02)
+        with sock:
+            sock.sendall(struct.pack("<I", 1))  # hello, then never read
+            release.wait(timeout=30.0)
+
+    thread = threading.Thread(target=silent_rank)
+    thread.start()
+    transport = TcpTransport.listen(2, address, deadline=5.0)
+    try:
+        ctx = RankContext(0, 2, transport, deadline=0.5)
+        start = time.monotonic()
+        with pytest.raises(CollectiveTimeout, match="to rank 1"):
+            send(ctx, np.ones(_BIG), 1, 1)
+        assert time.monotonic() - start < 5.0
+    finally:
+        release.set()
+        transport.close(linger=0.0)
+        thread.join(timeout=10.0)
+
+
+def test_tcp_root_forward_to_a_rank_that_never_reads_times_out():
+    # the root's router forwards rank-to-rank frames; a destination that
+    # stops reading must not hold it, and the root, past the deadline
+    address = f"127.0.0.1:{free_port()}"
+    release = threading.Event()
+
+    def rank(r):
+        transport = TcpTransport.connect(r, 3, address, deadline=10.0)
+        try:
+            if r == 1:
+                send(RankContext(1, 3, transport, deadline=10.0),
+                     np.ones(_BIG), 2, 1)
+            release.wait(timeout=30.0)  # rank 2 never reads
+        finally:
+            transport.close()
+
+    threads = [threading.Thread(target=rank, args=(r,)) for r in (1, 2)]
+    for thread in threads:
+        thread.start()
+    transport = TcpTransport.listen(3, address, deadline=2.0)
+    try:
+        start = time.monotonic()
+        with pytest.raises(CollectiveTimeout, match="router failed.*to rank 2"):
+            transport.recv_frame(1, 0, time.monotonic() + 20.0)
+        assert time.monotonic() - start < 10.0
+    finally:
+        release.set()
+        transport.close(linger=0.0)
+        for thread in threads:
+            thread.join(timeout=10.0)
 
 
 def test_tcp_rejects_bad_hello():

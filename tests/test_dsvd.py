@@ -307,6 +307,43 @@ def test_parallel_stream_all_matches_stream_all():
     assert np.max(aligned_mode_difference(modes, serial.modes)) < 1e-10
 
 
+def test_parallel_states_survive_later_updates():
+    # each call runs in a workspace of its own, so a state returned earlier
+    # keeps its bits through later updates, at every rank
+    a = _random(40, 25, seed=71)
+    config = StreamConfig(k_modes=3, buffer_columns=4)
+
+    def program(ctx):
+        lo, hi = partition_bounds(40, ctx.world_size)[ctx.rank]
+        state = parallel_stream_initialize(ctx, a[lo:hi, :5], config)
+        first = parallel_stream_incorporate(ctx, state, a[lo:hi, 5:10], config)
+        kept = [first.modes.copy(), first.carried_modes.copy(),
+                first.carried_values.copy()]
+        state = first
+        for start in (10, 15, 20):
+            state = parallel_stream_incorporate(
+                ctx, state, a[lo:hi, start:start + 5], config)
+        now = [first.modes, first.carried_modes, first.carried_values]
+        return all(np.array_equal(x, y) for x, y in zip(kept, now))
+
+    assert run_simulated(2, program) == [True, True]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_parallel_stream_refuses_a_non_finite_later_batch(bad):
+    a = _random(40, 15, seed=72)
+    a[31, 12] = bad  # rank 1's rows, third batch
+    config = StreamConfig(k_modes=3)
+
+    def program(ctx):
+        lo, hi = partition_bounds(40, ctx.world_size)[ctx.rank]
+        return parallel_stream_all(
+            ctx, [a[lo:hi, i:i + 5] for i in range(0, 15, 5)], config)
+
+    with pytest.raises(ValueError, match="non-finite"):
+        run_simulated(2, program)
+
+
 def test_parallel_stream_caps_width_at_global_rows():
     # six rows over three ranks: the carried width follows the global row
     # count, which each state keeps, not any rank's share of it

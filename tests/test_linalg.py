@@ -197,6 +197,49 @@ def test_qr_forms_q_once_by_the_reflector_formula():
             assert np.array_equal(q, _reflector_q(res))
 
 
+_BATTERY_SHAPES = [(rows_per_col * n, n) for n in (1, 16, 17, 33, 100, 135)
+                   for rows_per_col in (1, 3)] + [(2000, 100), (20, 40)]
+
+
+@pytest.mark.parametrize("shape", _BATTERY_SHAPES)
+def test_qr_in_place_matches_a_copy_bit_for_bit(shape):
+    # overwrite_a factors a column-major input in its own columns, which
+    # then hold the basis; r, q and every product must equal those of
+    # qr_factor on a copy, bit for bit, with or without a block stacked
+    # before the basis (the streaming workspace's [U | V])
+    rng = np.random.Generator(np.random.Philox(33))
+    m, n = shape
+    k = min(shape)
+    lead = rng.standard_normal((m, 3))
+    x = rng.standard_normal((k, 4))
+    lead_x = rng.standard_normal((3, 4))
+    for name, a, _ in _qr_inputs(m, n, rng):
+        ref = qr_factor(np.asfortranarray(a))
+        block = np.asfortranarray(np.concatenate([lead, a], axis=1))
+        res = qr_factor(block[:, 3:], overwrite_a=True, check_finite=False)
+        assert np.shares_memory(res.basis, block), name
+        assert np.array_equal(res.r, ref.r), name
+        assert np.array_equal(res.apply(x), ref.apply(x)), name
+        stacked = np.asfortranarray(np.concatenate([lead, ref.basis], axis=1))
+        assert np.array_equal(
+            res.apply(x, tall=block[:, :3 + k], tall_x=lead_x),
+            ref.apply(x, tall=stacked, tall_x=lead_x)), name
+        assert np.array_equal(res.q, ref.q), name
+    # a row-major input (at least two columns) is copied, not overwritten
+    a = rng.standard_normal((m + 1, n + 1))
+    keep = a.copy()
+    qr_factor(a, overwrite_a=True)
+    assert np.array_equal(a, keep)
+
+
+def test_qr_check_finite_false_skips_only_the_scan():
+    with pytest.raises(ValueError, match="non-finite"):
+        qr_factor(np.array([[1.0, np.inf], [0.0, 1.0]]))
+    qr_factor(np.array([[1.0, np.inf], [0.0, 1.0]]), check_finite=False)
+    with pytest.raises(ValueError, match="2-D"):
+        qr_factor(np.ones(4), check_finite=False)
+
+
 # ---------- svd_full ----------
 
 def test_svd_diagonal_exact():

@@ -1,14 +1,17 @@
 """Streaming SVD update rule: exactness, invariances, forget factor."""
 
+import types
+
 import numpy as np
 import pytest
 
+import parsvd.streaming
 from parsvd.datagen import synthetic_spectrum_matrix
-from parsvd.io import BatchSource
+from parsvd.io import BatchSource, write_matrix
 from oracles import subspace_angles
 from parsvd.linalg import aligned_mode_difference, qr_factor, svd_full
-from parsvd.streaming import StreamConfig, StreamState, stream_all, \
-    stream_incorporate, stream_initialize
+from parsvd.streaming import StreamConfig, StreamState, Workspace, \
+    stream_all, stream_incorporate, stream_initialize
 
 
 def _constructed(rows=60, cols=36, seed=11):
@@ -238,3 +241,128 @@ def test_first_burgers_batch_matches_direct(burgers_snapshots):
     rel = np.abs(state.singular_values - direct.s[:10]) / direct.s[:10]
     assert np.max(rel) < 1e-10
     assert np.max(aligned_mode_difference(state.modes, direct.u[:, :10])) < 1e-8
+
+
+# ---------- the workspace ----------
+
+def _arrays(state):
+    return [np.array(x) for x in (state.modes, state.singular_values,
+                                  state.carried_modes, state.carried_values)]
+
+
+def _same_state(x, y):
+    return all(np.array_equal(a, b) for a, b in zip(_arrays(x), _arrays(y)))
+
+
+def _single_steps(batches, config):
+    """stream_all's steps, one call each and without the final check."""
+    state = stream_initialize(batches[0], config)
+    history = [state.singular_values]
+    for batch in batches[1:]:
+        state = stream_incorporate(state, batch, config)
+        history.append(state.singular_values)
+    return state, history
+
+
+def test_returned_states_survive_later_updates():
+    rng = np.random.Generator(np.random.Philox(48))
+    config = StreamConfig(k_modes=3, buffer_columns=4)
+    batches = [rng.standard_normal((40, 5)) for _ in range(5)]
+    inputs = [b.copy() for b in batches]
+    first = stream_incorporate(stream_initialize(batches[0], config),
+                               batches[1], config)
+    kept = _arrays(first)
+    state = first
+    for batch in batches[2:]:
+        state = stream_incorporate(state, batch, config)
+    assert all(np.array_equal(a, b) for a, b in zip(kept, _arrays(first)))
+    assert all(np.array_equal(a, b) for a, b in zip(batches, inputs))
+
+
+@pytest.mark.parametrize("widths", [(8, 8, 8, 8, 8), (5, 3, 12, 2, 20, 1)])
+def test_stream_all_matches_single_steps_bit_for_bit(widths, tmp_path):
+    # one workspace for the whole stream gives the bits of a workspace per
+    # update; a later batch wider than the first grows the workspace
+    rng = np.random.Generator(np.random.Philox(49))
+    a = rng.standard_normal((50, sum(widths)))
+    edges = np.cumsum((0,) + widths)
+    batches = [a[:, lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
+    config = StreamConfig(k_modes=3, buffer_columns=5)
+    ref, ref_history = _single_steps(batches, config)
+    state, history = stream_all(batches, config)
+    assert _same_state(state, ref)
+    assert all(np.array_equal(x, y) for x, y in zip(history, ref_history))
+    # a file source reads its batches straight into the workspace
+    path = tmp_path / "a.bin"
+    write_matrix(path, a)
+    source = BatchSource.from_file(path, widths[0], rows=(10, 50))
+    ref, ref_history = _single_steps(list(source), config)
+    state, history = stream_all(source, config)
+    assert _same_state(state, ref)
+    assert all(np.array_equal(x, y) for x, y in zip(history, ref_history))
+
+
+def _drifted_state(lean, rng):
+    """The inputs of the rescue-pass tests: a block drifted at random by
+    1e-4 (lean None), or with its third column leaning on its first."""
+    q = qr_factor(rng.standard_normal((30, 3))).q
+    if lean is None:
+        return StreamState(q + 1e-4 * rng.standard_normal((30, 3)),
+                           np.array([3.0, 2.0, 1.0]), 0)
+    drifted = q.copy()
+    drifted[:, 2] = lean * q[:, 0] + np.sqrt(1.0 - lean ** 2) * q[:, 2]
+    return StreamState(drifted, np.array([3.0, 2.0, 1.0]), 0)
+
+
+@pytest.mark.parametrize("lean", [None, 1e-4, 0.99999])
+def test_one_workspace_matches_single_steps_through_rescue_passes(lean):
+    # the Cholesky and QR rescue passes rewrite the carried block; in a
+    # shared workspace they must leave the same bits as in a fresh one
+    rng = np.random.Generator(np.random.Philox(50))
+    config = StreamConfig(k_modes=3, forget_factor=1.0)
+    shared = single = _drifted_state(lean, rng)
+    workspace = Workspace(config.k_modes + config.buffer_columns)
+    for width in (4, 6, 2):
+        batch = rng.standard_normal((30, width))
+        shared = stream_incorporate(shared, batch, config, workspace)
+        single = stream_incorporate(single, batch, config)
+        assert _same_state(shared, single)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_later_batch_is_refused(bad, tmp_path):
+    rng = np.random.Generator(np.random.Philox(51))
+    a = rng.standard_normal((20, 12))
+    a[7, 9] = bad
+    config = StreamConfig(k_modes=2)
+    with pytest.raises(ValueError, match="non-finite"):
+        stream_all([a[:, :4], a[:, 4:8], a[:, 8:]], config)
+    # the file reader does not scan; the update does, once the batch is in
+    path = tmp_path / "a.bin"
+    write_matrix(path, np.nan_to_num(a))
+    with open(path, "r+b") as fh:
+        fh.seek(24 + 8 * (20 * 9 + 7))
+        fh.write(np.float64(bad).tobytes())
+    with pytest.raises(ValueError, match="non-finite"):
+        stream_all(BatchSource.from_file(path, 4), config)
+
+
+def test_workspace_keeps_freed_memory_unless_malloc_is_tuned(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(parsvd.streaming.ctypes, "CDLL",
+                        lambda name: types.SimpleNamespace(mallopt=mallopt))
+    tune = parsvd.streaming._keep_freed_memory.__wrapped__
+    for name in parsvd.streaming._MALLOC_ENV:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "131072")
+    tune()
+    assert calls == []
+    monkeypatch.delenv("MALLOC_TRIM_THRESHOLD_")
+    tune()
+    # M_MMAP_THRESHOLD at glibc's 64-bit ceiling, M_TRIM_THRESHOLD twice it
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
