@@ -3,9 +3,11 @@
 The package covers three ways of getting the K leading left singular
 vectors (modes) of a matrix too large or too spread out to factor directly:
 
-* streaming: fold column batches into a fixed-size state (`streaming`)
-* distributed: row-partitioned one-shot or streaming assembly across ranks
-  that talk through a small message layer (`dsvd`, `comm`)
+* streaming: fold column batches into a fixed-size state (`streaming`),
+  each rank holding its rows of them; a serial stream is a world of one,
+  RankContext(0, 1, None)
+* distributed: row-partitioned one-shot assembly (APMOS) and a tall-skinny
+  QR across ranks that talk through a small message layer (`dsvd`, `comm`)
 * randomized: Gaussian-sketch low-rank SVD as a drop-in kernel (`linalg`)
 
 plus an analytical Burgers snapshot generator (`datagen`), a binary matrix
@@ -19,8 +21,7 @@ from .comm import (CommStats, RankContext, SimTransport, TcpTransport,
 from .datagen import (BurgersConfig, burgers_matrix, burgers_solution,
                       partition_bounds, synthetic_spectrum_matrix)
 from .dsvd import (ApmosConfig, LocalModes, apmos, gather_modes,
-                   generate_right_vectors, parallel_qr, parallel_stream_all,
-                   parallel_stream_incorporate, parallel_stream_initialize)
+                   generate_right_vectors, parallel_qr)
 from .errors import (CapacityError, CollectiveTimeout, ConfigError,
                      ConvergenceError, DegenerateModeError,
                      MatrixFormatError, ProtocolError)

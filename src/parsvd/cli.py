@@ -26,7 +26,7 @@ import numpy as np
 
 from .comm import run_simulated, tcp_context_from_env
 from .datagen import BurgersConfig, burgers_matrix, partition_bounds
-from .dsvd import ApmosConfig, apmos, gather_modes, parallel_stream_all
+from .dsvd import ApmosConfig, apmos, gather_modes
 from .errors import CapacityError, CollectiveTimeout, ConfigError, \
     ConvergenceError, DegenerateModeError, MatrixFormatError, ProtocolError
 from .io import BatchSource, read_matrix, read_matrix_header, read_modes_csv, \
@@ -35,7 +35,7 @@ from .io import BatchSource, read_matrix, read_matrix_header, read_modes_csv, \
 from .linalg import RandomSketchConfig, _available_cpus, \
     _openblas_thread_count, aligned_mode_difference, blas_thread_budget, \
     low_rank_svd, svd_full
-from .streaming import StreamConfig
+from .streaming import StreamConfig, stream_all
 
 MODES = ("serial-batch", "serial-stream", "parallel-batch", "parallel-stream")
 
@@ -260,7 +260,7 @@ def _rank_work(ctx, cfg):
         if cols == 0:
             raise ConfigError(f"{cfg.input} has no columns to stream")
         source = BatchSource.from_file(cfg.input, cfg.batch, rows=(lo, hi))
-        state, history = parallel_stream_all(ctx, source, scfg)
+        state, history = stream_all(ctx, source, scfg)
     stacked = gather_modes(ctx, state)
     if ctx.rank != 0:
         return None

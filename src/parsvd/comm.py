@@ -475,8 +475,9 @@ class TcpTransport:
 
 @dataclass
 class RankContext:
-    """One rank's view of the world: its id, the world size, a transport,
-    the collective deadline in seconds, and traffic counters."""
+    """One rank's view of the world: its id, the world size, a transport
+    (None in a world of one, whose collectives never touch it), the
+    collective deadline in seconds, and traffic counters."""
 
     rank: int
     world_size: int
@@ -493,6 +494,10 @@ class RankContext:
             )
         if not self.deadline > 0:
             raise ValueError(f"deadline must be positive, got {self.deadline}")
+        if self.transport is None and self.world_size > 1:
+            raise ValueError(
+                f"a world of {self.world_size} ranks needs a transport"
+            )
         # frames stashed because they arrived ahead of the tag being awaited
         self._stash = {}
 
@@ -609,7 +614,7 @@ def run_simulated(world_size, fn, *, deadline=DEFAULT_DEADLINE, channel_capacity
     While the ranks run, OpenBLAS gets the per-rank share of the CPUs that
     `linalg.blas_thread_budget` gives, the same count each `parsvd rank`
     process of a world of this size uses, so both transports run the same
-    kernels. The previous count is back when this returns or raises.
+    BLAS code. The previous count is back when this returns or raises.
     """
     transport = SimTransport(world_size, channel_capacity)
     contexts = [

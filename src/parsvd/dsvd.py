@@ -1,7 +1,7 @@
 """Distributed truncated SVD over row-partitioned snapshot matrices.
 
 Each rank holds a horizontal slice A^i (some rows, all columns) of the
-global matrix. Two assembly strategies are provided:
+global matrix. The module provides:
 
 * apmos: approximate partitioned method of snapshots. Each rank compresses
   its slice to r1 right singular vectors scaled by their singular values,
@@ -13,12 +13,12 @@ global matrix. Two assembly strategies are provided:
   as U^i_j = A^i X_j / lambda_j. The stack satisfies W W^T = A^T A, which
   is what makes the assembly exact when nothing is truncated.
 
-* parallel_qr + the parallel streaming functions: a tall-skinny QR across
-  ranks (local QR, QR of the stacked triangular factors at rank 0, ship
-  each rank its slice of the stacked Q) and a rank sum of small matrices,
-  handed to the same update body as the serial streaming module. A rank's
-  block of the global Q, its local Q times its slice, is formed only when
-  read; the streaming update only applies it to a small rotation.
+* parallel_qr and _rank_sum, the two collectives of the streaming update
+  (`streaming`): a tall-skinny QR across ranks (local QR, QR of the stacked
+  triangular factors at rank 0, ship each rank its slice of the stacked Q)
+  and a sum of small matrices. A rank's block of the global Q, its local Q
+  times its slice, is formed only when read; the streaming update only
+  applies it to a small rotation.
 
 All collectives run through a RankContext, so the same functions work on
 the simulator and over TCP.
@@ -33,8 +33,6 @@ from .comm import broadcast, gather, recv, send
 from .errors import DegenerateModeError
 from .linalg import (QrResult, RandomSketchConfig, _positive_column_signs,
                      as_matrix, low_rank_svd, qr_factor, svd_full)
-from .streaming import (StreamKernels, _drive, _incorporate, _initialize,
-                        _settle)
 
 # Tag base for shipping global-Q slices back to their ranks; rank i gets
 # tag i + 10, mirroring how the row slices are laid out in the stacked Q.
@@ -212,50 +210,6 @@ def _rank_sum(ctx, x):
     for part in parts[1:]:
         total = total + part
     return broadcast(ctx, total)
-
-
-def _stream_kernels(ctx):
-    return StreamKernels(
-        lambda x: _rank_sum(ctx, x),
-        lambda a, overwrite_a=False: parallel_qr(ctx, a, overwrite_a,
-                                                 check_finite=False))
-
-
-def parallel_stream_initialize(ctx, a0_local, config, workspace=None):
-    """Distributed counterpart of stream_initialize: same update, but the QR
-    runs across ranks and each rank's StreamState holds only its row block
-    of the modes. `workspace` is as for stream_initialize."""
-    return _initialize(a0_local, config, _stream_kernels(ctx), "a0_local",
-                       workspace)
-
-
-def parallel_stream_incorporate(ctx, state, a_new_local, config,
-                                workspace=None):
-    """Distributed counterpart of stream_incorporate.
-
-    Every rank passes its slice of the new batch. The projections onto the
-    carried block are summed across ranks, the residual goes through one
-    tall-skinny QR, and after a shared small SVD each rank holds its rows of
-    the updated block. Singular values are identical across ranks, and at
-    world size 1 the result is bit for bit that of stream_incorporate,
-    whose notes on the orthonormality of the returned block and on
-    `workspace` hold here too.
-    """
-    return _incorporate(state, a_new_local, config, _stream_kernels(ctx),
-                        "a_new_local", workspace)
-
-
-def parallel_stream_all(ctx, batches, config):
-    """Distributed counterpart of stream_all over this rank's row slices of
-    the batches, in one workspace. Returns (final_state, history) on every
-    rank."""
-    return _drive(
-        batches, config,
-        lambda batch, ws: parallel_stream_initialize(ctx, batch, config, ws),
-        lambda state, batch, ws: parallel_stream_incorporate(
-            ctx, state, batch, config, ws),
-        lambda state: _settle(state, _stream_kernels(ctx)),
-    )
 
 
 def gather_modes(ctx, local_modes, root=0):

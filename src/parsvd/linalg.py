@@ -1,4 +1,4 @@
-"""Dense factorization kernels: QR, SVD, and randomized low-rank approximation.
+"""Dense factorizations: QR, SVD, and randomized low-rank approximation.
 
 Everything here works on 2-D float64 arrays and follows two sign conventions
 so that repeated runs and independently computed factorizations agree:
@@ -10,12 +10,12 @@ Randomness enters only through `RandomSketchConfig.seed`, which drives a
 counter-based Philox generator, so sketches are reproducible across runs and
 machines.
 
-`qr_factor` is the package's one QR entry point. Wider than
-QR_PANEL_COLUMNS, such as the streaming update's 16384 x 100 residual, it
-is a recursive Householder QR in compact WY form (Elmroth & Gustavson,
-2000; Schreiber & Van Loan, 1989) that does most of its work in GEMMs.
-It keeps Q as those reflectors, as the TSQR of Demmel, Grigori, Hoemmen
-& Langou (2012) keeps Q implicit, and forms it only when it is read.
+`qr_factor` is the package's one QR entry point: a recursive Householder
+QR in compact WY form (Elmroth & Gustavson, 2000; Schreiber & Van Loan,
+1989) that does most of its work in GEMMs on wide inputs, such as the
+streaming update's 16384 x 100 residual. It keeps Q as those reflectors,
+as the TSQR of Demmel, Grigori, Hoemmen & Langou (2012) keeps Q implicit,
+and forms it only when it is read.
 
 `blas_thread_budget` divides the CPUs among the ranks of a world that runs
 on one host, by setting the thread count of the OpenBLAS numpy uses.
@@ -38,10 +38,9 @@ from .errors import ConvergenceError
 # 7-9 GFLOP/s on a 16384-row block, so qr_factor splits wider blocks into
 # panels at most this wide and does the rest in GEMMs. On a 16384 x 100
 # block (2 cores) panels of 4 to 24 columns time within 10% of each other;
-# 64 is 20% slower at one BLAS thread. Inputs with at most this many columns
-# or rows stay on LAPACK outright: small ones, such as the 20 x 10 root
-# factor of a parallel QR, cost less there than the recursion's Python
-# overhead, and their results stay those of the plain LAPACK call.
+# 64 is 20% slower at one BLAS thread. Narrower inputs are one panel, and
+# their Q stays reflectors too: a factor and one apply of an 8192 x 10
+# block took 1.07 ms, against 1.32 ms with LAPACK's formed Q (one thread).
 QR_PANEL_COLUMNS = 16
 
 
@@ -184,34 +183,30 @@ def _diagonal_signs(r):
 class QrResult:
     """Reduced QR factors: the triangular r, and q formed on demand.
 
-    q is held as a tall `basis` in one of three forms:
-
-    * formed: basis is q itself. LAPACK's factors, up to QR_PANEL_COLUMNS
-      columns, are held this way.
-    * reflectors, wy = (T, d): basis is the unit lower trapezoidal V of the
-      compact-WY form, q = ([I; 0] - V T V[:k]^T) diag(d).
-    * either of these times a small matrix on the `right`: parallel_qr's
-      local factor times this rank's slice of the stacked factor's q.
+    q is held as reflectors, wy = (T, d): `basis` is the unit lower
+    trapezoidal V of the compact-WY form, and q = ([I; 0] - V T V[:k]^T)
+    diag(d). parallel_qr's result holds that q times a small matrix on the
+    `right`: the local factor's q times this rank's slice of the stacked
+    factor's q.
 
     `apply` multiplies by q without forming it. Reading `q`, or unpacking
     the result as `q, r`, forms q once and keeps it.
     """
 
-    def __init__(self, basis, r, wy=None, right=None):
+    def __init__(self, basis, r, wy, right=None):
         self.basis = basis
         self.r = r
         self.wy = wy
         self.right = right
-        self._q = basis if wy is None and right is None else None
+        self._q = None
 
     def apply(self, x, out=None, tall=None, tall_x=None):
         """q @ x, column-major, without forming q; written into `out` when
         given.
 
-        q @ x is basis @ c with a head added to its first rows: c = x and
-        no head for a formed basis, c = -T V[:k]^T d x and head d x for
-        reflectors. `tall`, when given, is a column-major [L | basis] whose
-        last columns are this result's basis in place, as qr_factor's
+        q @ x is basis @ c with the head d x added to its first rows, c =
+        -T V[:k]^T d x. `tall`, when given, is a column-major [L | basis]
+        whose last columns are this result's basis in place, as qr_factor's
         overwrite_a leaves it next to the carried block in a streaming
         workspace. The result is then L @ tall_x + q @ x, through one
         product over tall: at a few columns that product is memory-bound,
@@ -219,30 +214,25 @@ class QrResult:
         """
         if self.right is not None:
             x = self.right @ x
-        head = None
-        if self.wy is not None:
-            t, d = self.wy
-            head = d[:, None] * x
-            x = -(t @ (self.basis[:t.shape[0]].T @ head))
+        t, d = self.wy
+        head = d[:, None] * x
+        x = -(t @ (self.basis[:t.shape[0]].T @ head))
         if tall is None:
             tall = self.basis
         else:
             x = np.concatenate([tall_x, x])
         out = _product(tall, x, out)
-        if head is not None:
-            out[:head.shape[0]] += head
+        out[:head.shape[0]] += head
         return out
 
     @property
     def q(self):
         if self._q is None:
-            q = self.basis
-            if self.wy is not None:
-                t, d = self.wy
-                k = t.shape[0]
-                q = _product(q, (t @ q[:k].T) * -d)
-                diag = np.arange(k)
-                q[diag, diag] += d
+            t, d = self.wy
+            k = t.shape[0]
+            q = _product(self.basis, (t @ self.basis[:k].T) * -d)
+            diag = np.arange(k)
+            q[diag, diag] += d
             self._q = q if self.right is None else q @ self.right
         return self._q
 
@@ -257,29 +247,21 @@ def qr_factor(a, overwrite_a=False, check_finite=True):
     columns and whose r is upper triangular, such that q @ r reconstructs
     a. The result is deterministic for a given BLAS thread count.
 
-    With k = min(m, n) <= QR_PANEL_COLUMNS this is LAPACK's reduced QR,
-    with q formed. Wider inputs go through the recursive compact-WY
-    Householder QR of `_householder`, whose work is mostly GEMMs, and q
-    stays in the reflector form of QrResult until it is read, with d the
-    signs that make r's diagonal non-negative. A wide input (n > m)
-    factors its leading k columns and sets r[:, k:] = q^T a[:, k:].
+    The recursive compact-WY Householder QR of `_householder` factors the
+    leading k = min(m, n) columns, and q stays in the reflector form of
+    QrResult until it is read, with d the signs that make r's diagonal
+    non-negative. A wide input (n > m) sets r[:, k:] = q^T a[:, k:].
 
     overwrite_a lets a writable column-major float64 `a` hold the work:
-    its first k columns are overwritten with the result's basis (the
-    reflectors, or the formed q), which the result then reads in place, so
-    it stays valid while those columns do. Other inputs are copied as
-    usual. check_finite=False skips the scan for non-finite entries, for
-    callers whose input is known to be finite.
+    its first k columns are overwritten with the reflectors, which the
+    result then reads in place, so it stays valid while those columns do.
+    Other inputs are copied as usual. check_finite=False skips the scan for
+    non-finite entries, for callers whose input is known to be finite.
     """
     a = as_matrix(a, check_finite=check_finite)
     m, n = a.shape
     k = min(m, n)
     in_place = overwrite_a and a.flags.f_contiguous and a.flags.writeable
-    if k <= QR_PANEL_COLUMNS:
-        q, r = np.linalg.qr(a, mode="reduced")
-        d = _diagonal_signs(r)
-        q = np.multiply(q, d, out=a[:, :k] if in_place else None)
-        return QrResult(q, r * d[:, None])
     work = a[:, :k] if in_place else np.array(a[:, :k], order="F")
     r = np.zeros((k, n))
     t = _householder(work, r[:, :k])

@@ -33,46 +33,46 @@ batch.
 A forget factor below one exponentially downweights history, which tracks
 left singular vectors that drift over time.
 
-The update reaches across ranks in two places only: sums of small matrices
-and the QR of the tall residual. `StreamKernels` names both. The serial
-functions here pass the identity and qr_factor; dsvd passes a sum that
-rank 0 gathers and broadcasts, and its tall-skinny QR, so at world size 1
-both paths run the same arithmetic.
+Ranks. Every function here runs on one rank of a RankContext, with that
+rank's rows of each batch; a serial caller passes RankContext(0, 1, None).
+The update reaches across ranks in two places only: sums of small matrices,
+which rank 0 gathers and broadcasts (dsvd._rank_sum), and the tall-skinny
+QR of the residual (dsvd.parallel_qr). At world size 1 the sum is its input
+and the QR is qr_factor's, with no wire traffic.
 
 Workspace. An update's tall arrays live in a `Workspace`: two
 column-major buffers with the stream's rows and K + p + b columns, b the
 widest batch so far. The front buffer holds [U | A], the carried block in
 its first columns and the batch right after it. The residual A - U C is
 formed in the batch's columns, with U C passing through the back buffer,
-and qr_factor factors it there (overwrite_a): Q's Householder vectors V,
-or up to QR_PANEL_COLUMNS columns LAPACK's formed Q, take the residual's
-place. So [U | V] is one contiguous block, and the lift [U Q] U~ is one
-product over it (QrResult.apply), written into the back buffer. The
-buffers then swap, and the new block is the first columns of the next
-update's front buffer.
+and qr_factor factors it there (overwrite_a): Q's Householder vectors V
+take the residual's place. So [U | V] is one contiguous block, and the
+lift [U Q] U~ is one product over it (QrResult.apply), written into the
+back buffer. The buffers then swap, and the new block is the first
+columns of the next update's front buffer.
 
-Who owns what. stream_all and parallel_stream_all own one workspace for
-the whole stream, and a BatchSource reads each batch straight into the
-front buffer next to U. The states they pass from one update to the next
-are views of the buffers and are overwritten two updates later; the final
-state is not touched again. stream_initialize, stream_incorporate and
-their dsvd counterparts run the same body on a workspace of their own
-unless handed one, so the states they return are never overwritten, and
-the batches passed to them are copied, never modified. Either way a batch
-is scanned for non-finite entries once, where it enters the workspace,
-and nowhere after.
+Who owns what. stream_all owns one workspace for the whole stream, and a
+BatchSource reads each batch straight into the front buffer next to U.
+The states it passes from one update to the next are views of the
+buffers and are overwritten two updates later; the final state is not
+touched again. stream_initialize and stream_incorporate run on a
+workspace of their own unless handed one, so the states they return are
+never overwritten, and the batches passed to them are copied, never
+modified. Either way a batch is scanned for non-finite entries once,
+where it enters the workspace, and nowhere after.
 """
 
 import ctypes
 import functools
 import os
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
+from .dsvd import _rank_sum, parallel_qr
 from .io import BatchSource
-from .linalg import _product, as_matrix, qr_factor, svd_full
+from .linalg import _product, as_matrix, svd_full
 
 # When repeated updates erode orthonormality past this, the carried block is
 # re-orthonormalized before it is used. The check reads U^T U, which travels
@@ -125,10 +125,10 @@ class StreamState:
     singular_values. A state built without them carries just its modes.
     total_rows is the row count of the whole matrix, which caps the carried
     width; a state built without it has it summed over ranks by its next
-    update. Under dsvd, modes and carried_modes are this rank's rows.
+    update. modes and carried_modes are this rank's rows.
 
     The columns are orthonormal to ORTHO_DRIFT_TOL in the states that
-    stream_all and parallel_stream_all return. A state straight out of an
+    stream_all returns. A state straight out of an
     incorporate call may have drifted further when its batch lay in
     span(modes) up to a small residual; the next update repairs that
     before it uses the block.
@@ -140,31 +140,6 @@ class StreamState:
     carried_modes: Optional[np.ndarray] = None
     carried_values: Optional[np.ndarray] = None
     total_rows: Optional[int] = None
-
-
-class StreamKernels(NamedTuple):
-    """The two operations of an update that span ranks.
-
-    total(x)           sum of a small matrix over all ranks, returned on
-                       every rank
-    qr(a, overwrite_a) QrResult of the row-stacked matrix whose local rows
-                       are a: r, and this rank's rows of q, which it can
-                       apply to a small matrix without forming them. With
-                       overwrite_a the local factor works in a's columns.
-                       Inputs are finite, so they are not scanned.
-    """
-
-    total: Callable
-    qr: Callable
-
-
-def _serial_kernels():
-    # qr_factor is looked up per call, so timing wrappers installed on the
-    # module namespace (perfbench/tracer.py) see it.
-    return StreamKernels(
-        lambda x: x,
-        lambda a, overwrite_a=False: qr_factor(a, overwrite_a,
-                                               check_finite=False))
 
 
 # glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, and
@@ -248,8 +223,8 @@ def _state(basis, values, k, iteration, rows):
                        rows)
 
 
-def _total_rows(local_rows, kernels):
-    return int(kernels.total(np.array([[float(local_rows)]]))[0, 0])
+def _total_rows(ctx, local_rows):
+    return int(_rank_sum(ctx, np.array([[float(local_rows)]]))[0, 0])
 
 
 def _carried(state):
@@ -274,28 +249,7 @@ def _keep(values, shape, config, rows):
                config.k_modes + config.buffer_columns, rows)
 
 
-def _initialize(a0, config, kernels, name, workspace):
-    """Shared body of stream_initialize and its distributed counterpart; a
-    workspace of None gets one of its own."""
-    a0 = as_matrix(a0, name)
-    k = config.k_modes
-    if a0.shape[1] < k:
-        raise ValueError(
-            f"initial batch has {a0.shape[1]} columns, need at least k_modes={k}"
-        )
-    workspace = Workspace() if workspace is None else workspace
-    front = workspace.load(np.empty((a0.shape[0], 0)), a0.shape[1])
-    np.copyto(front, a0)  # no copy when the batch was read in place
-    qr = kernels.qr(front, overwrite_a=True)
-    res = svd_full(qr.r, want_vt=False)
-    keep = _keep(res.s, qr.r.shape, config, qr.r.shape[0])
-    basis = qr.apply(res.u[:, :keep], out=workspace.back[:, :keep])
-    workspace.turn(basis)
-    return _state(basis, res.s[:keep], k, 0,
-                  _total_rows(a0.shape[0], kernels))
-
-
-def _reorthonormalize(u, gram, kernels):
+def _reorthonormalize(ctx, u, gram):
     """Rescue pass for a block whose Gram matrix drifted from the identity.
 
     Returns (u, fold, tri): the orthonormal block is u @ fold (u itself when
@@ -308,14 +262,66 @@ def _reorthonormalize(u, gram, kernels):
     if np.linalg.cond(gram) <= CHOLESKY_COND_LIMIT:
         tri = np.linalg.cholesky(gram).T
         return u, np.linalg.inv(tri), tri
-    q, tri = kernels.qr(u)
+    q, tri = parallel_qr(ctx, u, check_finite=False)
     return q, None, tri
 
 
-def _incorporate(state, a_new, config, kernels, name, workspace):
-    """Shared body of stream_incorporate and its distributed counterpart; a
-    workspace of None gets one of its own."""
-    a_new = as_matrix(a_new, name)
+def _settle(ctx, state):
+    """Check the orthonormality of the carried block once more, after the
+    last batch, and re-orthonormalize it if it drifted. The incorporate
+    steps only check the block they receive."""
+    u, s = _carried(state)
+    gram = _rank_sum(ctx, u.T @ u)
+    if _drift(gram) <= ORTHO_DRIFT_TOL:
+        return state
+    u, fold, tri = _reorthonormalize(ctx, u, gram)
+    res = svd_full(tri * s, want_vt=False)
+    rotation = res.u if fold is None else fold @ res.u
+    return _state(_product(u, rotation), res.s, state.modes.shape[1],
+                  state.iteration, state.total_rows)
+
+
+def stream_initialize(ctx, a0, config, workspace=None):
+    """Build the initial state from this rank's rows of the first batch.
+
+    a0 needs at least k_modes columns; fewer would leave the mode block
+    rank-deficient from the start. `workspace` is for stream_all, which
+    passes its own; the states of a workspace are overwritten two updates
+    later (module docstring).
+    """
+    a0 = as_matrix(a0, "a0")
+    k = config.k_modes
+    if a0.shape[1] < k:
+        raise ValueError(
+            f"initial batch has {a0.shape[1]} columns, need at least k_modes={k}"
+        )
+    workspace = Workspace() if workspace is None else workspace
+    front = workspace.load(np.empty((a0.shape[0], 0)), a0.shape[1])
+    np.copyto(front, a0)  # no copy when the batch was read in place
+    qr = parallel_qr(ctx, front, overwrite_a=True, check_finite=False)
+    res = svd_full(qr.r, want_vt=False)
+    keep = _keep(res.s, qr.r.shape, config, qr.r.shape[0])
+    basis = qr.apply(res.u[:, :keep], out=workspace.back[:, :keep])
+    workspace.turn(basis)
+    return _state(basis, res.s[:keep], k, 0, _total_rows(ctx, a0.shape[0]))
+
+
+def stream_incorporate(ctx, state, a_new, config, workspace=None):
+    """Fold this rank's rows of one new batch into the state; returns the
+    updated state.
+
+    The projections onto the carried block are summed across ranks, the
+    residual goes through one tall-skinny QR, and after a shared small SVD
+    each rank holds its rows of the updated block; singular values are
+    identical across ranks. The batch may have any positive column count
+    but must match the row dimension of the existing modes. A state whose
+    carried block has lost orthonormality past ORTHO_DRIFT_TOL is
+    re-orthonormalized first. The block returned is not checked again:
+    where the batch lay in span(modes) up to a small residual it may have
+    drifted, and only the next update or stream_all's final check repairs
+    it. `workspace` is as for stream_initialize.
+    """
+    a_new = as_matrix(a_new, "a_new")
     k = config.k_modes
     if state.modes.shape[1] != k:
         raise ValueError(
@@ -329,7 +335,7 @@ def _incorporate(state, a_new, config, kernels, name, workspace):
     width = u.shape[1]
     rows = state.total_rows
     if rows is None:
-        rows = _total_rows(a_new.shape[0], kernels)
+        rows = _total_rows(ctx, a_new.shape[0])
     workspace = Workspace() if workspace is None else workspace
     front = workspace.load(u, a_new.shape[1])
     u, batch = front[:, :width], front[:, width:]
@@ -338,17 +344,17 @@ def _incorporate(state, a_new, config, kernels, name, workspace):
     head = np.empty((width, width + batch.shape[1]))
     head[:, :width] = u.T @ u
     head[:, width:] = u.T @ batch
-    head = kernels.total(head)
+    head = _rank_sum(ctx, head)
     coeff = head[:, width:]
     top = np.diag(config.forget_factor * s)
     fold = None
     if _drift(head[:, :width]) > ORTHO_DRIFT_TOL:
         # U diag(s) = (U fold) (T diag(s)): the re-orthonormalized block
         # enters the small matrix through its triangular factor T.
-        u, fold, tri = _reorthonormalize(u, head[:, :width], kernels)
+        u, fold, tri = _reorthonormalize(ctx, u, head[:, :width])
         top = tri * (config.forget_factor * s)
         if fold is None:
-            coeff = kernels.total(u.T @ batch)
+            coeff = _rank_sum(ctx, u.T @ batch)
         else:
             coeff = fold.T @ coeff
     # The residual A - U C replaces the batch, then its QR factors replace
@@ -356,7 +362,7 @@ def _incorporate(state, a_new, config, kernels, name, workspace):
     np.subtract(batch, _product(u, coeff if fold is None else fold @ coeff,
                                 workspace.back[:, :batch.shape[1]]),
                 out=batch)
-    qr = kernels.qr(batch, overwrite_a=True)
+    qr = parallel_qr(ctx, batch, overwrite_a=True, check_finite=False)
     r = qr.r
     small = np.zeros((width + r.shape[0], width + batch.shape[1]))
     small[:width, :width] = top
@@ -375,28 +381,13 @@ def _incorporate(state, a_new, config, kernels, name, workspace):
     return _state(basis, res.s[:keep], k, state.iteration + 1, rows)
 
 
-def _settle(state, kernels):
-    """Check the orthonormality of the carried block once more, after the
-    last batch, and re-orthonormalize it if it drifted. The incorporate
-    steps only check the block they receive."""
-    u, s = _carried(state)
-    gram = kernels.total(u.T @ u)
-    if _drift(gram) <= ORTHO_DRIFT_TOL:
-        return state
-    u, fold, tri = _reorthonormalize(u, gram, kernels)
-    res = svd_full(tri * s, want_vt=False)
-    rotation = res.u if fold is None else fold @ res.u
-    return _state(_product(u, rotation), res.s, state.modes.shape[1],
-                  state.iteration, state.total_rows)
-
-
-def _drive(batches, config, start, step, settle):
-    """Initialize on the first batch, incorporate the rest and settle the
-    last state, in one workspace. start(batch, workspace) and
-    step(state, batch, workspace) run the single-step functions; a
-    BatchSource reads each batch into the workspace columns next to the
-    carried block. Returns (final_state, history) where history lists the
-    K values after every step, the initial one included."""
+def stream_all(ctx, batches, config):
+    """Drive a whole pass over this rank's rows of the batches, in one
+    workspace: initialize on the first batch, incorporate the rest, and
+    check the final block's orthonormality once more. A BatchSource reads
+    each batch into the workspace columns next to the carried block.
+    Returns (final_state, history) on every rank, where history lists the
+    K singular values after every step, the initial one included."""
     workspace = Workspace(config.k_modes + config.buffer_columns)
     state = None
 
@@ -409,51 +400,12 @@ def _drive(batches, config, start, step, settle):
     history = []
     for batch in source:
         if state is None:
-            state = start(batch, workspace)
+            state = stream_initialize(ctx, batch, config, workspace)
         else:
-            state = step(state, batch, workspace)
+            state = stream_incorporate(ctx, state, batch, config, workspace)
         history.append(state.singular_values.copy())
     if state is None:
         raise ValueError("batch stream is empty")
-    state = settle(state)
+    state = _settle(ctx, state)
     history[-1] = state.singular_values.copy()
     return state, history
-
-
-def stream_initialize(a0, config, workspace=None):
-    """Build the initial state from the first batch.
-
-    a0 needs at least k_modes columns; fewer would leave the mode block
-    rank-deficient from the start. `workspace` is for stream_all, which
-    passes its own; the states of a workspace are overwritten two updates
-    later (module docstring).
-    """
-    return _initialize(a0, config, _serial_kernels(), "a0", workspace)
-
-
-def stream_incorporate(state, a_new, config, workspace=None):
-    """Fold one new batch into the state; returns the updated state.
-
-    The batch may have any positive column count but must match the row
-    dimension of the existing modes. A state whose carried block has lost
-    orthonormality past ORTHO_DRIFT_TOL is re-orthonormalized first. The
-    block returned is not checked again: where the batch lay in span(modes)
-    up to a small residual it may have drifted, and only the next update or
-    stream_all's final check repairs it. `workspace` is as for
-    stream_initialize.
-    """
-    return _incorporate(state, a_new, config, _serial_kernels(), "a_new",
-                        workspace)
-
-
-def stream_all(batches, config):
-    """Drive a whole pass: initialize on the first batch, incorporate the
-    rest, and check the final block's orthonormality once more. Returns
-    (final_state, history) where history lists the singular values after
-    every step, the initial one included."""
-    return _drive(
-        batches, config,
-        lambda batch, ws: stream_initialize(batch, config, ws),
-        lambda state, batch, ws: stream_incorporate(state, batch, config, ws),
-        lambda state: _settle(state, _serial_kernels()),
-    )

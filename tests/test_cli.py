@@ -168,8 +168,8 @@ def test_serial_stream_is_parallel_stream_at_its_world_size(tmp_path,
     args = ["--input", str(mat), "--k", "5", "--batch", "10", "--ff", "1.0"]
     serial = tmp_path / "serial"
     para = tmp_path / "para"
-    # one BLAS thread for the parallel ranks too, so both runs call the
-    # same kernels whatever this host's thread count
+    # one BLAS thread for the parallel ranks too, so both runs take the
+    # same BLAS code paths whatever this host's thread count
     with blas_thread_budget(_available_cpus()):
         assert main(["decompose", "--outdir", str(serial),
                      "--mode", "serial-stream"] + args) == 0

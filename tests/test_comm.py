@@ -270,6 +270,8 @@ def test_rank_context_validation():
         RankContext(-1, 2, transport)
     with pytest.raises(ValueError):
         RankContext(0, 2, transport, deadline=0.0)
+    with pytest.raises(ValueError, match="needs a transport"):
+        RankContext(0, 2, None)
 
 
 # ---------- TCP transport ----------

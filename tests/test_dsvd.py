@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 import oracles
-from parsvd.comm import run_simulated
+from parsvd.comm import RankContext, run_simulated
 from test_comm import run_tcp
 from oracles import row_partition
 from parsvd.datagen import partition_bounds, synthetic_spectrum_matrix
 from parsvd.dsvd import (ApmosConfig, LocalModes, apmos, gather_modes,
-                         generate_right_vectors, parallel_qr,
-                         parallel_stream_all, parallel_stream_incorporate,
-                         parallel_stream_initialize)
+                         generate_right_vectors, parallel_qr)
 from parsvd.errors import DegenerateModeError
 from parsvd.linalg import (RandomSketchConfig, aligned_mode_difference,
                            qr_factor, svd_full)
@@ -217,8 +215,8 @@ def test_parallel_qr_handles_short_blocks():
 @pytest.mark.parametrize("world_size", [1, 2, 3])
 @pytest.mark.parametrize("shape", [(60, 8), (300, 40)])
 def test_parallel_qr_apply_matches_formed_q(world_size, shape):
-    # 8 columns keep LAPACK's formed local q; 40 columns keep reflectors,
-    # and the local factor goes through this rank's slice of the root's q
+    # 8 columns are one panel, 40 recurse; the local factor goes through
+    # this rank's slice of the root's q
     a = _random(*shape, seed=68)
     x = _random(shape[1], 6, seed=69)
     blocks = row_partition(a, world_size)
@@ -235,20 +233,24 @@ def test_parallel_qr_apply_matches_formed_q(world_size, shape):
         assert np.array_equal(applied, qr_factor(a).apply(x))
 
 
-# ---------- parallel streaming ----------
+# ---------- streaming across ranks ----------
 
-def test_parallel_stream_single_rank_is_serial_bitwise():
+# The serial references below: one rank with no transport.
+ONE = RankContext(0, 1, None)
+
+
+def test_stream_steps_in_a_world_of_one_match_a_simulated_rank_bitwise():
     a = _random(24, 15, seed=68)
     config = StreamConfig(k_modes=4, forget_factor=0.95)
 
-    serial = stream_initialize(a[:, :5], config)
-    serial = stream_incorporate(serial, a[:, 5:10], config)
-    serial = stream_incorporate(serial, a[:, 10:], config)
+    serial = stream_initialize(ONE, a[:, :5], config)
+    serial = stream_incorporate(ONE, serial, a[:, 5:10], config)
+    serial = stream_incorporate(ONE, serial, a[:, 10:], config)
 
     def program(ctx):
-        state = parallel_stream_initialize(ctx, a[:, :5], config)
-        state = parallel_stream_incorporate(ctx, state, a[:, 5:10], config)
-        return parallel_stream_incorporate(ctx, state, a[:, 10:], config)
+        state = stream_initialize(ctx, a[:, :5], config)
+        state = stream_incorporate(ctx, state, a[:, 5:10], config)
+        return stream_incorporate(ctx, state, a[:, 10:], config)
 
     [parallel] = run_simulated(1, program)
     assert np.array_equal(parallel.modes, serial.modes)
@@ -265,14 +267,14 @@ def test_parallel_rescue_pass_restores_orthonormality():
     drifted = q + 1e-4 * rng.standard_normal((30, 3))
     values = np.array([3.0, 2.0, 1.0])
     batch = rng.standard_normal((30, 4))
-    serial = stream_incorporate(StreamState(drifted, values, 0), batch, config)
+    serial = stream_incorporate(ONE, StreamState(drifted, values, 0), batch,
+                                config)
     mode_blocks = row_partition(drifted, 2)
     batch_blocks = row_partition(batch, 2)
 
     def program(ctx):
         state = StreamState(mode_blocks[ctx.rank], values, 0)
-        new = parallel_stream_incorporate(ctx, state, batch_blocks[ctx.rank],
-                                          config)
+        new = stream_incorporate(ctx, state, batch_blocks[ctx.rank], config)
         return gather_modes(ctx, new), new.singular_values
 
     (stacked, got), (_, other) = run_simulated(2, program)
@@ -283,15 +285,15 @@ def test_parallel_rescue_pass_restores_orthonormality():
     assert np.max(aligned_mode_difference(stacked, serial.modes)) < 1e-10
 
 
-def test_parallel_stream_all_matches_stream_all():
+def test_stream_all_in_a_world_of_one_matches_simulated_ranks():
     a = _random(40, 23, seed=70)
     config = StreamConfig(k_modes=3, forget_factor=0.9)
     serial, serial_history = stream_all(
-        [a[:, i:i + 5] for i in range(0, 23, 5)], config)
+        ONE, [a[:, i:i + 5] for i in range(0, 23, 5)], config)
 
     def program(ctx):
         lo, hi = partition_bounds(40, ctx.world_size)[ctx.rank]
-        state, history = parallel_stream_all(
+        state, history = stream_all(
             ctx, [a[lo:hi, i:i + 5] for i in range(0, 23, 5)], config)
         return gather_modes(ctx, state), state, history
 
@@ -315,14 +317,14 @@ def test_parallel_states_survive_later_updates():
 
     def program(ctx):
         lo, hi = partition_bounds(40, ctx.world_size)[ctx.rank]
-        state = parallel_stream_initialize(ctx, a[lo:hi, :5], config)
-        first = parallel_stream_incorporate(ctx, state, a[lo:hi, 5:10], config)
+        state = stream_initialize(ctx, a[lo:hi, :5], config)
+        first = stream_incorporate(ctx, state, a[lo:hi, 5:10], config)
         kept = [first.modes.copy(), first.carried_modes.copy(),
                 first.carried_values.copy()]
         state = first
         for start in (10, 15, 20):
-            state = parallel_stream_incorporate(
-                ctx, state, a[lo:hi, start:start + 5], config)
+            state = stream_incorporate(ctx, state, a[lo:hi, start:start + 5],
+                                       config)
         now = [first.modes, first.carried_modes, first.carried_values]
         return all(np.array_equal(x, y) for x, y in zip(kept, now))
 
@@ -337,7 +339,7 @@ def test_parallel_stream_refuses_a_non_finite_later_batch(bad):
 
     def program(ctx):
         lo, hi = partition_bounds(40, ctx.world_size)[ctx.rank]
-        return parallel_stream_all(
+        return stream_all(
             ctx, [a[lo:hi, i:i + 5] for i in range(0, 15, 5)], config)
 
     with pytest.raises(ValueError, match="non-finite"):
@@ -352,7 +354,7 @@ def test_parallel_stream_caps_width_at_global_rows():
 
     def program(ctx):
         lo, hi = partition_bounds(6, ctx.world_size)[ctx.rank]
-        state, _ = parallel_stream_all(
+        state, _ = stream_all(
             ctx, [short[lo:hi, i:i + 4] for i in range(0, 20, 4)], config)
         return state
 
@@ -372,7 +374,7 @@ def test_parallel_stream_over_tcp_matches_simulator_wide_batches():
 
     def program(ctx):
         lo, hi = partition_bounds(600, ctx.world_size)[ctx.rank]
-        state, history = parallel_stream_all(
+        state, history = stream_all(
             ctx, [a[lo:hi, i:i + 500] for i in range(0, 1500, 500)], config)
         return state.carried_modes, np.vstack(history)
 
@@ -391,11 +393,10 @@ def test_parallel_stream_matches_direct_on_gapped_spectrum():
 
     def program(ctx):
         block = blocks[ctx.rank]
-        state = parallel_stream_initialize(ctx, block[:, :8], config)
+        state = stream_initialize(ctx, block[:, :8], config)
         for start in (8, 16):
-            state = parallel_stream_incorporate(ctx, state,
-                                                block[:, start:start + 8],
-                                                config)
+            state = stream_incorporate(ctx, state, block[:, start:start + 8],
+                                       config)
         return gather_modes(ctx, state), state.singular_values
 
     stacked, values = run_simulated(4, program)[0]
@@ -421,9 +422,9 @@ def test_parallel_stream_burgers_truncation_error_profile(burgers_snapshots,
 
         def program(ctx):
             block = blocks[ctx.rank]
-            state = parallel_stream_initialize(ctx, block[:, :200], config)
+            state = stream_initialize(ctx, block[:, :200], config)
             for start in range(200, 800, 200):
-                state = parallel_stream_incorporate(
+                state = stream_incorporate(
                     ctx, state, block[:, start:start + 200], config)
             return state.singular_values
 

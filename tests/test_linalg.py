@@ -1,4 +1,4 @@
-"""Factorization kernels against hand-rolled references and exact cases."""
+"""Factorizations against hand-rolled references and exact cases."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ import oracles
 from parsvd.linalg import (QR_PANEL_COLUMNS, QrResult, RandomSketchConfig,
                            SvdResult, aligned_mode_difference, low_rank_svd,
                            qr_factor, randomized_range, svd_full)
+from parsvd.comm import RankContext
 from parsvd.streaming import StreamConfig, stream_initialize
 
 
@@ -109,8 +110,8 @@ def _check_qr_against_lapack(a, full_rank, label):
 @pytest.mark.parametrize("n", [1, 16, 17, 33, 100, 135])
 @pytest.mark.parametrize("rows_per_col", [1, 3])
 def test_qr_recursive_kernel_matches_lapack(n, rows_per_col):
-    # n <= QR_PANEL_COLUMNS is the plain LAPACK call; wider inputs take the
-    # recursive compact-WY route (17: one split, 33 and up: several)
+    # n <= QR_PANEL_COLUMNS is one LAPACK panel; wider inputs recurse
+    # (17: one split, 33 and up: several)
     rng = np.random.Generator(np.random.Philox(30 + n))
     for name, a, full_rank in _qr_inputs(rows_per_col * n, n, rng):
         _check_qr_against_lapack(a, full_rank, f"{rows_per_col * n}x{n} {name}")
@@ -135,7 +136,8 @@ def test_qr_first_burgers_streaming_residual(burgers_snapshots):
     # last place, or when its rows are reversed. What R determines here is
     # R^T R = A^T A and the singular values, which are compared instead,
     # along with the leading rows, whose diagonal stays far above rounding.
-    state = stream_initialize(burgers_snapshots[:, :100], StreamConfig(5))
+    state = stream_initialize(RankContext(0, 1, None),
+                              burgers_snapshots[:, :100], StreamConfig(5))
     u = state.carried_modes
     batch = burgers_snapshots[:, 100:200]
     resid = batch - u @ (u.T @ batch)
@@ -154,9 +156,8 @@ def test_qr_first_burgers_streaming_residual(burgers_snapshots):
 
 
 def _reflector_q(res):
-    """q as qr_factor has formed it from reflectors since the recursive
-    kernel came in: ([I; 0] - V T V[:k]^T) diag(d), as one column-major
-    product over V plus d on the diagonal."""
+    """q as qr_factor forms it from its reflectors: ([I; 0] - V T V[:k]^T)
+    diag(d), as one column-major product over V plus d on the diagonal."""
     t, d = res.wy
     k = t.shape[0]
     v = res.basis
@@ -169,13 +170,12 @@ def _reflector_q(res):
                                    (1000, 100), (20, 10), (200, 100),
                                    (20, 40), (30, 8), (7, 12)])
 def test_qr_apply_matches_formed_q(shape):
-    # narrow inputs (at most QR_PANEL_COLUMNS) keep LAPACK's formed q;
-    # wider ones keep reflectors, with more columns than rows too; 20 x 10
-    # and 200 x 100 are the root stacks of a two-rank parallel QR
+    # narrow inputs (one panel) and wide ones, with more columns than rows
+    # too; 20 x 10 and 200 x 100 are the root stacks of a two-rank parallel
+    # QR
     rng = np.random.Generator(np.random.Philox(31))
     res = qr_factor(rng.standard_normal(shape))
     k = min(shape)
-    assert (res.wy is None) == (k <= QR_PANEL_COLUMNS)
     x = rng.standard_normal((k, 7))
     applied = res.apply(x)
     assert applied.shape == (shape[0], 7)
@@ -190,11 +190,7 @@ def test_qr_forms_q_once_by_the_reflector_formula():
         q, r = qr_factor(a)
         assert np.array_equal(q, res.q) and np.array_equal(r, res.r)
         assert res.q is res.q
-        if res.wy is None:
-            assert res.q is res.basis
-            assert np.array_equal(q, _lapack_qr(a)[0])
-        else:
-            assert np.array_equal(q, _reflector_q(res))
+        assert np.array_equal(q, _reflector_q(res))
 
 
 _BATTERY_SHAPES = [(rows_per_col * n, n) for n in (1, 16, 17, 33, 100, 135)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import parsvd.streaming
+from parsvd.comm import RankContext
 from parsvd.datagen import synthetic_spectrum_matrix
 from parsvd.io import BatchSource, write_matrix
 from oracles import subspace_angles
@@ -13,6 +14,8 @@ from parsvd.linalg import aligned_mode_difference, qr_factor, svd_full
 from parsvd.streaming import StreamConfig, StreamState, Workspace, \
     stream_all, stream_incorporate, stream_initialize
 
+# Every stream here runs serially: one rank with no transport.
+ONE = RankContext(0, 1, None)
 
 def _constructed(rows=60, cols=36, seed=11):
     """Spectrum with a clear gap after the fifth value and a tiny tail, so
@@ -35,7 +38,7 @@ def test_config_validation():
 
 
 def test_initialize_diagonal_exact():
-    state = stream_initialize(np.diag([3.0, 2.0, 1.0]),
+    state = stream_initialize(ONE, np.diag([3.0, 2.0, 1.0]),
                               StreamConfig(k_modes=3))
     assert np.array_equal(state.singular_values, [3.0, 2.0, 1.0])
     assert np.array_equal(np.abs(state.modes), np.eye(3))
@@ -45,7 +48,7 @@ def test_initialize_diagonal_exact():
 def test_initialize_matches_direct_svd():
     rng = np.random.Generator(np.random.Philox(40))
     a0 = rng.standard_normal((30, 8))
-    state = stream_initialize(a0, StreamConfig(k_modes=8))
+    state = stream_initialize(ONE, a0, StreamConfig(k_modes=8))
     direct = svd_full(a0)
     # same factorization reached through QR + small SVD; equal to roundoff
     assert np.max(np.abs(state.singular_values - direct.s) / direct.s) < 1e-12
@@ -54,14 +57,14 @@ def test_initialize_matches_direct_svd():
 
 def test_initialize_needs_enough_columns():
     with pytest.raises(ValueError):
-        stream_initialize(np.ones((5, 2)), StreamConfig(k_modes=3))
+        stream_initialize(ONE, np.ones((5, 2)), StreamConfig(k_modes=3))
 
 
 def test_single_shot_equivalence_constructed_spectrum():
     a = _constructed()
     direct = svd_full(a)
     config = StreamConfig(k_modes=5, forget_factor=1.0)
-    state, _ = stream_all(BatchSource.from_matrix(a, 15), config)
+    state, _ = stream_all(ONE, BatchSource.from_matrix(a, 15), config)
     rel = np.abs(state.singular_values - direct.s[:5]) / direct.s[:5]
     assert np.max(rel) < 1e-8
     assert np.max(aligned_mode_difference(state.modes, direct.u[:, :5])) < 1e-6
@@ -72,7 +75,8 @@ def test_partition_invariance():
     direct = svd_full(a)
     for width in (36, 12, 9, 7, 5):
         config = StreamConfig(k_modes=5, forget_factor=1.0)
-        state, history = stream_all(BatchSource.from_matrix(a, width), config)
+        state, history = stream_all(ONE, BatchSource.from_matrix(a, width),
+                                    config)
         rel = np.abs(state.singular_values - direct.s[:5]) / direct.s[:5]
         assert np.max(rel) < 1e-6, f"width {width}"
         assert np.max(aligned_mode_difference(state.modes,
@@ -85,7 +89,7 @@ def test_exact_when_k_covers_rank():
     a = synthetic_spectrum_matrix(40, 24, [4.0, 2.0, 1.0], seed=12)
     direct = svd_full(a)
     config = StreamConfig(k_modes=3, forget_factor=1.0)
-    state, _ = stream_all(BatchSource.from_matrix(a, 6), config)
+    state, _ = stream_all(ONE, BatchSource.from_matrix(a, 6), config)
     assert np.allclose(state.singular_values, direct.s[:3], rtol=1e-10)
     assert np.max(aligned_mode_difference(state.modes, direct.u[:, :3])) < 1e-9
 
@@ -96,10 +100,10 @@ def test_incorporate_batch_in_current_span():
     rng = np.random.Generator(np.random.Philox(41))
     a0 = rng.standard_normal((25, 6))
     config = StreamConfig(k_modes=4, forget_factor=1.0)
-    state = stream_initialize(a0, config)
+    state = stream_initialize(ONE, a0, config)
     coeff = rng.standard_normal((4, 3))
     batch = state.modes @ coeff
-    new = stream_incorporate(state, batch, config)
+    new = stream_incorporate(ONE, state, batch, config)
     angles = subspace_angles(new.modes, state.modes)
     # arccos cannot resolve angles below sqrt(2 eps) ~ 2e-8; anything under
     # 1e-7 is zero to measurement precision
@@ -114,8 +118,8 @@ def test_forget_factor_damps_history():
     a = _constructed(rows=50, cols=20, seed=13)
     plain = StreamConfig(k_modes=5, forget_factor=1.0)
     damped = StreamConfig(k_modes=5, forget_factor=0.95)
-    s_plain, _ = stream_all(BatchSource.from_matrix(a, 10), plain)
-    s_damped, _ = stream_all(BatchSource.from_matrix(a, 10), damped)
+    s_plain, _ = stream_all(ONE, BatchSource.from_matrix(a, 10), plain)
+    s_damped, _ = stream_all(ONE, BatchSource.from_matrix(a, 10), damped)
     assert s_damped.singular_values[0] < s_plain.singular_values[0]
     assert np.all(s_damped.singular_values <= s_plain.singular_values + 1e-12)
 
@@ -123,9 +127,10 @@ def test_forget_factor_damps_history():
 def test_modes_stay_orthonormal_over_many_updates():
     rng = np.random.Generator(np.random.Philox(42))
     config = StreamConfig(k_modes=6, forget_factor=0.95)
-    state = stream_initialize(rng.standard_normal((64, 8)), config)
+    state = stream_initialize(ONE, rng.standard_normal((64, 8)), config)
     for _ in range(50):
-        state = stream_incorporate(state, rng.standard_normal((64, 8)), config)
+        state = stream_incorporate(ONE, state, rng.standard_normal((64, 8)),
+                                   config)
     gram = state.modes.T @ state.modes
     assert np.max(np.abs(gram - np.eye(6))) < 1e-8
     assert np.all(np.diff(state.singular_values) <= 0.0)
@@ -136,23 +141,25 @@ def test_modes_stay_orthonormal_over_many_updates():
 def test_variable_batch_width_accepted():
     rng = np.random.Generator(np.random.Philox(43))
     config = StreamConfig(k_modes=3, forget_factor=1.0)
-    state = stream_initialize(rng.standard_normal((20, 5)), config)
-    state = stream_incorporate(state, rng.standard_normal((20, 1)), config)
-    state = stream_incorporate(state, rng.standard_normal((20, 9)), config)
+    state = stream_initialize(ONE, rng.standard_normal((20, 5)), config)
+    state = stream_incorporate(ONE, state, rng.standard_normal((20, 1)),
+                               config)
+    state = stream_incorporate(ONE, state, rng.standard_normal((20, 9)),
+                               config)
     assert state.modes.shape == (20, 3)
     assert state.iteration == 2
 
 
 def test_incorporate_validates_shapes():
     config = StreamConfig(k_modes=2)
-    state = stream_initialize(np.diag([2.0, 1.0, 0.5])[:, :3], config)
+    state = stream_initialize(ONE, np.diag([2.0, 1.0, 0.5])[:, :3], config)
     with pytest.raises(ValueError):
-        stream_incorporate(state, np.ones((4, 2)), config)  # wrong rows
+        stream_incorporate(ONE, state, np.ones((4, 2)), config)  # wrong rows
     with pytest.raises(ValueError):
-        stream_incorporate(state, np.ones((3, 0)), config)  # empty batch
+        stream_incorporate(ONE, state, np.ones((3, 0)), config)  # empty batch
     wrong_k = StreamConfig(k_modes=3)
     with pytest.raises(ValueError):
-        stream_incorporate(state, np.ones((3, 2)), wrong_k)
+        stream_incorporate(ONE, state, np.ones((3, 2)), wrong_k)
 
 
 def test_rescue_pass_restores_orthonormality():
@@ -163,7 +170,7 @@ def test_rescue_pass_restores_orthonormality():
     q = qr_factor(rng.standard_normal((30, 3))).q
     drifted = q + 1e-4 * rng.standard_normal((30, 3))
     state = StreamState(drifted, np.array([3.0, 2.0, 1.0]), 0)
-    new = stream_incorporate(state, rng.standard_normal((30, 4)), config)
+    new = stream_incorporate(ONE, state, rng.standard_normal((30, 4)), config)
     gram = new.modes.T @ new.modes
     assert np.max(np.abs(gram - np.eye(3))) < 1e-12
     assert np.all(np.diff(new.singular_values) <= 0.0)
@@ -182,7 +189,8 @@ def test_rescue_pass_keeps_the_carried_matrix(lean):
     drifted[:, 2] = lean * q[:, 0] + np.sqrt(1.0 - lean ** 2) * q[:, 2]
     values = np.array([3.0, 2.0, 1.0])
     batch = rng.standard_normal((30, 4))
-    new = stream_incorporate(StreamState(drifted, values, 0), batch, config)
+    new = stream_incorporate(ONE, StreamState(drifted, values, 0), batch,
+                             config)
     exact = svd_full(np.concatenate([drifted * values, batch], axis=1))
     basis = new.carried_modes
     assert basis.shape == (30, 7)
@@ -195,13 +203,13 @@ def test_carried_width_follows_rank_and_row_count():
     # rank-3 data: the directions past the third are rounding noise and are
     # not carried; six rows: at most six columns are
     low_rank = synthetic_spectrum_matrix(40, 24, [4.0, 2.0, 1.0], seed=12)
-    state, _ = stream_all(BatchSource.from_matrix(low_rank, 6),
+    state, _ = stream_all(ONE, BatchSource.from_matrix(low_rank, 6),
                           StreamConfig(k_modes=3))
     assert state.carried_modes.shape == (40, 3)
     rng = np.random.Generator(np.random.Philox(46))
     short = rng.standard_normal((6, 20))
     config = StreamConfig(k_modes=2, forget_factor=1.0)
-    state, _ = stream_all(BatchSource.from_matrix(short, 4), config)
+    state, _ = stream_all(ONE, BatchSource.from_matrix(short, 4), config)
     assert state.carried_modes.shape == (6, 6)
     assert state.modes.shape == (6, 2)
     direct = svd_full(short)
@@ -217,11 +225,12 @@ def test_stream_all_checks_the_last_block():
     last = a0 @ rng.standard_normal((6, 3)) \
         + 1e-10 * rng.standard_normal((50, 3))
     config = StreamConfig(k_modes=3, forget_factor=1.0)
-    raw = stream_incorporate(stream_initialize(a0, config), last, config)
+    raw = stream_incorporate(ONE, stream_initialize(ONE, a0, config), last,
+                             config)
     width = raw.carried_modes.shape[1]
     gram = raw.carried_modes.T @ raw.carried_modes
     assert np.max(np.abs(gram - np.eye(width))) > 1e-8
-    state, history = stream_all([a0, last], config)
+    state, history = stream_all(ONE, [a0, last], config)
     gram = state.carried_modes.T @ state.carried_modes
     assert np.max(np.abs(gram - np.eye(width))) < 1e-12
     assert np.allclose(state.singular_values, raw.singular_values,
@@ -231,12 +240,12 @@ def test_stream_all_checks_the_last_block():
 
 def test_stream_all_requires_batches():
     with pytest.raises(ValueError):
-        stream_all([], StreamConfig(k_modes=2))
+        stream_all(ONE, [], StreamConfig(k_modes=2))
 
 
 def test_first_burgers_batch_matches_direct(burgers_snapshots):
     a0 = burgers_snapshots[:, :100]
-    state = stream_initialize(a0, StreamConfig(k_modes=10))
+    state = stream_initialize(ONE, a0, StreamConfig(k_modes=10))
     direct = svd_full(a0)
     rel = np.abs(state.singular_values - direct.s[:10]) / direct.s[:10]
     assert np.max(rel) < 1e-10
@@ -256,10 +265,10 @@ def _same_state(x, y):
 
 def _single_steps(batches, config):
     """stream_all's steps, one call each and without the final check."""
-    state = stream_initialize(batches[0], config)
+    state = stream_initialize(ONE, batches[0], config)
     history = [state.singular_values]
     for batch in batches[1:]:
-        state = stream_incorporate(state, batch, config)
+        state = stream_incorporate(ONE, state, batch, config)
         history.append(state.singular_values)
     return state, history
 
@@ -269,12 +278,13 @@ def test_returned_states_survive_later_updates():
     config = StreamConfig(k_modes=3, buffer_columns=4)
     batches = [rng.standard_normal((40, 5)) for _ in range(5)]
     inputs = [b.copy() for b in batches]
-    first = stream_incorporate(stream_initialize(batches[0], config),
+    first = stream_incorporate(ONE,
+                               stream_initialize(ONE, batches[0], config),
                                batches[1], config)
     kept = _arrays(first)
     state = first
     for batch in batches[2:]:
-        state = stream_incorporate(state, batch, config)
+        state = stream_incorporate(ONE, state, batch, config)
     assert all(np.array_equal(a, b) for a, b in zip(kept, _arrays(first)))
     assert all(np.array_equal(a, b) for a, b in zip(batches, inputs))
 
@@ -289,7 +299,7 @@ def test_stream_all_matches_single_steps_bit_for_bit(widths, tmp_path):
     batches = [a[:, lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
     config = StreamConfig(k_modes=3, buffer_columns=5)
     ref, ref_history = _single_steps(batches, config)
-    state, history = stream_all(batches, config)
+    state, history = stream_all(ONE, batches, config)
     assert _same_state(state, ref)
     assert all(np.array_equal(x, y) for x, y in zip(history, ref_history))
     # a file source reads its batches straight into the workspace
@@ -297,7 +307,7 @@ def test_stream_all_matches_single_steps_bit_for_bit(widths, tmp_path):
     write_matrix(path, a)
     source = BatchSource.from_file(path, widths[0], rows=(10, 50))
     ref, ref_history = _single_steps(list(source), config)
-    state, history = stream_all(source, config)
+    state, history = stream_all(ONE, source, config)
     assert _same_state(state, ref)
     assert all(np.array_equal(x, y) for x, y in zip(history, ref_history))
 
@@ -324,8 +334,8 @@ def test_one_workspace_matches_single_steps_through_rescue_passes(lean):
     workspace = Workspace(config.k_modes + config.buffer_columns)
     for width in (4, 6, 2):
         batch = rng.standard_normal((30, width))
-        shared = stream_incorporate(shared, batch, config, workspace)
-        single = stream_incorporate(single, batch, config)
+        shared = stream_incorporate(ONE, shared, batch, config, workspace)
+        single = stream_incorporate(ONE, single, batch, config)
         assert _same_state(shared, single)
 
 
@@ -336,7 +346,7 @@ def test_non_finite_later_batch_is_refused(bad, tmp_path):
     a[7, 9] = bad
     config = StreamConfig(k_modes=2)
     with pytest.raises(ValueError, match="non-finite"):
-        stream_all([a[:, :4], a[:, 4:8], a[:, 8:]], config)
+        stream_all(ONE, [a[:, :4], a[:, 4:8], a[:, 8:]], config)
     # the file reader does not scan; the update does, once the batch is in
     path = tmp_path / "a.bin"
     write_matrix(path, np.nan_to_num(a))
@@ -344,7 +354,7 @@ def test_non_finite_later_batch_is_refused(bad, tmp_path):
         fh.seek(24 + 8 * (20 * 9 + 7))
         fh.write(np.float64(bad).tobytes())
     with pytest.raises(ValueError, match="non-finite"):
-        stream_all(BatchSource.from_file(path, 4), config)
+        stream_all(ONE, BatchSource.from_file(path, 4), config)
 
 
 def test_workspace_keeps_freed_memory_unless_malloc_is_tuned(monkeypatch):
