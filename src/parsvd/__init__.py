@@ -25,7 +25,7 @@ from .dsvd import (ApmosConfig, LocalModes, apmos, gather_modes,
 from .errors import (CapacityError, CollectiveTimeout, ConfigError,
                      ConvergenceError, DegenerateModeError,
                      MatrixFormatError, ProtocolError)
-from .io import (BatchSource, read_matrix, read_matrix_header, read_submatrix,
+from .io import (BatchSource, read_matrix_header, read_submatrix,
                  write_matrix, write_mode_svg, write_modes_csv,
                  write_singular_values_csv)
 from .linalg import (QrResult, RandomSketchConfig, SvdResult,

@@ -26,10 +26,10 @@ import numpy as np
 
 from .comm import run_simulated, tcp_context_from_env
 from .datagen import BurgersConfig, burgers_matrix, partition_bounds
-from .dsvd import ApmosConfig, apmos, gather_modes
+from .dsvd import ApmosConfig, LocalModes, apmos, gather_modes
 from .errors import CapacityError, CollectiveTimeout, ConfigError, \
     ConvergenceError, DegenerateModeError, MatrixFormatError, ProtocolError
-from .io import BatchSource, read_matrix, read_matrix_header, read_modes_csv, \
+from .io import BatchSource, read_matrix_header, read_modes_csv, \
     read_singular_values_csv, read_submatrix, write_history_csv, write_matrix, \
     write_mode_svg, write_modes_csv, write_singular_values_csv
 from .linalg import RandomSketchConfig, _available_cpus, \
@@ -241,15 +241,27 @@ def _cmd_generate(args):
 
 
 def _rank_work(ctx, cfg):
-    """The per-rank body of every mode but serial-batch; serial-stream is
-    parallel-stream at the world size `_serial_stream_world` picks. It
-    streams this rank's block of rows, and the parallel TSQR and rank sum
-    join the blocks. Identical under the simulator and over TCP; only the
-    transport beneath ctx differs."""
+    """The per-rank body of every mode. serial-batch is a world of one
+    that factors its block, the whole matrix; serial-stream is
+    parallel-stream at the world size `_serial_stream_world` picks. A rank
+    reads its block of rows, and the APMOS exchange or the streaming
+    update's TSQR and rank sum join the blocks. Identical under the
+    simulator and over TCP; only the transport beneath ctx differs."""
     rows, cols = read_matrix_header(cfg.input)
     lo, hi = partition_bounds(rows, ctx.world_size)[ctx.rank]
     history = None
-    if cfg.mode == "parallel-batch":
+    if cfg.mode == "serial-batch":
+        if cfg.k > min(rows, cols):
+            raise ConfigError(
+                f"k {cfg.k} exceeds min(rows, cols) = {min(rows, cols)}"
+            )
+        block = read_submatrix(cfg.input, lo, hi, 0, cols)
+        if cfg.randomized:
+            res = low_rank_svd(block, _sketch_config(cfg, cfg.k))
+        else:
+            res = svd_full(block, want_vt=False)
+        state = LocalModes(res.u[:, :cfg.k], res.s[:cfg.k])
+    elif cfg.mode == "parallel-batch":
         block = read_submatrix(cfg.input, lo, hi, 0, cols)
         sketch = _sketch_config(cfg, cfg.r2) if cfg.randomized else None
         acfg = ApmosConfig(local_rank=cfg.r1, global_rank=cfg.r2,
@@ -285,7 +297,7 @@ def _write_outputs(cfg, result):
     )
     write_modes_csv(os.path.join(cfg.outdir, "modes.csv"), grid, modes)
     write_mode_svg(os.path.join(cfg.outdir, "modes.svg"), grid, modes)
-    history = result.get("history")
+    history = result["history"]
     if history is not None:
         write_history_csv(
             os.path.join(cfg.outdir, "singular_value_history.csv"),
@@ -299,8 +311,8 @@ def _write_outputs(cfg, result):
         f"world_size={result['world_size']}",
         f"seed={cfg.seed}",
         f"iterations={len(history) if history is not None else 1}",
-        f"rank0_bytes_sent={result.get('bytes_sent', 0)}",
-        f"rank0_bytes_received={result.get('bytes_received', 0)}",
+        f"rank0_bytes_sent={result['bytes_sent']}",
+        f"rank0_bytes_received={result['bytes_received']}",
     ]
     with open(os.path.join(cfg.outdir, "summary.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -322,41 +334,22 @@ def _serial_stream_world(rows):
 
 
 def _cmd_decompose(args):
-    """Run one decomposition in this process.
-
-    serial-batch factors the whole matrix with all BLAS threads. Every
-    other mode runs `_rank_work` on simulated ranks: parallel modes on the
-    world size asked for (APMOS results depend on it), serial-stream on
-    `_serial_stream_world` ranks of one BLAS thread each. summary.txt
-    records the world size that ran."""
+    """Run one decomposition in this process: `_rank_work` on simulated
+    ranks, in every mode. serial-batch is a world of one, which keeps all
+    BLAS threads; parallel modes run on the world size asked for (APMOS
+    results depend on it); serial-stream on `_serial_stream_world` ranks
+    of one BLAS thread each. The matrix file is checked before any rank
+    starts. summary.txt records the world size that ran."""
     cfg = _resolve_run_config(args)
-    if cfg.mode == "serial-batch":
-        a = read_matrix(cfg.input)
-        if cfg.k > min(a.shape):
-            raise ConfigError(f"k {cfg.k} exceeds min(rows, cols) = {min(a.shape)}")
-        if cfg.randomized:
-            res = low_rank_svd(a, _sketch_config(cfg, cfg.k))
-        else:
-            res = svd_full(a, want_vt=False)
-        result = {
-            "modes": res.u[:, :cfg.k], "values": res.s[:cfg.k],
-            "history": None, "rows": a.shape[0], "cols": a.shape[1],
-            "world_size": 1,
-        }
-    else:
-        rows, _ = read_matrix_header(cfg.input)  # fail fast before spawning
-        if cfg.mode == "serial-stream":
-            world_size = _serial_stream_world(rows)
-            # inside a budget of one rank per CPU, run_simulated's own
-            # budget settles at one BLAS thread per rank
-            budget = blas_thread_budget(_available_cpus())
-        else:
-            world_size, budget = cfg.world_size, contextlib.nullcontext()
-        with budget:
-            outcomes = run_simulated(
-                world_size, lambda ctx: _rank_work(ctx, cfg)
-            )
-        result = outcomes[0]
+    rows, _ = read_matrix_header(cfg.input)
+    world_size, budget = cfg.world_size, contextlib.nullcontext()
+    if cfg.mode == "serial-stream":
+        world_size = _serial_stream_world(rows)
+        # inside a budget of one rank per CPU, run_simulated's own
+        # budget settles at one BLAS thread per rank
+        budget = blas_thread_budget(_available_cpus())
+    with budget:
+        result = run_simulated(world_size, lambda ctx: _rank_work(ctx, cfg))[0]
     _write_outputs(cfg, result)
     print(f"wrote results for {cfg.mode} to {cfg.outdir}")
     return 0

@@ -580,21 +580,21 @@ def broadcast(ctx, value, root=0):
     Vectors ride the wire as n-by-1 matrices. Non-root callers signal which
     shape they expect through the placeholder they pass: a 1-D placeholder
     (any length, e.g. np.empty(0)) yields a 1-D result, anything else yields
-    the matrix as sent. The root gets back a copy of its own value.
+    the matrix as sent. The root gets back a copy of its own value, and
+    encodes it only when another rank exists.
     """
     if not 0 <= root < ctx.world_size:
         raise ValueError(f"root {root} out of range for world {ctx.world_size}")
     if ctx.rank == root:
         arr = np.asarray(value, dtype=np.float64)
-        if arr.ndim == 1:
-            payload = encode_matrix(arr.reshape(-1, 1))
-        elif arr.ndim == 2:
-            payload = encode_matrix(as_matrix(arr, "value", allow_empty=True))
-        else:
+        if arr.ndim not in (1, 2):
             raise ValueError(f"broadcast value must be 1-D or 2-D, got {arr.ndim}-D")
-        for rank in range(ctx.world_size):
-            if rank != root:
-                ctx._send_raw(rank, BCAST_TAG, payload)
+        if ctx.world_size > 1:
+            matrix = arr.reshape(-1, 1) if arr.ndim == 1 else arr
+            payload = encode_matrix(as_matrix(matrix, "value", allow_empty=True))
+            for rank in range(ctx.world_size):
+                if rank != root:
+                    ctx._send_raw(rank, BCAST_TAG, payload)
         return arr.copy()
     mat = decode_matrix(ctx._recv_raw(root, BCAST_TAG))
     want_vector = value is not None and np.ndim(value) == 1
@@ -605,7 +605,9 @@ def broadcast(ctx, value, root=0):
 
 
 def run_simulated(world_size, fn, *, deadline=DEFAULT_DEADLINE, channel_capacity=64):
-    """Run fn(ctx) on `world_size` simulated ranks, one thread each.
+    """Run fn(ctx) on `world_size` simulated ranks: rank 0 on the calling
+    thread, as a caller's own RankContext(0, 1, None) would run, and every
+    other rank on a new thread.
 
     Returns the per-rank results in rank order. If any rank raises, the
     world is aborted so the rest unblock immediately, and the lowest-rank
@@ -633,11 +635,12 @@ def run_simulated(world_size, fn, *, deadline=DEFAULT_DEADLINE, channel_capacity
 
     threads = [
         threading.Thread(target=runner, args=(rank,), daemon=True)
-        for rank in range(world_size)
+        for rank in range(1, world_size)
     ]
     with blas_thread_budget(world_size):
         for thread in threads:
             thread.start()
+        runner(0)
         for thread in threads:
             thread.join()
     # Prefer a root-cause exception over _WorldAborted fallout in victims.

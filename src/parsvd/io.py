@@ -6,6 +6,8 @@ The binary matrix format is fixed and versioned by its magic:
 
 little endian, payload in column-major order so that a column batch is one
 contiguous span and streaming readers never touch columns they do not need.
+Every reader first checks that the file's size matches its header exactly,
+so a truncated or oversized file is refused before any payload is read.
 Payloads move between the file and numpy memory directly: the writer hands
 the file a view of a column-major array (copying only an input in another
 layout), and the readers `readinto` a column-major result (or the caller's
@@ -41,6 +43,8 @@ def write_matrix(path, a):
 
 
 def _read_file_header(fh, path):
+    """Shape of the open matrix file `fh`. The file's size must match the
+    header exactly: a truncated payload, or trailing bytes, raise."""
     head = fh.read(FILE_HEADER.size)
     if len(head) < FILE_HEADER.size:
         raise MatrixFormatError(
@@ -51,38 +55,29 @@ def _read_file_header(fh, path):
         raise MatrixFormatError(
             f"{path}: bad magic {magic!r}, expected {MAGIC!r}"
         )
-    return rows, cols
-
-
-def read_matrix_header(path):
-    """Shape (rows, cols) recorded in a matrix file, payload untouched."""
-    with open(path, "rb") as fh:
-        return _read_file_header(fh, path)
-
-
-def read_matrix(path):
-    """Read a whole matrix file; the byte count must match the header
-    exactly, trailing garbage included."""
-    with open(path, "rb") as fh:
-        rows, cols = _read_file_header(fh, path)
-        expected = 8 * rows * cols
-        size = os.fstat(fh.fileno()).st_size - FILE_HEADER.size
-        if size == expected:
-            out = np.empty((rows, cols), dtype="<f8", order="F")
-            size = fh.readinto(out.T)
+    expected = 8 * rows * cols
+    size = os.fstat(fh.fileno()).st_size - FILE_HEADER.size
     if size != expected:
         raise MatrixFormatError(
             f"{path}: payload is {size} bytes, header promises {expected} "
             f"for shape ({rows}, {cols})"
         )
-    return out
+    return rows, cols
+
+
+def read_matrix_header(path):
+    """Shape (rows, cols) recorded in a matrix file, after checking that
+    the payload has exactly the size the header promises."""
+    with open(path, "rb") as fh:
+        return _read_file_header(fh, path)
 
 
 def read_submatrix(path, row_start, row_stop, col_start, col_stop, out=None):
     """Read the half-open block [row_start:row_stop, col_start:col_stop]
     without loading the rest of the file. `out`, when given, is the
     column-major float64 array of the block's shape that receives it (such
-    as columns of a streaming workspace), and is returned."""
+    as columns of a streaming workspace), and is returned. A file that
+    shrinks after its header is checked raises MatrixFormatError."""
     with open(path, "rb") as fh:
         rows, cols = _read_file_header(fh, path)
         if not (0 <= row_start <= row_stop <= rows):

@@ -10,12 +10,15 @@ Randomness enters only through `RandomSketchConfig.seed`, which drives a
 counter-based Philox generator, so sketches are reproducible across runs and
 machines.
 
-`qr_factor` is the package's one QR entry point: a recursive Householder
-QR in compact WY form (Elmroth & Gustavson, 2000; Schreiber & Van Loan,
-1989) that does most of its work in GEMMs on wide inputs, such as the
-streaming update's 16384 x 100 residual. It keeps Q as those reflectors,
-as the TSQR of Demmel, Grigori, Hoemmen & Langou (2012) keeps Q implicit,
-and forms it only when it is read.
+`qr_factor` is the package's QR of every factor whose Q is used: a
+recursive Householder QR in compact WY form (Elmroth & Gustavson, 2000;
+Schreiber & Van Loan, 1989) that does most of its work in GEMMs on wide
+inputs, such as the streaming update's 16384 x 100 residual. It keeps Q as
+those reflectors, as the TSQR of Demmel, Grigori, Hoemmen & Langou (2012)
+keeps Q implicit, and forms it only when it is read. The one other QR is
+APMOS's local step (`dsvd.generate_right_vectors`), which needs only R of
+its slab and keeps LAPACK's R-only QR: LAPACK blocks an 8192 x 800 slab by
+itself, above its 128-column crossover (README, "Numerical notes").
 
 `blas_thread_budget` divides the CPUs among the ranks of a world that runs
 on one host, by setting the thread count of the OpenBLAS numpy uses.

@@ -12,13 +12,13 @@ import pytest
 
 import parsvd.cli
 from conftest import free_port
-from parsvd.cli import main
+from parsvd.cli import MODES, main
 from parsvd.comm import (FRAME_HEADER, GATHER_TAG, MATRIX_HEADER,
                          encode_matrix, run_simulated)
 from parsvd.datagen import (BurgersConfig, burgers_matrix, partition_bounds,
                             synthetic_spectrum_matrix)
 from parsvd.dsvd import ApmosConfig, apmos, gather_modes
-from parsvd.io import (read_matrix, read_matrix_header, read_modes_csv,
+from parsvd.io import (read_matrix_header, read_modes_csv,
                        read_singular_values_csv, read_submatrix, write_matrix,
                        write_modes_csv, write_singular_values_csv)
 from parsvd.linalg import (RandomSketchConfig, _available_cpus,
@@ -47,7 +47,8 @@ def test_generate_writes_burgers_matrix(tmp_path):
                  "--grid-points", "64", "--snapshots", "10"])
     assert code == 0
     expected = burgers_matrix(BurgersConfig(grid_points=64, n_snapshots=10))
-    assert np.array_equal(read_matrix(out), expected)
+    assert read_matrix_header(out) == (64, 10)
+    assert np.array_equal(read_submatrix(out, 0, 64, 0, 10), expected)
 
 
 def test_generate_unwritable_path(tmp_path, capsys):
@@ -227,6 +228,34 @@ def test_decompose_stream_rejects_a_non_finite_later_batch(tmp_path, capsys,
 def test_decompose_missing_input(tmp_path, capsys):
     assert main(["decompose", "--input", str(tmp_path / "absent.bin"),
                  "--outdir", str(tmp_path / "o"), "--mode", "serial-batch"]) == 2
+
+
+@pytest.mark.parametrize("extra", [-8, 8])
+def test_every_mode_refuses_a_bad_file_size_before_any_rank_starts(
+        tmp_path, monkeypatch, capsys, extra):
+    # a truncated file (extra < 0) or trailing bytes (extra > 0)
+    mat = tmp_path / "a.bin"
+    _write_test_matrix(mat)  # 16 x 8: a 1024-byte payload
+    data = mat.read_bytes()
+    mat.write_bytes(data[:extra] if extra < 0 else data + bytes(extra))
+    message = f"payload is {1024 + extra} bytes, header promises 1024"
+    args = ["--input", str(mat), "--outdir", str(tmp_path / "o"), "--k", "2"]
+
+    monkeypatch.setenv("PARSVD_WORLD_SIZE", "1")
+    monkeypatch.setenv("PARSVD_RANK", "0")
+    for mode in ("parallel-batch", "parallel-stream"):
+        monkeypatch.setenv("PARSVD_ROOT_ADDR", f"127.0.0.1:{free_port()}")
+        assert main(["rank", "--mode", mode] + args) == 2
+        assert message in capsys.readouterr().err
+
+    started = []
+    monkeypatch.setattr(parsvd.cli, "_rank_work",
+                        lambda ctx, cfg: started.append(cfg.mode))
+    for mode in MODES:
+        assert main(["decompose", "--mode", mode] + args) == 2
+        assert message in capsys.readouterr().err
+    assert started == []
+    assert not (tmp_path / "o").exists()
 
 
 def test_decompose_k_exceeds_shape(tmp_path, capsys):

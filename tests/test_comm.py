@@ -189,6 +189,24 @@ def test_failure_aborts_world_quickly():
     assert time.monotonic() - start < 5.0
 
 
+def test_failure_in_rank_zero_aborts_world_quickly():
+    def program(ctx):
+        if ctx.rank == 0:
+            raise RuntimeError("rank 0 exploded")
+        recv(ctx, 0, tag=2)  # would wait the full deadline otherwise
+
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="rank 0 exploded"):
+        run_simulated(3, program, deadline=20.0)
+    assert time.monotonic() - start < 5.0
+
+
+def test_rank_zero_runs_on_the_calling_thread():
+    caller = threading.get_ident()
+    idents = run_simulated(3, lambda ctx: threading.get_ident())
+    assert idents[0] == caller and caller not in idents[1:]
+
+
 def _blas_threads_or_skip():
     api = _openblas_threads()
     if api is None:

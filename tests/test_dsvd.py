@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+import parsvd.comm
 from parsvd.comm import RankContext, run_simulated
 from test_comm import run_tcp
 from oracles import row_partition
@@ -307,6 +308,24 @@ def test_stream_all_in_a_world_of_one_matches_simulated_ranks():
     assert np.allclose(state.carried_values, serial.carried_values,
                        rtol=1e-12)
     assert np.max(aligned_mode_difference(modes, serial.modes)) < 1e-10
+
+
+def test_a_world_of_one_never_touches_the_codec(monkeypatch):
+    # no other rank exists, so no collective encodes or decodes a matrix
+    def refuse(*args):
+        raise AssertionError("the codec ran in a world of one")
+
+    monkeypatch.setattr(parsvd.comm, "encode_matrix", refuse)
+    monkeypatch.setattr(parsvd.comm, "decode_matrix", refuse)
+    a = _random(40, 23, seed=70)
+    state, history = stream_all(
+        ONE, [a[:, i:i + 5] for i in range(0, 23, 5)],
+        StreamConfig(k_modes=3, forget_factor=0.9))
+    assert len(history) == 5
+    config = ApmosConfig(local_rank=10, global_rank=5, k_modes=3)
+    [modes] = run_simulated(
+        1, lambda ctx: gather_modes(ctx, apmos(ctx, a, config)))
+    assert modes.shape == (40, 3)
 
 
 def test_parallel_states_survive_later_updates():

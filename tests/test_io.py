@@ -1,15 +1,27 @@
 """Binary matrix files, batch readers, and CSV/SVG emitters."""
 
+import os
+
 import numpy as np
 import pytest
 
 import oracles
+import parsvd.io
 from parsvd.errors import MatrixFormatError
-from parsvd.io import (BatchSource, read_matrix, read_matrix_header,
-                       read_modes_csv, read_singular_values_csv,
-                       read_submatrix, write_matrix, write_history_csv,
-                       write_mode_svg, write_modes_csv,
+from parsvd.io import (BatchSource, read_matrix_header, read_modes_csv,
+                       read_singular_values_csv, read_submatrix, write_matrix,
+                       write_history_csv, write_mode_svg, write_modes_csv,
                        write_singular_values_csv)
+
+# Every reader checks the file's size against its header before it reads.
+READERS = (read_matrix_header,
+           lambda path: read_submatrix(path, 0, 1, 0, 1),
+           lambda path: BatchSource.from_file(path, 1))
+
+
+def _read_whole(path):
+    rows, cols = read_matrix_header(path)
+    return read_submatrix(path, 0, rows, 0, cols)
 
 
 # ---------- binary format ----------
@@ -23,7 +35,7 @@ def test_matrix_file_round_trip_and_exact_bytes(tmp_path):
     for arr in (a, np.asfortranarray(a), a[1::2, ::3], a.T[::-1]):
         write_matrix(path, arr)
         assert path.read_bytes() == oracles.matrix_file_reference(arr)
-        back = read_matrix(path)
+        back = _read_whole(path)
         assert back.flags.f_contiguous
         assert np.array_equal(back, arr)
     assert read_matrix_header(path) == (5, 7)
@@ -39,7 +51,7 @@ def test_matrix_file_empty(tmp_path):
     for shape in ((0, 0), (3, 0)):
         write_matrix(path, np.zeros(shape))
         assert path.read_bytes() == oracles.matrix_file_reference(np.zeros(shape))
-        assert read_matrix(path).shape == shape
+        assert _read_whole(path).shape == shape
 
 
 def test_matrix_file_bad_magic(tmp_path):
@@ -47,24 +59,42 @@ def test_matrix_file_bad_magic(tmp_path):
     data = bytearray(oracles.matrix_file_reference(np.ones((2, 2))))
     data[7] = ord("9")
     path.write_bytes(bytes(data))
-    with pytest.raises(MatrixFormatError, match="magic"):
-        read_matrix(path)
+    for read in READERS:
+        with pytest.raises(MatrixFormatError, match="magic"):
+            read(path)
 
 
 def test_matrix_file_truncated_and_oversized(tmp_path):
     good = oracles.matrix_file_reference(np.ones((3, 2)))
     short = tmp_path / "short.bin"
     short.write_bytes(good[:-8])
-    with pytest.raises(MatrixFormatError, match="40"):
-        read_matrix(short)
     long_ = tmp_path / "long.bin"
     long_.write_bytes(good + b"\x00")
-    with pytest.raises(MatrixFormatError):
-        read_matrix(long_)
     stub = tmp_path / "stub.bin"
     stub.write_bytes(good[:10])
-    with pytest.raises(MatrixFormatError, match="header"):
-        read_matrix(stub)
+    for read in READERS:
+        with pytest.raises(MatrixFormatError, match="40"):
+            read(short)
+        with pytest.raises(MatrixFormatError, match="payload is 49 bytes"):
+            read(long_)
+        with pytest.raises(MatrixFormatError, match="header"):
+            read(stub)
+
+
+def test_read_submatrix_file_shrinks_after_its_header(tmp_path, monkeypatch):
+    # 64 KB, more than the file object buffers while reading the header
+    path = tmp_path / "a.bin"
+    write_matrix(path, np.ones((128, 64)))
+    check = parsvd.io._read_file_header
+
+    def check_then_shrink(fh, name):
+        shape = check(fh, name)
+        os.truncate(path, os.path.getsize(path) // 2)
+        return shape
+
+    monkeypatch.setattr(parsvd.io, "_read_file_header", check_then_shrink)
+    with pytest.raises(MatrixFormatError, match="ends inside the payload"):
+        read_submatrix(path, 0, 128, 0, 64)
 
 
 def test_read_submatrix_blocks(tmp_path):
@@ -77,7 +107,8 @@ def test_read_submatrix_blocks(tmp_path):
     # strided row window
     assert np.array_equal(read_submatrix(path, 3, 7, 1, 8), a[3:7, 1:8])
     # every window equals the same slice of the whole file
-    whole = read_matrix(path)
+    whole = _read_whole(path)
+    assert np.array_equal(whole, a)
     for r0, r1, c0, c1 in [(0, 10, 0, 8), (0, 10, 7, 8),  # full height
                            (0, 5, 0, 8), (5, 10, 0, 8),   # row slabs
                            (3, 9, 2, 7), (9, 10, 0, 1)]:  # interior
