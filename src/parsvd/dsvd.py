@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .comm import broadcast, gather, recv, send
-from .errors import DegenerateModeError
+from .errors import DegenerateModeError, ProtocolError
 from .linalg import (QrResult, RandomSketchConfig, _positive_column_signs,
                      as_matrix, low_rank_svd, qr_factor, svd_full)
 
@@ -83,12 +83,12 @@ def generate_right_vectors(a_local, local_rank):
     """Leading right singular vectors and values of a local slice.
 
     A tall slice (more rows than columns) has the right vectors and values
-    of its triangular factor R, so it is reduced by a QR that keeps only R
-    and the SVD runs on the n x n R; the rows x n left factor is never
-    formed (Chan's R-SVD). Other slices take a thin SVD directly. Either
-    way the signs are those of svd_full of the slice itself: the entry of
-    largest magnitude in each left vector is positive. The R route reads
-    them from a_local @ v = U S, at the cost of one rows x n x r1 product.
+    of its triangular factor R, so it is reduced by qr_factor, whose Q is
+    never formed, and the SVD runs on the n x n R (Chan's R-SVD). Other
+    slices take a thin SVD directly. Either way the signs are those of
+    svd_full of the slice itself: the entry of largest magnitude in each
+    left vector is positive. The R route reads them from a_local @ v =
+    U S, at the cost of one rows x n x r1 product.
 
     Returns (v, s) with v of shape (n_cols, local_rank) and s of length
     local_rank. When the slice has fewer than local_rank nonzero directions
@@ -105,7 +105,7 @@ def generate_right_vectors(a_local, local_rank):
             f"local_rank {local_rank} exceeds the snapshot count {n}"
         )
     tall = a.shape[0] > n
-    res = svd_full(np.linalg.qr(a, mode="r") if tall else a)
+    res = svd_full(qr_factor(a, check_finite=False).r if tall else a)
     keep = min(local_rank, res.s.size)
     vt = res.vt[:keep]
     if tall:
@@ -181,6 +181,9 @@ def parallel_qr(ctx, a_local, overwrite_a=False, check_finite=True):
         return local
     parts = gather(ctx, local.r)
     if ctx.rank == 0:
+        n = local.r.shape[1]
+        _refuse_misfits(parts, "triangular factor", local.r.shape,
+                        lambda shape: shape[1] == n and shape[0] <= n)
         heights = [p.shape[0] for p in parts]
         q_stack, r_final = qr_factor(np.concatenate(parts, axis=0))
         offset = heights[0]
@@ -196,11 +199,23 @@ def parallel_qr(ctx, a_local, overwrite_a=False, check_finite=True):
     return QrResult(local.basis, r_final, local.wy, q_slice)
 
 
+def _refuse_misfits(parts, what, own, fits, root=0):
+    """Raise ProtocolError at the root naming the first rank whose gathered
+    part's shape fails `fits`; `own` is the root's own shape. Ranks started
+    with different settings send such parts, and numpy would fail on them
+    with a message that names no rank, or broadcast a 1 x 1 part."""
+    for rank, part in enumerate(parts):
+        if not fits(part.shape):
+            raise ProtocolError(f"rank {rank} sent a {part.shape} {what}; "
+                                f"rank {root}'s is {own}")
+
+
 def _rank_sum(ctx, x):
     """Sum of a small matrix over all ranks, returned on every rank.
 
     Rank 0 gathers the parts, adds them in rank order and broadcasts the
-    total, so every rank gets the same bits. At world size 1 the total is
+    total, so every rank gets the same bits; a part whose shape differs
+    from rank 0's raises ProtocolError there. At world size 1 the total is
     x itself.
     """
     if ctx.world_size == 1:
@@ -208,6 +223,8 @@ def _rank_sum(ctx, x):
     parts = gather(ctx, x)
     if ctx.rank != 0:
         return broadcast(ctx, None)
+    _refuse_misfits(parts, "part of a sum", x.shape,
+                    lambda shape: shape == x.shape)
     total = parts[0]
     for part in parts[1:]:
         total = total + part
@@ -216,8 +233,12 @@ def _rank_sum(ctx, x):
 
 def gather_modes(ctx, local_modes, root=0):
     """Stack per-rank mode blocks at the root, in rank order. Returns the
-    (total_rows, K) matrix at the root and None elsewhere."""
+    (total_rows, K) matrix at the root and None elsewhere; a block whose K
+    differs from the root's raises ProtocolError there."""
     parts = gather(ctx, local_modes.modes, root=root)
     if parts is None:
         return None
+    own = local_modes.modes.shape
+    _refuse_misfits(parts, "mode block", own,
+                    lambda shape: shape[1] == own[1], root)
     return np.concatenate(parts, axis=0)

@@ -10,15 +10,16 @@ Randomness enters only through `RandomSketchConfig.seed`, which drives a
 counter-based Philox generator, so sketches are reproducible across runs and
 machines.
 
-`qr_factor` is the package's QR of every factor whose Q is used: a
-recursive Householder QR in compact WY form (Elmroth & Gustavson, 2000;
-Schreiber & Van Loan, 1989) that does most of its work in GEMMs on wide
-inputs, such as the streaming update's 16384 x 100 residual. It keeps Q as
-those reflectors, as the TSQR of Demmel, Grigori, Hoemmen & Langou (2012)
-keeps Q implicit, and forms it only when it is read. The one other QR is
-APMOS's local step (`dsvd.generate_right_vectors`), which needs only R of
-its slab and keeps LAPACK's R-only QR: LAPACK blocks an 8192 x 800 slab by
-itself, above its 128-column crossover (README, "Numerical notes").
+`qr_factor` is the package's Householder QR, APMOS's R-only local step
+(`dsvd.generate_right_vectors`) included: LAPACK's recursive compact-WY QR
+`dgeqrt3` (Elmroth & Gustavson, 2000; Schreiber & Van Loan, 1989), called
+once per factor from the OpenBLAS numpy loaded, which does most of its
+work in GEMMs on wide inputs such as the streaming update's 16384 x 100
+residual. It keeps Q as those reflectors, as the TSQR of Demmel, Grigori,
+Hoemmen & Langou (2012) keeps Q implicit, and forms it only when it is
+read. A numpy without that symbol gets the same factors, at rounding
+level and more slowly on wide inputs, from `np.linalg.qr` and LAPACK's
+`dlarft` recurrence (README, "Numerical notes").
 
 `blas_thread_budget` divides the CPUs among the ranks of a world that runs
 on one host, by setting the thread count of the OpenBLAS numpy uses.
@@ -35,16 +36,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConvergenceError
-
-# Widest column block qr_factor hands to LAPACK. np.linalg.qr runs LAPACK's
-# unblocked, BLAS-2 Householder loop below its 128-column crossover, at
-# 7-9 GFLOP/s on a 16384-row block, so qr_factor splits wider blocks into
-# panels at most this wide and does the rest in GEMMs. On a 16384 x 100
-# block (2 cores) panels of 4 to 24 columns time within 10% of each other;
-# 64 is 20% slower at one BLAS thread. Narrower inputs are one panel, and
-# their Q stays reflectors too: a factor and one apply of an 8192 x 10
-# block took 1.07 ms, against 1.32 ms with LAPACK's formed Q (one thread).
-QR_PANEL_COLUMNS = 16
 
 
 class SvdResult(NamedTuple):
@@ -133,7 +124,7 @@ def _product(u, c, out=None):
 
 
 def _householder(a, r):
-    """Recursive Householder QR of a tall block, in compact WY form, in place.
+    """Householder QR of a tall block, in compact WY form, in place.
 
     a (m x n with m >= n, column-major) is overwritten with the reflector
     vectors V, unit lower trapezoidal (ones on the diagonal, zeros above
@@ -141,38 +132,38 @@ def _householder(a, r):
     triangular T with H_1 ... H_n = I - V T V^T, so that the input equals
     (I - V T V^T) [r; 0].
 
-    Blocks of at most QR_PANEL_COLUMNS columns go to LAPACK; wider ones are
-    split in half (Elmroth & Gustavson, 2000): factor the left half, apply
-    its reflectors to the right half with two GEMMs, factor the trailing
-    rows of the right half, and join the two T factors.
+    LAPACK's dgeqrt3, the recursive QR of Elmroth & Gustavson (2000),
+    factors the block in one call. Without it, LAPACK's QR factors the
+    block as one panel and T follows from LAPACK's dlarft recurrence.
     """
-    n = a.shape[1]
-    if n <= QR_PANEL_COLUMNS:
-        h, tau = np.linalg.qr(a, mode="raw")
-        h = h.T
-        np.copyto(r, np.triu(h[:n]))
-        np.copyto(a[n:], h[n:])
-        a[:n] = np.tril(h[:n], -1) + np.eye(n)
-        # Forward recurrence of LAPACK's dlarft; a zero tau (a zero column)
-        # gives a zero column of T, that is H_i = I.
-        gram = a.T @ a
-        t = np.zeros((n, n))
-        for i in range(n):
-            t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
-            t[i, i] = tau[i]
+    m, n = a.shape
+    t = np.zeros((n, n), order="F")
+    geqrt3 = _geqrt3()
+    if geqrt3 is not None:
+        func, integer = geqrt3
+        # LAPACK reads and writes a by pointer, as m rows apart per column
+        if not (a.flags.f_contiguous and a.dtype == np.float64 and m >= n):
+            raise ValueError(f"dgeqrt3 needs a tall column-major float64 "
+                             f"block, got {a.shape} {a.dtype}")
+        info = integer(0)
+        func(integer(m), integer(n), a.ctypes.data, integer(m),
+             t.ctypes.data, integer(n), ctypes.byref(info))
+        if info.value:
+            raise RuntimeError(f"{func.__name__} returned info {info.value}")
+        np.copyto(r, np.triu(a[:n]))
+        a[:n] = np.tril(a[:n], -1) + np.eye(n)
         return t
-    n1 = n // 2
-    v1, a2 = a[:, :n1], a[:, n1:]
-    t1 = _householder(v1, r[:n1, :n1])
-    a2 -= _product(v1, t1.T @ (v1.T @ a2))
-    r[:n1, n1:] = a2[:n1]
-    a2[:n1] = 0.0
-    v2 = a2[n1:]
-    t2 = _householder(v2, r[n1:, n1:])
-    t = np.zeros((n, n))
-    t[:n1, :n1] = t1
-    t[n1:, n1:] = t2
-    t[:n1, n1:] = -t1 @ (v1[n1:].T @ v2) @ t2
+    h, tau = np.linalg.qr(a, mode="raw")
+    h = h.T
+    np.copyto(r, np.triu(h[:n]))
+    np.copyto(a[n:], h[n:])
+    a[:n] = np.tril(h[:n], -1) + np.eye(n)
+    # Forward recurrence of LAPACK's dlarft; a zero tau (a zero column)
+    # gives a zero column of T, that is H_i = I.
+    gram = a.T @ a
+    for i in range(n):
+        t[:i, i] = -tau[i] * (t[:i, :i] @ gram[:i, i])
+        t[i, i] = tau[i]
     return t
 
 
@@ -250,9 +241,9 @@ def qr_factor(a, overwrite_a=False, check_finite=True):
     columns and whose r is upper triangular, such that q @ r reconstructs
     a. The result is deterministic for a given BLAS thread count.
 
-    The recursive compact-WY Householder QR of `_householder` factors the
-    leading k = min(m, n) columns, and q stays in the reflector form of
-    QrResult until it is read, with d the signs that make r's diagonal
+    LAPACK's dgeqrt3 factors the leading k = min(m, n) columns in one
+    call (`_householder`), and q stays in the reflector form of QrResult
+    until it is read, with d the signs that make r's diagonal
     non-negative. A wide input (n > m) sets r[:, k:] = q^T a[:, k:].
 
     overwrite_a lets a writable column-major float64 `a` hold the work:
@@ -351,38 +342,66 @@ def aligned_mode_difference(a, b):
     return np.max(np.abs(a * signs - b), axis=0)
 
 
-# (set, get) thread-count entry points of the OpenBLAS builds numpy ships
-# with: scipy-openblas wheels, 64-bit-integer builds, plain builds.
-_OPENBLAS_THREAD_API = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
+# Entry points of the OpenBLAS builds numpy ships with: scipy-openblas
+# wheels, 64-bit-integer builds, plain builds. Each row names the (set,
+# get) thread-count pair, then dgeqrt3 and the integer type its LAPACK
+# takes.
+_OPENBLAS_API = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_",
+     "scipy_dgeqrt3_64_", ctypes.c_int64),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_",
+     "dgeqrt3_64_", ctypes.c_int64),
+    ("openblas_set_num_threads", "openblas_get_num_threads",
+     "dgeqrt3_", ctypes.c_int32),
 )
+
+
+@functools.cache
+def _numpy_lapack():
+    """A handle to numpy's LAPACK extension module, or None, through which
+    `getattr(handle, name, None)` then finds nothing.
+
+    A handle to a loaded library also searches the libraries it was linked
+    against, so symbols looked up through it are those of the BLAS and
+    LAPACK numpy calls, and nothing new is loaded.
+    """
+    from numpy.linalg import _umath_linalg
+    try:
+        return ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
 
 
 @functools.cache
 def _openblas_threads():
     """(set, get) thread-count functions of the OpenBLAS numpy loaded, or
-    None when numpy uses another BLAS.
-
-    The symbols are looked up through numpy's LAPACK extension module: a
-    handle to a loaded library also searches the libraries it was linked
-    against, so this finds the copy numpy calls and loads nothing new.
-    """
-    from numpy.linalg import _umath_linalg
-    try:
-        lib = ctypes.CDLL(_umath_linalg.__file__)
-    except OSError:
-        return None
-    for set_name, get_name in _OPENBLAS_THREAD_API:
-        try:
-            set_threads = getattr(lib, set_name)
-            get_threads = getattr(lib, get_name)
-        except AttributeError:
+    None when numpy uses another BLAS."""
+    lib = _numpy_lapack()
+    for set_name, get_name, _, _ in _OPENBLAS_API:
+        set_threads = getattr(lib, set_name, None)
+        get_threads = getattr(lib, get_name, None)
+        if set_threads is None or get_threads is None:
             continue
         set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
         get_threads.argtypes, get_threads.restype = [], ctypes.c_int
         return set_threads, get_threads
+    return None
+
+
+@functools.cache
+def _geqrt3():
+    """(dgeqrt3, its integer type) from the LAPACK numpy loaded, or None
+    when numpy's library does not export it. A ctypes call releases the
+    GIL, so the simulated ranks' threads factor concurrently."""
+    for _, _, name, integer in _OPENBLAS_API:
+        func = getattr(_numpy_lapack(), name, None)
+        if func is None:
+            continue
+        pointer = ctypes.POINTER(integer)
+        func.argtypes = [pointer, pointer, ctypes.c_void_p, pointer,
+                         ctypes.c_void_p, pointer, pointer]
+        func.restype = None
+        return func, integer
     return None
 
 

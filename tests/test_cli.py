@@ -573,6 +573,34 @@ def test_two_rank_tcp_run_matches_simulated(tmp_path, subprocess_env):
         assert (sim / name).read_bytes() == (tcp / name).read_bytes(), name
 
 
+def test_rank_root_refuses_a_peer_started_with_another_batch(tmp_path,
+                                                              subprocess_env):
+    # rank 1's first batch is twice as wide as the root's, so its triangular
+    # factor does not stack under the root's; before the root checked
+    # shapes, numpy's concatenate failed there and the root exited 1
+    mat = tmp_path / "a.bin"
+    _write_test_matrix(mat, rows=16, cols=40)
+    port = free_port()
+    procs = []
+    for rank, batch in enumerate(("10", "20")):
+        env = dict(subprocess_env, PARSVD_WORLD_SIZE="2", PARSVD_RANK=str(rank),
+                   PARSVD_ROOT_ADDR=f"127.0.0.1:{port}", PARSVD_DEADLINE="30")
+        procs.append(subprocess.Popen(
+            [sys.executable, "-m", "parsvd", "rank", "--input", str(mat),
+             "--outdir", str(tmp_path / "out"), "--mode", "parallel-stream",
+             "--k", "2", "--batch", batch],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+    try:
+        errs = [proc.communicate(timeout=60)[1].decode() for proc in procs]
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+    assert procs[0].returncode == 2, errs[0]
+    assert "rank 1 sent a (8, 20)" in errs[0], errs[0]
+
+
 def test_help_exits_zero(subprocess_env):
     proc = subprocess.run([sys.executable, "-m", "parsvd", "--help"],
                           env=subprocess_env, capture_output=True, timeout=30)

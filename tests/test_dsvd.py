@@ -9,9 +9,9 @@ from parsvd.comm import RankContext, run_simulated
 from test_comm import run_tcp
 from oracles import row_partition
 from parsvd.datagen import partition_bounds, synthetic_spectrum_matrix
-from parsvd.dsvd import (ApmosConfig, LocalModes, apmos, gather_modes,
-                         generate_right_vectors, parallel_qr)
-from parsvd.errors import DegenerateModeError
+from parsvd.dsvd import (ApmosConfig, LocalModes, _rank_sum, apmos,
+                         gather_modes, generate_right_vectors, parallel_qr)
+from parsvd.errors import DegenerateModeError, ProtocolError
 from parsvd.linalg import (RandomSketchConfig, aligned_mode_difference,
                            qr_factor, svd_full)
 from parsvd.streaming import StreamConfig, StreamState, stream_all, \
@@ -211,6 +211,24 @@ def test_parallel_qr_handles_short_blocks():
     r = results[0][1]
     assert np.max(np.abs(q @ r - a)) < 1e-12
     assert np.max(np.abs(q.T @ q - np.eye(5))) < 1e-12
+
+
+def test_parallel_qr_refuses_a_factor_of_another_width():
+    # rank 1 factors 4 columns against rank 0's 3: its R cannot be stacked
+    def program(ctx):
+        return parallel_qr(ctx, _random(6, 3 + ctx.rank, seed=68))
+
+    with pytest.raises(ProtocolError, match=r"rank 1 sent a \(4, 4\)"):
+        run_simulated(2, program)
+
+
+def test_rank_sum_refuses_a_part_of_another_shape():
+    # a 1 x 1 part would broadcast into rank 0's 3 x 4 sum without an error
+    def program(ctx):
+        return _rank_sum(ctx, np.ones((3, 4) if ctx.rank == 0 else (1, 1)))
+
+    with pytest.raises(ProtocolError, match=r"rank 1 sent a \(1, 1\) part"):
+        run_simulated(2, program)
 
 
 @pytest.mark.parametrize("world_size", [1, 2, 3])
@@ -466,3 +484,13 @@ def test_gather_modes_rank_order():
     results = run_simulated(3, program)
     assert results[1] is None and results[2] is None
     assert np.array_equal(results[0][::2, 0], [0.0, 1.0, 2.0])
+
+
+def test_gather_modes_refuses_a_block_of_another_width():
+    # ranks started with different --k values assemble different K
+    def program(ctx):
+        local = LocalModes(np.ones((2, 2 + ctx.rank)), np.ones(2 + ctx.rank))
+        return gather_modes(ctx, local)
+
+    with pytest.raises(ProtocolError, match=r"rank 1 sent a \(2, 3\)"):
+        run_simulated(2, program)

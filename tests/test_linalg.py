@@ -5,9 +5,10 @@ import pytest
 import scipy.linalg
 
 import oracles
-from parsvd.linalg import (QR_PANEL_COLUMNS, QrResult, RandomSketchConfig,
-                           SvdResult, aligned_mode_difference, low_rank_svd,
-                           qr_factor, randomized_range, svd_full)
+from parsvd import linalg
+from parsvd.linalg import (QrResult, RandomSketchConfig, SvdResult,
+                           aligned_mode_difference, low_rank_svd, qr_factor,
+                           randomized_range, svd_full)
 from parsvd.comm import RankContext
 from parsvd.streaming import StreamConfig, stream_initialize
 
@@ -62,9 +63,24 @@ def test_qr_is_deterministic():
     assert np.array_equal(first.r, second.r)
 
 
+@pytest.fixture
+def fallback_qr(monkeypatch):
+    """Makes qr_factor take the one-panel QR that a numpy without dgeqrt3
+    gets."""
+    monkeypatch.setattr(linalg, "_geqrt3", lambda: None)
+
+
+def test_qr_finds_dgeqrt3_wherever_openblas_is_found():
+    # a symbol renamed by a numpy or OpenBLAS upgrade fails here instead of
+    # silently running the fallback
+    if linalg._openblas_threads() is None:
+        pytest.skip("numpy does not use OpenBLAS")
+    assert linalg._geqrt3() is not None
+
+
 def _lapack_qr(a):
-    """np.linalg.qr with qr_factor's sign convention: the reference for the
-    recursive kernel."""
+    """np.linalg.qr with qr_factor's sign convention: the reference for
+    qr_factor's kernels."""
     q, r = np.linalg.qr(a, mode="reduced")
     d = np.sign(np.diag(r))
     d[d == 0.0] = 1.0
@@ -107,24 +123,42 @@ def _check_qr_against_lapack(a, full_rank, label):
         assert np.max(np.abs(q - q_ref)) <= 1e-12, label
 
 
-@pytest.mark.parametrize("n", [1, 16, 17, 33, 100, 135])
-@pytest.mark.parametrize("rows_per_col", [1, 3])
-def test_qr_recursive_kernel_matches_lapack(n, rows_per_col):
-    # n <= QR_PANEL_COLUMNS is one LAPACK panel; wider inputs recurse
-    # (17: one split, 33 and up: several)
+def _check_kernel_against_lapack(n, rows_per_col):
     rng = np.random.Generator(np.random.Philox(30 + n))
     for name, a, full_rank in _qr_inputs(rows_per_col * n, n, rng):
         _check_qr_against_lapack(a, full_rank, f"{rows_per_col * n}x{n} {name}")
+
+
+def _check_tall_and_wide(shape):
+    rng = np.random.Generator(np.random.Philox(40))
+    for name, a, full_rank in _qr_inputs(*shape, rng):
+        _check_qr_against_lapack(a, full_rank, f"{shape} {name}")
+
+
+@pytest.mark.parametrize("n", [1, 16, 17, 33, 100, 135])
+@pytest.mark.parametrize("rows_per_col", [1, 3])
+def test_qr_recursive_kernel_matches_lapack(n, rows_per_col):
+    # dgeqrt3 splits every block wider than one column in half, so odd
+    # widths exercise uneven splits
+    _check_kernel_against_lapack(n, rows_per_col)
+
+
+@pytest.mark.parametrize("n", [1, 16, 17, 33, 100, 135])
+@pytest.mark.parametrize("rows_per_col", [1, 3])
+def test_qr_fallback_kernel_matches_lapack(n, rows_per_col, fallback_qr):
+    _check_kernel_against_lapack(n, rows_per_col)
 
 
 @pytest.mark.parametrize("shape", [(16384, 100), (20, 40)])
 def test_qr_recursive_kernel_tall_and_wide(shape):
     # the streaming update's residual shape, and a wide input whose
     # trailing columns are projected onto q
-    rng = np.random.Generator(np.random.Philox(40))
-    assert min(shape) > QR_PANEL_COLUMNS
-    for name, a, full_rank in _qr_inputs(*shape, rng):
-        _check_qr_against_lapack(a, full_rank, f"{shape} {name}")
+    _check_tall_and_wide(shape)
+
+
+@pytest.mark.parametrize("shape", [(16384, 100), (20, 40)])
+def test_qr_fallback_kernel_tall_and_wide(shape, fallback_qr):
+    _check_tall_and_wide(shape)
 
 
 def test_qr_first_burgers_streaming_residual(burgers_snapshots):
@@ -226,6 +260,39 @@ def test_qr_in_place_matches_a_copy_bit_for_bit(shape):
     keep = a.copy()
     qr_factor(a, overwrite_a=True)
     assert np.array_equal(a, keep)
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+@pytest.mark.parametrize("shape", [(1000, 100), (50, 10), (20, 40)])
+def test_qr_overwrite_a_on_a_workspace_slice(shape, fallback, request):
+    # a column slice of a column-major workspace is factored in its own
+    # columns, on either kernel: same bits as the copying call, and the
+    # columns around it are left alone
+    if fallback:
+        request.getfixturevalue("fallback_qr")
+    rng = np.random.Generator(np.random.Philox(34))
+    m, n = shape
+    a = rng.standard_normal(shape)
+    x = rng.standard_normal((min(shape), 3))
+    ref = qr_factor(np.asfortranarray(a))
+    workspace = np.asfortranarray(rng.standard_normal((m, n + 7)))
+    workspace[:, 4:4 + n] = a
+    keep = workspace.copy()
+    res = qr_factor(workspace[:, 4:4 + n], overwrite_a=True)
+    assert np.shares_memory(res.basis, workspace)
+    assert np.array_equal(res.r, ref.r)
+    assert np.array_equal(res.apply(x), ref.apply(x))
+    assert np.array_equal(res.q, ref.q)
+    assert np.array_equal(workspace[:, :4], keep[:, :4])
+    assert np.array_equal(workspace[:, 4 + n:], keep[:, 4 + n:])
+    # a C-ordered input is factored from a copy and left as it was
+    assert a.flags.c_contiguous and not a.flags.f_contiguous
+    ref = qr_factor(a)
+    res = qr_factor(a, overwrite_a=True)
+    assert not np.shares_memory(res.basis, a)
+    assert np.array_equal(a, keep[:, 4:4 + n])
+    assert np.array_equal(res.r, ref.r)
+    assert np.array_equal(res.q, ref.q)
 
 
 def test_qr_check_finite_false_skips_only_the_scan():
