@@ -375,7 +375,7 @@ def _cmd_rank(args):
                 print(f"wrote results for {cfg.mode} to {cfg.outdir}")
     except BaseException:
         # The world is lost: a root cuts its peers loose at once instead
-        # of routing for them until they hang up.
+        # of forwarding their frames until they hang up.
         ctx.transport.close(linger=0.0)
         raise
     ctx.transport.close()

@@ -2,7 +2,7 @@
 
 Two transports move the same wire frames: an in-process simulator (threads
 and bounded FIFO channels) for single-machine runs and tests, and a TCP star
-where rank 0 listens and routes frames between peers. Because both carry
+where rank 0 listens and forwards frames between peers. Because both carry
 byte-identical frames through one codec, a program produces bit-identical
 results no matter which transport runs underneath it.
 
@@ -16,6 +16,16 @@ refused with ProtocolError before its payload is read. Rank 0 records a
 peer's hang-up: once the frames that peer sent before closing are consumed,
 the next receive from it raises ProtocolError at once, as a receive at any
 other rank does when rank 0 closes.
+
+Over TCP no thread runs behind a rank: every rank reads its own sockets in
+one receive loop. So rank 0 forwards a peer-to-peer frame only while it is
+inside a receive or `close`, not while it computes, and a root and a peer
+that at the same time send each other a frame larger than the socket
+buffers both wait until the deadline. No collective in the package does
+either: gather, broadcast and parallel_qr only exchange frames with rank 0.
+Any receive at rank 0 reads every peer, so a hang-up or a bad frame from any
+peer, or a forward that fails, raises from that receive under its own
+message.
 
 Collectives are built from point-to-point sends with rank-ordered assembly,
 so gather results do not depend on arrival order. Every blocking operation
@@ -48,6 +58,8 @@ BCAST_TAG = 0xFFFF0002
 
 DEFAULT_DEADLINE = 30.0
 _POLL = 0.02
+# Frames a simulated (source, dest) channel holds before a send blocks.
+CHANNEL_CAPACITY = 64
 
 # Largest matrix payload a TCP frame may announce. The biggest frames the
 # package sends are a rank's rows of the modes (gather_modes): 8192 x 5, or
@@ -116,16 +128,12 @@ class SimTransport:
     wire, so the two transports are interchangeable bit for bit.
     """
 
-    def __init__(self, world_size, channel_capacity=64):
+    def __init__(self, world_size):
         if world_size < 1:
             raise ValueError(f"world_size must be >= 1, got {world_size}")
-        if channel_capacity < 1:
-            raise ValueError(
-                f"channel_capacity must be >= 1, got {channel_capacity}"
-            )
         self.world_size = world_size
         self._channels = {
-            (src, dst): queue.Queue(maxsize=channel_capacity)
+            (src, dst): queue.Queue(maxsize=CHANNEL_CAPACITY)
             for src in range(world_size)
             for dst in range(world_size)
             if src != dst
@@ -182,16 +190,14 @@ def _parse_address(address):
         raise ConfigError(f"address has a non-numeric port: {address!r}") from None
 
 
-def _recv_exact(sock, n, deadline, closing=None, peer="peer"):
+def _recv_exact(sock, n, deadline, peer="peer"):
     """Read exactly n bytes. Returns None on a clean EOF at offset zero;
     raises ProtocolError on EOF mid-read or a failed read, naming `peer`
     (who is on the other end) and the OS error, and CollectiveTimeout past
-    the deadline. `closing` (an Event) aborts the wait during shutdown."""
+    the deadline."""
     buf = bytearray()
     while len(buf) < n:
-        if closing is not None and closing.is_set():
-            raise _WorldAborted("transport closed")
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             raise CollectiveTimeout(f"timed out reading {n}-byte block")
         ready, _, _ = select.select([sock], [], [], _POLL)
         if not ready:
@@ -232,16 +238,16 @@ def _send_exact(sock, data, deadline, peer="peer"):
         select.select([], [sock], [], wait)
 
 
-def _read_frame(sock, deadline, closing=None, peer="peer"):
+def _read_frame(sock, deadline, peer="peer"):
     """Read one full frame from `peer`; returns (tag, source, dest,
     payload) or None on clean EOF between frames. A matrix header
     announcing more than MAX_PAYLOAD_BYTES raises ProtocolError before the
     payload is read."""
-    head = _recv_exact(sock, FRAME_HEADER.size, deadline, closing, peer)
+    head = _recv_exact(sock, FRAME_HEADER.size, deadline, peer)
     if head is None:
         return None
     tag, source, dest = FRAME_HEADER.unpack(head)
-    mhead = _recv_exact(sock, MATRIX_HEADER.size, deadline, closing, peer)
+    mhead = _recv_exact(sock, MATRIX_HEADER.size, deadline, peer)
     if mhead is None:
         raise ProtocolError("connection closed between frame and matrix header")
     rows, cols = MATRIX_HEADER.unpack(mhead)
@@ -253,16 +259,24 @@ def _read_frame(sock, deadline, closing=None, peer="peer"):
         )
     body = b""
     if size:
-        body = _recv_exact(sock, size, deadline, closing, peer)
+        body = _recv_exact(sock, size, deadline, peer)
         if body is None:
             raise ProtocolError("connection closed before matrix payload")
     return tag, source, dest, mhead + body
 
 
+def _peer_name(rank):
+    return "root" if rank == 0 else f"rank {rank}"
+
+
 class TcpTransport:
-    """Star-topology TCP transport. Rank 0 owns the listening socket and a
-    router thread that forwards peer-to-peer frames; every other rank holds
-    a single connection to rank 0.
+    """Star-topology TCP transport: rank 0 owns the listening socket and a
+    connection to every other rank, which holds its one connection to rank
+    0. Each rank reads its own sockets in its own receives, so rank 0
+    forwards peer-to-peer frames only inside a receive or `close`, never
+    while it computes, and a root and a peer that at the same time send
+    each other a frame larger than the socket buffers both wait until the
+    deadline. No collective in the package does either.
 
     Construct through `listen` (rank 0) or `connect` (other ranks).
     """
@@ -270,34 +284,28 @@ class TcpTransport:
     def __init__(self, rank, world_size):
         self.rank = rank
         self.world_size = world_size
-        self._peers = {}            # root only: rank -> socket
-        self._send_locks = {}       # root only: rank -> Lock
-        self._inbox = {}            # root only: source -> deque[(tag, bytes)]
-        self._hung_up = set()       # root only: ranks whose connection closed
-        self._cond = threading.Condition()
-        self._closing = threading.Event()
-        self._router = None
-        self._router_error = None
-        self._sock = None           # client connection, or root server socket
-        self._pending = {}          # client only: source -> deque[(tag, bytes)]
+        self._conns = {}            # rank -> socket: all peers', or the root's
+        self._ended = set()         # ranks whose connection reached its end
+        self._pending = {}          # source -> deque[(tag, bytes)]
+        self._server = None         # root only: the listening socket
         self._deadline = DEFAULT_DEADLINE  # root only: bounds each forward
 
     @classmethod
     def listen(cls, world_size, address, deadline=DEFAULT_DEADLINE):
         """Rank 0 entry point: accept world_size - 1 peers, each announcing
-        its rank in a 4-byte hello, then start routing. The deadline bounds
-        the accepting, and each frame the router forwards between peers."""
+        its rank in a 4-byte hello. The deadline bounds the accepting, and
+        each frame the root forwards between peers."""
         host, port = _parse_address(address)
         self = cls(0, world_size)
         self._deadline = deadline
         server = socket.create_server((host, port))
-        self._sock = server
+        self._server = server
         limit = time.monotonic() + deadline
         try:
-            while len(self._peers) < world_size - 1:
+            while len(self._conns) < world_size - 1:
                 if time.monotonic() > limit:
                     raise CollectiveTimeout(
-                        f"only {len(self._peers)} of {world_size - 1} ranks "
+                        f"only {len(self._conns)} of {world_size - 1} ranks "
                         f"connected within {deadline:.1f}s"
                     )
                 ready, _, _ = select.select([server], [], [], _POLL)
@@ -311,16 +319,13 @@ class TcpTransport:
                     conn.close()
                     continue
                 peer = struct.unpack("<I", hello)[0]
-                if not 1 <= peer < world_size or peer in self._peers:
+                if not 1 <= peer < world_size or peer in self._conns:
                     conn.close()
                     raise ProtocolError(f"bad hello rank {peer}")
-                self._peers[peer] = conn
-                self._send_locks[peer] = threading.Lock()
+                self._conns[peer] = conn
         except BaseException:
-            self.close()
+            self.close(linger=0.0)
             raise
-        self._router = threading.Thread(target=self._route, daemon=True)
-        self._router.start()
         return self
 
     @classmethod
@@ -351,120 +356,90 @@ class TcpTransport:
         sock.settimeout(None)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         _send_exact(sock, struct.pack("<I", rank), limit, "root")
-        self._sock = sock
-        self._send_locks[0] = threading.Lock()
+        self._conns[0] = sock
         return self
 
-    def _route(self):
-        by_sock = {sock: rank for rank, sock in self._peers.items()}
-        try:
-            while not self._closing.is_set():
-                if not by_sock:
-                    return
-                ready, _, _ = select.select(list(by_sock), [], [], _POLL)
-                for sock in ready:
-                    frame = _read_frame(sock, None, self._closing,
-                                        f"rank {by_sock[sock]}")
-                    if frame is None:
-                        with self._cond:
-                            self._hung_up.add(by_sock.pop(sock))
-                            self._cond.notify_all()
-                        continue
-                    tag, source, dest, payload = frame
-                    if dest == 0:
-                        with self._cond:
-                            self._inbox.setdefault(source, deque()).append(
-                                (tag, payload)
-                            )
-                            self._cond.notify_all()
-                    elif dest in self._peers:
-                        raw = FRAME_HEADER.pack(tag, source, dest) + payload
-                        with self._send_locks[dest]:
-                            _send_exact(self._peers[dest], raw,
-                                        time.monotonic() + self._deadline,
-                                        f"rank {dest}")
-                    else:
-                        raise ProtocolError(f"frame addressed to unknown rank {dest}")
-        except _WorldAborted:
-            pass
-        except Exception as exc:
-            with self._cond:
-                self._router_error = exc
-                self._cond.notify_all()
+    def _link(self, rank):
+        """The rank at the other end of the connection that frames to or
+        from `rank` travel: `rank` itself at the root, the root elsewhere."""
+        return rank if self.rank == 0 else 0
 
     def send_frame(self, source, dest, tag, payload, deadline):
-        raw = FRAME_HEADER.pack(tag, source, dest) + payload
-        if self.rank == 0:
-            if dest not in self._peers:
-                raise ProtocolError(f"no connection to rank {dest}")
-            with self._send_locks[dest]:
-                _send_exact(self._peers[dest], raw, deadline, f"rank {dest}")
-        else:
-            # Everything leaves through the root, which forwards as needed.
-            with self._send_locks[0]:
-                _send_exact(self._sock, raw, deadline, "root")
+        link = self._link(dest)
+        if link not in self._conns:
+            raise ProtocolError(f"no connection to rank {link}")
+        _send_exact(self._conns[link],
+                    FRAME_HEADER.pack(tag, source, dest) + payload,
+                    deadline, _peer_name(link))
 
     def recv_frame(self, source, dest, deadline):
-        if self.rank == 0:
-            with self._cond:
-                while True:
-                    err = self._router_error
-                    if err is not None:
-                        kind = (CollectiveTimeout
-                                if isinstance(err, CollectiveTimeout)
-                                else ProtocolError)
-                        raise kind(f"router failed: {err}") from err
-                    box = self._inbox.get(source)
-                    if box:
-                        return box.popleft()
-                    if source in self._hung_up:
-                        raise ProtocolError(f"rank {source} closed the connection")
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise CollectiveTimeout(
-                            f"recv at rank 0 from rank {source} timed out"
-                        )
-                    self._cond.wait(timeout=min(_POLL, remaining))
-        else:
+        link = self._link(source)
+        while True:
             box = self._pending.get(source)
             if box:
                 return box.popleft()
-            while True:
-                frame = _read_frame(self._sock, deadline, self._closing,
-                                    "root")
-                if frame is None:
-                    raise ProtocolError("root closed the connection")
-                tag, src, dst, payload = frame
-                if dst != self.rank:
-                    raise ProtocolError(
-                        f"rank {self.rank} received a frame for rank {dst}"
-                    )
-                if src == source:
-                    return tag, payload
-                self._pending.setdefault(src, deque()).append((tag, payload))
+            if link in self._ended:
+                raise ProtocolError(
+                    f"{_peer_name(link)} closed the connection"
+                )
+            if time.monotonic() > deadline:
+                raise CollectiveTimeout(
+                    f"recv at rank {dest} from rank {source} timed out"
+                )
+            self._pump(deadline)
+
+    def _pump(self, deadline):
+        """Wait until one of this rank's live connections is readable or
+        the deadline passes, then read one frame, within the deadline, from
+        each readable connection: keep a frame addressed to this rank by
+        source, forward one the root reads for another peer, and mark a
+        connection that reached its end."""
+        live = {sock: rank for rank, sock in self._conns.items()
+                if rank not in self._ended}
+        wait = max(0.0, deadline - time.monotonic())
+        ready, _, _ = select.select(list(live), [], [], wait)
+        for sock in ready:
+            rank = live[sock]
+            frame = _read_frame(sock, deadline, _peer_name(rank))
+            if frame is None:
+                self._ended.add(rank)
+                continue
+            tag, source, dest, payload = frame
+            if dest == self.rank:
+                self._pending.setdefault(source, deque()).append((tag, payload))
+            elif self.rank == 0:
+                self.send_frame(source, dest, tag, payload,
+                                time.monotonic() + self._deadline)
+            else:
+                raise ProtocolError(
+                    f"rank {self.rank} received a frame for rank {dest}"
+                )
 
     def close(self, linger=5.0):
-        # Root first: keep routing until every peer hangs up (the router
-        # exits on its own once all sockets reach EOF), so frames still in
-        # flight between peers are delivered, then cut whatever is left.
-        if self._router is not None:
-            self._router.join(timeout=linger)
-        self._closing.set()
-        if self._router is not None:
-            self._router.join(timeout=5.0)
-            self._router = None
-        for sock in self._peers.values():
+        # The root first keeps reading until every peer hangs up or
+        # `linger` passes, so frames still in flight between peers are
+        # forwarded; a read or forward that fails (a timeout is an OSError)
+        # ends the wait. Then it cuts whatever is left.
+        if self.rank == 0:
+            limit = time.monotonic() + linger
+            try:
+                while (len(self._ended) < len(self._conns)
+                       and time.monotonic() < limit):
+                    self._pump(limit)
+            except (ProtocolError, OSError):
+                pass
+        for sock in self._conns.values():
             try:
                 sock.close()
             except OSError:
                 pass
-        self._peers.clear()
-        if self._sock is not None:
+        self._conns.clear()
+        if self._server is not None:
             try:
-                self._sock.close()
+                self._server.close()
             except OSError:
                 pass
-            self._sock = None
+            self._server = None
 
     def __enter__(self):
         return self
@@ -604,7 +579,7 @@ def broadcast(ctx, value, root=0):
     return mat
 
 
-def run_simulated(world_size, fn, *, deadline=DEFAULT_DEADLINE, channel_capacity=64):
+def run_simulated(world_size, fn, *, deadline=DEFAULT_DEADLINE):
     """Run fn(ctx) on `world_size` simulated ranks: rank 0 on the calling
     thread, as a caller's own RankContext(0, 1, None) would run, and every
     other rank on a new thread.
@@ -618,7 +593,7 @@ def run_simulated(world_size, fn, *, deadline=DEFAULT_DEADLINE, channel_capacity
     process of a world of this size uses, so both transports run the same
     BLAS code. The previous count is back when this returns or raises.
     """
-    transport = SimTransport(world_size, channel_capacity)
+    transport = SimTransport(world_size)
     contexts = [
         RankContext(rank, world_size, transport, deadline)
         for rank in range(world_size)

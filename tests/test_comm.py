@@ -13,6 +13,7 @@ import pytest
 
 import oracles
 from conftest import free_port
+from parsvd import comm
 from parsvd.comm import (FRAME_HEADER, GATHER_TAG, MATRIX_HEADER,
                          MAX_PAYLOAD_BYTES, MAX_USER_TAG, RankContext,
                          SimTransport, TcpTransport, _read_frame, _recv_exact,
@@ -163,7 +164,9 @@ def test_recv_timeout():
     assert time.monotonic() - start < 5.0
 
 
-def test_bounded_channel_backpressure():
+def test_bounded_channel_backpressure(monkeypatch):
+    monkeypatch.setattr(comm, "CHANNEL_CAPACITY", 2)
+
     def program(ctx):
         if ctx.rank == 1:
             with pytest.raises(CollectiveTimeout):
@@ -173,7 +176,7 @@ def test_bounded_channel_backpressure():
         time.sleep(0.6)
         return True
 
-    out = run_simulated(2, program, deadline=0.3, channel_capacity=2)
+    out = run_simulated(2, program, deadline=0.3)
     assert out == [True, True]
 
 
@@ -480,23 +483,29 @@ def test_tcp_rank_send_to_a_root_that_never_reads_times_out():
             conn.close()
 
 
+def _fake_rank(address, rank):
+    """A raw socket standing in for `rank`: dial the root, retrying while
+    it is not listening yet, and send the rank's 4-byte hello."""
+    host, port = address.split(":")
+    limit = time.monotonic() + 5.0
+    while True:
+        try:
+            sock = socket.create_connection((host, int(port)), timeout=5.0)
+            break
+        except OSError:
+            if time.monotonic() > limit:
+                raise
+            time.sleep(0.02)
+    sock.sendall(struct.pack("<I", rank))
+    return sock
+
+
 def test_tcp_root_send_to_a_rank_that_never_reads_times_out():
     address = f"127.0.0.1:{free_port()}"
-    host, port = address.split(":")
     release = threading.Event()
 
     def silent_rank():
-        limit = time.monotonic() + 5.0
-        while True:  # the root may not be listening yet
-            try:
-                sock = socket.create_connection((host, int(port)), timeout=5.0)
-                break
-            except OSError:
-                if time.monotonic() > limit:
-                    raise
-                time.sleep(0.02)
-        with sock:
-            sock.sendall(struct.pack("<I", 1))  # hello, then never read
+        with _fake_rank(address, 1):  # hello, then never read
             release.wait(timeout=30.0)
 
     thread = threading.Thread(target=silent_rank)
@@ -515,8 +524,9 @@ def test_tcp_root_send_to_a_rank_that_never_reads_times_out():
 
 
 def test_tcp_root_forward_to_a_rank_that_never_reads_times_out():
-    # the root's router forwards rank-to-rank frames; a destination that
-    # stops reading must not hold it, and the root, past the deadline
+    # the root forwards rank-to-rank frames inside its own receives; a
+    # destination that stops reading must not hold the root past the
+    # listen deadline, which bounds each forward
     address = f"127.0.0.1:{free_port()}"
     release = threading.Event()
 
@@ -536,7 +546,7 @@ def test_tcp_root_forward_to_a_rank_that_never_reads_times_out():
     transport = TcpTransport.listen(3, address, deadline=2.0)
     try:
         start = time.monotonic()
-        with pytest.raises(CollectiveTimeout, match="router failed.*to rank 2"):
+        with pytest.raises(CollectiveTimeout, match="to rank 2"):
             transport.recv_frame(1, 0, time.monotonic() + 20.0)
         assert time.monotonic() - start < 10.0
     finally:
@@ -544,6 +554,86 @@ def test_tcp_root_forward_to_a_rank_that_never_reads_times_out():
         transport.close(linger=0.0)
         for thread in threads:
             thread.join(timeout=10.0)
+
+
+def _relay_program(ctx):
+    """Rank 1 sends to rank 2, which passes the matrix on, doubled, to
+    rank 0; rank 0 waits on rank 2 the whole time, so over TCP it forwards
+    rank 1's frame from inside that receive."""
+    got = None
+    if ctx.rank == 1:
+        send(ctx, np.arange(6.0).reshape(3, 2), 2, tag=4)
+    elif ctx.rank == 2:
+        got = recv(ctx, 1, tag=4)
+        send(ctx, 2.0 * got, 0, tag=6)
+    else:
+        got = recv(ctx, 2, tag=6)
+    return got, ctx.stats
+
+
+def test_tcp_root_forwards_inside_a_receive_from_another_rank():
+    sim = run_simulated(3, _relay_program)
+    tcp = run_tcp(3, _relay_program)
+    for rank in range(3):
+        s_got, s_stats = sim[rank]
+        t_got, t_stats = tcp[rank]
+        if s_got is None:
+            assert t_got is None
+        else:
+            assert np.array_equal(s_got, t_got)
+        assert s_stats == t_stats, f"stats differ at rank {rank}"
+    assert np.array_equal(tcp[0][0], 2.0 * np.arange(6.0).reshape(3, 2))
+
+
+def test_tcp_root_receive_refuses_a_bad_frame_from_another_rank():
+    # the root waits on rank 1, which stays silent; rank 2's oversized
+    # header still ends that receive, with no thread reading behind it
+    address = f"127.0.0.1:{free_port()}"
+    fakes = {}
+
+    def dial():
+        for rank in (1, 2):
+            fakes[rank] = _fake_rank(address, rank)
+
+    thread = threading.Thread(target=dial)
+    thread.start()
+    transport = TcpTransport.listen(3, address, deadline=5.0)
+    thread.join(timeout=10.0)
+    try:
+        fakes[2].sendall(FRAME_HEADER.pack(1, 2, 0)
+                         + MATRIX_HEADER.pack(2 ** 32, 2 ** 32))
+        ctx = RankContext(0, 3, transport, deadline=20.0)
+        start = time.monotonic()
+        with pytest.raises(ProtocolError, match="limit"):
+            recv(ctx, 1, 9)
+        assert time.monotonic() - start < 2.0
+    finally:
+        transport.close(linger=0.0)
+        for sock in fakes.values():
+            sock.close()
+
+
+def test_tcp_listen_starts_no_thread():
+    address = f"127.0.0.1:{free_port()}"
+    release = threading.Event()
+    before = set(threading.enumerate())
+
+    def peer():
+        transport = TcpTransport.connect(1, 2, address, deadline=5.0)
+        try:
+            release.wait(timeout=30.0)
+        finally:
+            transport.close()
+
+    thread = threading.Thread(target=peer)
+    thread.start()
+    transport = TcpTransport.listen(2, address, deadline=5.0)
+    try:
+        assert set(threading.enumerate()) <= before | {thread}
+    finally:
+        release.set()
+        thread.join(timeout=10.0)
+        transport.close()
 
 
 def test_tcp_rejects_bad_hello():
@@ -570,22 +660,11 @@ def test_root_recv_fails_fast_after_peer_hangs_up():
     # frames a peer sent before closing are still delivered; the next
     # receive from it fails at once instead of waiting out the deadline
     address = f"127.0.0.1:{free_port()}"
-    host, port = address.split(":")
     a = np.arange(6.0).reshape(2, 3)
 
     def peer():
-        limit = time.monotonic() + 5.0
-        while True:  # the root may not be listening yet
-            try:
-                sock = socket.create_connection((host, int(port)), timeout=5.0)
-                break
-            except OSError:
-                if time.monotonic() > limit:
-                    raise
-                time.sleep(0.02)
-        sock.sendall(struct.pack("<I", 1))  # hello: rank 1
-        sock.sendall(FRAME_HEADER.pack(9, 1, 0) + encode_matrix(a))
-        sock.close()
+        with _fake_rank(address, 1) as sock:
+            sock.sendall(FRAME_HEADER.pack(9, 1, 0) + encode_matrix(a))
 
     thread = threading.Thread(target=peer)
     thread.start()
