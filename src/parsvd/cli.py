@@ -79,6 +79,10 @@ class RunConfig:
             raise ConfigError(
                 f"{self.mode} picks its own world size, got {self.world_size}"
             )
+        if self.randomized and self.mode.endswith("stream"):
+            raise ConfigError(
+                f"randomized applies to the batch modes, not {self.mode}"
+            )
         if self.mode == "parallel-batch" and self.k > self.r2:
             raise ConfigError(f"k {self.k} exceeds r2 {self.r2}")
 
@@ -373,12 +377,8 @@ def _cmd_rank(args):
             if ctx.rank == 0:
                 _write_outputs(cfg, result)
                 print(f"wrote results for {cfg.mode} to {cfg.outdir}")
-    except BaseException:
-        # The world is lost: a root cuts its peers loose at once instead
-        # of forwarding their frames until they hang up.
-        ctx.transport.close(linger=0.0)
-        raise
-    ctx.transport.close()
+    finally:
+        ctx.transport.close()
     return 0
 
 

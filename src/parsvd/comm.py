@@ -2,9 +2,10 @@
 
 Two transports move the same wire frames: an in-process simulator (threads
 and bounded FIFO channels) for single-machine runs and tests, and a TCP star
-where rank 0 listens and forwards frames between peers. Because both carry
-byte-identical frames through one codec, a program produces bit-identical
-results no matter which transport runs underneath it.
+where rank 0 listens. Both carry only rank-0 traffic: a send or receive
+between two other ranks raises ValueError. Because both carry byte-identical
+frames through one codec, a program produces bit-identical results no
+matter which transport runs underneath it.
 
 Wire layout, little endian throughout:
 
@@ -18,14 +19,12 @@ the next receive from it raises ProtocolError at once, as a receive at any
 other rank does when rank 0 closes.
 
 Over TCP no thread runs behind a rank: every rank reads its own sockets in
-one receive loop. So rank 0 forwards a peer-to-peer frame only while it is
-inside a receive or `close`, not while it computes, and a root and a peer
-that at the same time send each other a frame larger than the socket
-buffers both wait until the deadline. No collective in the package does
-either: gather, broadcast and parallel_qr only exchange frames with rank 0.
-Any receive at rank 0 reads every peer, so a hang-up or a bad frame from any
-peer, or a forward that fails, raises from that receive under its own
-message.
+one receive loop, so a root and a peer that at the same time send each
+other a frame larger than the socket buffers both wait until the deadline.
+No collective in the package does that. Any receive at rank 0 reads every
+peer, so a hang-up or a bad frame from any peer raises from that receive
+under its own message; a frame addressed to a rank other than the reader
+is a bad frame.
 
 Collectives are built from point-to-point sends with rank-ordered assembly,
 so gather results do not depend on arrival order. Every blocking operation
@@ -121,8 +120,8 @@ class _WorldAborted(ProtocolError):
 
 
 class SimTransport:
-    """In-process transport: one bounded FIFO channel per (source, dest)
-    pair, shared by all rank threads of a simulated world.
+    """In-process transport: one bounded FIFO channel each way between rank
+    0 and every other rank, shared by all rank threads of a simulated world.
 
     Frames are stored as encoded bytes, exactly what TCP would put on the
     wire, so the two transports are interchangeable bit for bit.
@@ -133,10 +132,9 @@ class SimTransport:
             raise ValueError(f"world_size must be >= 1, got {world_size}")
         self.world_size = world_size
         self._channels = {
-            (src, dst): queue.Queue(maxsize=CHANNEL_CAPACITY)
-            for src in range(world_size)
-            for dst in range(world_size)
-            if src != dst
+            pair: queue.Queue(maxsize=CHANNEL_CAPACITY)
+            for rank in range(1, world_size)
+            for pair in ((0, rank), (rank, 0))
         }
         self._aborted = threading.Event()
 
@@ -272,11 +270,10 @@ def _peer_name(rank):
 class TcpTransport:
     """Star-topology TCP transport: rank 0 owns the listening socket and a
     connection to every other rank, which holds its one connection to rank
-    0. Each rank reads its own sockets in its own receives, so rank 0
-    forwards peer-to-peer frames only inside a receive or `close`, never
-    while it computes, and a root and a peer that at the same time send
-    each other a frame larger than the socket buffers both wait until the
-    deadline. No collective in the package does either.
+    0. The star carries only rank-0 traffic: RankContext refuses a transfer
+    between two other ranks with ValueError, and a frame addressed to a
+    rank other than its reader raises ProtocolError. Each rank reads its
+    own sockets inside its own receives.
 
     Construct through `listen` (rank 0) or `connect` (other ranks).
     """
@@ -288,16 +285,13 @@ class TcpTransport:
         self._ended = set()         # ranks whose connection reached its end
         self._pending = {}          # source -> deque[(tag, bytes)]
         self._server = None         # root only: the listening socket
-        self._deadline = DEFAULT_DEADLINE  # root only: bounds each forward
 
     @classmethod
     def listen(cls, world_size, address, deadline=DEFAULT_DEADLINE):
         """Rank 0 entry point: accept world_size - 1 peers, each announcing
-        its rank in a 4-byte hello. The deadline bounds the accepting, and
-        each frame the root forwards between peers."""
+        its rank in a 4-byte hello, within the deadline."""
         host, port = _parse_address(address)
         self = cls(0, world_size)
-        self._deadline = deadline
         server = socket.create_server((host, port))
         self._server = server
         limit = time.monotonic() + deadline
@@ -324,7 +318,7 @@ class TcpTransport:
                     raise ProtocolError(f"bad hello rank {peer}")
                 self._conns[peer] = conn
         except BaseException:
-            self.close(linger=0.0)
+            self.close()
             raise
         return self
 
@@ -392,7 +386,7 @@ class TcpTransport:
         """Wait until one of this rank's live connections is readable or
         the deadline passes, then read one frame, within the deadline, from
         each readable connection: keep a frame addressed to this rank by
-        source, forward one the root reads for another peer, and mark a
+        source, refuse one addressed to any other rank, and mark a
         connection that reached its end."""
         live = {sock: rank for rank, sock in self._conns.items()
                 if rank not in self._ended}
@@ -405,29 +399,14 @@ class TcpTransport:
                 self._ended.add(rank)
                 continue
             tag, source, dest, payload = frame
-            if dest == self.rank:
-                self._pending.setdefault(source, deque()).append((tag, payload))
-            elif self.rank == 0:
-                self.send_frame(source, dest, tag, payload,
-                                time.monotonic() + self._deadline)
-            else:
+            if dest != self.rank:
                 raise ProtocolError(
-                    f"rank {self.rank} received a frame for rank {dest}"
+                    f"{_peer_name(rank)} sent rank {self.rank} a frame "
+                    f"addressed to rank {dest}"
                 )
+            self._pending.setdefault(source, deque()).append((tag, payload))
 
-    def close(self, linger=5.0):
-        # The root first keeps reading until every peer hangs up or
-        # `linger` passes, so frames still in flight between peers are
-        # forwarded; a read or forward that fails (a timeout is an OSError)
-        # ends the wait. Then it cuts whatever is left.
-        if self.rank == 0:
-            limit = time.monotonic() + linger
-            try:
-                while (len(self._ended) < len(self._conns)
-                       and time.monotonic() < limit):
-                    self._pump(limit)
-            except (ProtocolError, OSError):
-                pass
+    def close(self):
         for sock in self._conns.values():
             try:
                 sock.close()
@@ -440,12 +419,6 @@ class TcpTransport:
             except OSError:
                 pass
             self._server = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
 
 
 @dataclass
@@ -476,13 +449,21 @@ class RankContext:
         # frames stashed because they arrived ahead of the tag being awaited
         self._stash = {}
 
+    # Every transfer passes through _send_raw or _recv_raw, and each refuses
+    # one between two ranks other than 0, so both transports refuse alike.
     def _send_raw(self, dest, tag, payload):
+        if self.rank != 0 and dest != 0:
+            raise ValueError(f"rank {self.rank} cannot send to rank {dest}: "
+                             f"rank 0 is one end of every transfer")
         limit = time.monotonic() + self.deadline
         self.transport.send_frame(self.rank, dest, tag, payload, limit)
         self.stats.frames_sent += 1
         self.stats.bytes_sent += FRAME_HEADER.size + len(payload)
 
     def _recv_raw(self, source, tag):
+        if self.rank != 0 and source != 0:
+            raise ValueError(f"rank {self.rank} cannot receive from rank "
+                             f"{source}: rank 0 is one end of every transfer")
         key = (source, tag)
         box = self._stash.get(key)
         if box:

@@ -199,7 +199,7 @@ def parallel_qr(ctx, a_local, overwrite_a=False, check_finite=True):
     return QrResult(local.basis, r_final, local.wy, q_slice)
 
 
-def _refuse_misfits(parts, what, own, fits, root=0):
+def _refuse_misfits(parts, what, own, fits):
     """Raise ProtocolError at the root naming the first rank whose gathered
     part's shape fails `fits`; `own` is the root's own shape. Ranks started
     with different settings send such parts, and numpy would fail on them
@@ -207,7 +207,7 @@ def _refuse_misfits(parts, what, own, fits, root=0):
     for rank, part in enumerate(parts):
         if not fits(part.shape):
             raise ProtocolError(f"rank {rank} sent a {part.shape} {what}; "
-                                f"rank {root}'s is {own}")
+                                f"rank 0's is {own}")
 
 
 def _rank_sum(ctx, x):
@@ -231,14 +231,14 @@ def _rank_sum(ctx, x):
     return broadcast(ctx, total)
 
 
-def gather_modes(ctx, local_modes, root=0):
+def gather_modes(ctx, local_modes):
     """Stack per-rank mode blocks at the root, in rank order. Returns the
     (total_rows, K) matrix at the root and None elsewhere; a block whose K
     differs from the root's raises ProtocolError there."""
-    parts = gather(ctx, local_modes.modes, root=root)
+    parts = gather(ctx, local_modes.modes)
     if parts is None:
         return None
     own = local_modes.modes.shape
     _refuse_misfits(parts, "mode block", own,
-                    lambda shape: shape[1] == own[1], root)
+                    lambda shape: shape[1] == own[1])
     return np.concatenate(parts, axis=0)

@@ -152,9 +152,6 @@ class BatchSource:
     def from_matrix(cls, a, batch_columns):
         return cls(batch_columns, matrix=a)
 
-    def __len__(self):
-        return -(-self.cols // self.batch_columns)
-
     def __iter__(self):
         """The column batches, in order."""
         return self.batches()

@@ -225,6 +225,23 @@ def test_decompose_stream_rejects_a_non_finite_later_batch(tmp_path, capsys,
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["serial-stream", "parallel-stream"])
+def test_decompose_stream_refuses_randomized(tmp_path, capsys, mode):
+    # the streaming modes have no root-side factorization to randomize, so
+    # the setting is refused from a flag and from a config file alike
+    mat = tmp_path / "a.bin"
+    _write_test_matrix(mat)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("randomized = true\n")
+    base = ["decompose", "--input", str(mat), "--outdir", str(tmp_path / "o"),
+            "--mode", mode, "--k", "2", "--batch", "3"]
+    for extra in (["--randomized"], ["--config", str(cfg)]):
+        assert main(base + extra) == 1
+        err = capsys.readouterr().err
+        assert "randomized" in err and mode in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_decompose_missing_input(tmp_path, capsys):
     assert main(["decompose", "--input", str(tmp_path / "absent.bin"),
                  "--outdir", str(tmp_path / "o"), "--mode", "serial-batch"]) == 2
@@ -488,6 +505,21 @@ def test_rank_root_fails_fast_when_peer_exits_mid_gather(tmp_path,
         world_size=3)
     assert code == 2, err
     assert "rank 2 closed" in err
+    assert elapsed < 5.0
+
+
+def test_rank_root_refuses_a_tcp_frame_addressed_to_another_rank(
+        tmp_path, subprocess_env):
+    # rank 0 is one end of every transfer, so a frame rank 1 addresses to
+    # rank 2 is corrupt: the root exits 2 naming rank 2, not passing it on
+    def misaddressed(peer1, peer2):
+        peer1.sendall(FRAME_HEADER.pack(GATHER_TAG, 1, 2)
+                      + encode_matrix(np.zeros((2, 2))))
+
+    code, err, elapsed = _root_against_fake_peers(
+        tmp_path, subprocess_env, misaddressed, deadline=30.0, world_size=3)
+    assert code == 2, err
+    assert "addressed to rank 2" in err
     assert elapsed < 5.0
 
 

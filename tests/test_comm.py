@@ -335,20 +335,21 @@ def run_tcp(world_size, fn, deadline=15.0):
 
 def _exchange_program(ctx):
     """A fixed conversation touching gather, both broadcast kinds, and a
-    routed point-to-point transfer; returns everything observable."""
+    point-to-point transfer each way between rank 2 and rank 0; returns
+    everything observable."""
     local = np.full((ctx.rank + 2, 3), float(ctx.rank + 1))
     parts = gather(ctx, local)
     stacked = np.concatenate(parts, axis=0) if ctx.rank == 0 else None
     mat = broadcast(ctx, stacked)
     vec = broadcast(ctx, np.array([4.0, 5.0, 6.0]) if ctx.rank == 0
                     else np.empty(0))
-    if ctx.rank == 1:
-        send(ctx, np.array([[3.25], [1.5]]), 2, tag=5)
-        p2p = None
-    elif ctx.rank == 2:
-        p2p = recv(ctx, 1, tag=5)
-    else:
-        p2p = None
+    p2p = None
+    if ctx.rank == 2:
+        send(ctx, np.array([[3.25], [1.5]]), 0, tag=5)
+        p2p = recv(ctx, 0, tag=6)
+    elif ctx.rank == 0:
+        p2p = recv(ctx, 2, tag=5)
+        send(ctx, -2.0 * p2p, 2, tag=6)
     return (mat, vec, p2p, ctx.stats.frames_sent, ctx.stats.bytes_sent,
             ctx.stats.frames_received, ctx.stats.bytes_received)
 
@@ -366,6 +367,29 @@ def test_tcp_matches_simulator_bitwise():
         else:
             assert np.array_equal(s_p2p, t_p2p)
         assert s_stats == t_stats, f"stats differ at rank {rank}"
+
+
+def _off_root_program(ctx):
+    """Each transfer between ranks 1 and 2 raises ValueError naming both
+    at the rank that asks for it; rank 0's part of gather(root=1) still
+    lands at rank 1."""
+    if ctx.rank == 1:
+        with pytest.raises(ValueError, match="rank 1 cannot send to rank 2"):
+            send(ctx, np.ones((1, 1)), 2, tag=3)
+    elif ctx.rank == 2:
+        with pytest.raises(ValueError,
+                           match="rank 2 cannot receive from rank 1"):
+            recv(ctx, 1, tag=3)
+    if ctx.rank == 0:
+        return gather(ctx, np.ones((1, 1)), root=1)
+    with pytest.raises(ValueError, match="rank 1 .* rank 2|rank 2 .* rank 1"):
+        gather(ctx, np.ones((1, 1)), root=1)
+    return ctx.stats.frames_received
+
+
+@pytest.mark.parametrize("run", [run_simulated, run_tcp], ids=["sim", "tcp"])
+def test_tcp_and_simulator_refuse_transfers_between_two_other_ranks(run):
+    assert run(3, _off_root_program) == [None, 1, 0]
 
 
 def test_tcp_world_size_two_collectives():
@@ -519,75 +543,14 @@ def test_tcp_root_send_to_a_rank_that_never_reads_times_out():
         assert time.monotonic() - start < 5.0
     finally:
         release.set()
-        transport.close(linger=0.0)
+        transport.close()
         thread.join(timeout=10.0)
 
 
-def test_tcp_root_forward_to_a_rank_that_never_reads_times_out():
-    # the root forwards rank-to-rank frames inside its own receives; a
-    # destination that stops reading must not hold the root past the
-    # listen deadline, which bounds each forward
-    address = f"127.0.0.1:{free_port()}"
-    release = threading.Event()
-
-    def rank(r):
-        transport = TcpTransport.connect(r, 3, address, deadline=10.0)
-        try:
-            if r == 1:
-                send(RankContext(1, 3, transport, deadline=10.0),
-                     np.ones(_BIG), 2, 1)
-            release.wait(timeout=30.0)  # rank 2 never reads
-        finally:
-            transport.close()
-
-    threads = [threading.Thread(target=rank, args=(r,)) for r in (1, 2)]
-    for thread in threads:
-        thread.start()
-    transport = TcpTransport.listen(3, address, deadline=2.0)
-    try:
-        start = time.monotonic()
-        with pytest.raises(CollectiveTimeout, match="to rank 2"):
-            transport.recv_frame(1, 0, time.monotonic() + 20.0)
-        assert time.monotonic() - start < 10.0
-    finally:
-        release.set()
-        transport.close(linger=0.0)
-        for thread in threads:
-            thread.join(timeout=10.0)
-
-
-def _relay_program(ctx):
-    """Rank 1 sends to rank 2, which passes the matrix on, doubled, to
-    rank 0; rank 0 waits on rank 2 the whole time, so over TCP it forwards
-    rank 1's frame from inside that receive."""
-    got = None
-    if ctx.rank == 1:
-        send(ctx, np.arange(6.0).reshape(3, 2), 2, tag=4)
-    elif ctx.rank == 2:
-        got = recv(ctx, 1, tag=4)
-        send(ctx, 2.0 * got, 0, tag=6)
-    else:
-        got = recv(ctx, 2, tag=6)
-    return got, ctx.stats
-
-
-def test_tcp_root_forwards_inside_a_receive_from_another_rank():
-    sim = run_simulated(3, _relay_program)
-    tcp = run_tcp(3, _relay_program)
-    for rank in range(3):
-        s_got, s_stats = sim[rank]
-        t_got, t_stats = tcp[rank]
-        if s_got is None:
-            assert t_got is None
-        else:
-            assert np.array_equal(s_got, t_got)
-        assert s_stats == t_stats, f"stats differ at rank {rank}"
-    assert np.array_equal(tcp[0][0], 2.0 * np.arange(6.0).reshape(3, 2))
-
-
-def test_tcp_root_receive_refuses_a_bad_frame_from_another_rank():
-    # the root waits on rank 1, which stays silent; rank 2's oversized
-    # header still ends that receive, with no thread reading behind it
+def _root_refuses(sender, frame, refusal):
+    """Listen as rank 0 of 3 while raw sockets dial in as ranks 1 and 2;
+    rank `sender` sends `frame` while the root waits on rank 1, and that
+    receive must raise ProtocolError matching `refusal` within 2 s."""
     address = f"127.0.0.1:{free_port()}"
     fakes = {}
 
@@ -600,17 +563,31 @@ def test_tcp_root_receive_refuses_a_bad_frame_from_another_rank():
     transport = TcpTransport.listen(3, address, deadline=5.0)
     thread.join(timeout=10.0)
     try:
-        fakes[2].sendall(FRAME_HEADER.pack(1, 2, 0)
-                         + MATRIX_HEADER.pack(2 ** 32, 2 ** 32))
+        fakes[sender].sendall(frame)
         ctx = RankContext(0, 3, transport, deadline=20.0)
         start = time.monotonic()
-        with pytest.raises(ProtocolError, match="limit"):
+        with pytest.raises(ProtocolError, match=refusal):
             recv(ctx, 1, 9)
         assert time.monotonic() - start < 2.0
     finally:
-        transport.close(linger=0.0)
+        transport.close()
         for sock in fakes.values():
             sock.close()
+
+
+def test_tcp_root_receive_refuses_a_bad_frame_from_another_rank():
+    # the root waits on rank 1, which stays silent; rank 2's oversized
+    # header still ends that receive, with no thread reading behind it
+    _root_refuses(2, FRAME_HEADER.pack(1, 2, 0)
+                  + MATRIX_HEADER.pack(2 ** 32, 2 ** 32), "limit")
+
+
+def test_tcp_root_refuses_a_frame_addressed_to_another_rank():
+    # rank 0 is one end of every transfer, so a frame rank 1 addresses to
+    # rank 2 is corrupt: the root raises instead of passing it on
+    _root_refuses(1, FRAME_HEADER.pack(9, 1, 2)
+                  + encode_matrix(np.ones((2, 2))),
+                  "rank 1 sent rank 0 a frame addressed to rank 2")
 
 
 def test_tcp_listen_starts_no_thread():

@@ -125,14 +125,6 @@ def test_read_submatrix_blocks(tmp_path):
 
 # ---------- batch sources ----------
 
-def test_batch_counts():
-    a = np.zeros((4, 800))
-    assert len(BatchSource.from_matrix(a, 100)) == 8
-    assert len(BatchSource.from_matrix(np.zeros((4, 10)), 4)) == 3
-    assert len(BatchSource.from_matrix(np.zeros((4, 5)), 5)) == 1
-    assert len(BatchSource.from_matrix(np.zeros((4, 5)), 99)) == 1
-
-
 def test_batches_tile_the_matrix(tmp_path):
     rng = np.random.Generator(np.random.Philox(72))
     a = rng.standard_normal((6, 10))
