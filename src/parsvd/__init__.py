@@ -15,9 +15,9 @@ file format with CSV/SVG emitters (`io`), and a command-line front end
 (`cli`).
 """
 
-from .comm import (CommStats, RankContext, SimTransport, TcpTransport,
-                   broadcast, decode_matrix, encode_matrix, gather, recv,
-                   run_simulated, send, tcp_context_from_env)
+from .comm import (CommStats, RankContext, TcpTransport, broadcast,
+                   decode_matrix, encode_matrix, gather, recv, run_simulated,
+                   send, tcp_context_from_env)
 from .datagen import (BurgersConfig, burgers_matrix, burgers_solution,
                       partition_bounds, synthetic_spectrum_matrix)
 from .dsvd import (ApmosConfig, LocalModes, apmos, gather_modes,

@@ -249,8 +249,9 @@ def _rank_work(ctx, cfg):
     that factors its block, the whole matrix; serial-stream is
     parallel-stream at the world size `_serial_stream_world` picks. A rank
     reads its block of rows, and the APMOS exchange or the streaming
-    update's TSQR and rank sum join the blocks. Identical under the
-    simulator and over TCP; only the transport beneath ctx differs."""
+    update's TSQR and rank sum join the blocks. Identical in a simulated
+    world and over TCP: the transport beneath ctx is the same TcpTransport,
+    wired through in-process socket pairs or TCP sockets."""
     rows, cols = read_matrix_header(cfg.input)
     lo, hi = partition_bounds(rows, ctx.world_size)[ctx.rank]
     history = None

@@ -1,30 +1,34 @@
-"""Rank-addressed matrix exchange over interchangeable transports.
+"""Rank-addressed matrix exchange over one transport wired two ways.
 
-Two transports move the same wire frames: an in-process simulator (threads
-and bounded FIFO channels) for single-machine runs and tests, and a TCP star
-where rank 0 listens. Both carry only rank-0 traffic: a send or receive
-between two other ranks raises ValueError. Because both carry byte-identical
-frames through one codec, a program produces bit-identical results no
-matter which transport runs underneath it.
+TcpTransport is a star around rank 0. `parsvd rank` processes wire it
+with TCP sockets: rank 0 listens and every other rank connects. A
+simulated world (run_simulated) wires it with one in-process socket pair
+between rank 0 and each other rank. Both wirings run the same frames,
+buffer, deadlines and errors, so a program produces bit-identical results
+on either. The star carries only rank-0 traffic: a send or receive
+between two other ranks raises ValueError.
 
 Wire layout, little endian throughout:
 
     matrix = [u64 rows][u64 cols][rows * cols float64, column-major]
     frame  = [u32 tag][u32 source][u32 dest][matrix]
 
-A TCP frame whose matrix header announces more than MAX_PAYLOAD_BYTES is
+A frame whose matrix header announces more than MAX_PAYLOAD_BYTES is
 refused with ProtocolError before its payload is read. Rank 0 records a
 peer's hang-up: once the frames that peer sent before closing are consumed,
 the next receive from it raises ProtocolError at once, as a receive at any
-other rank does when rank 0 closes.
+other rank does when rank 0 closes. That is also how a failure spreads: a
+rank that raises closes its connections, and the ranks waiting on it raise
+ProtocolError, over TCP and in a simulated world alike.
 
-Over TCP no thread runs behind a rank: every rank reads its own sockets in
-one receive loop, so a root and a peer that at the same time send each
-other a frame larger than the socket buffers both wait until the deadline.
-No collective in the package does that. Any receive at rank 0 reads every
-peer, so a hang-up or a bad frame from any peer raises from that receive
-under its own message; a frame addressed to a rank other than the reader
-is a bad frame.
+No thread runs behind a rank: every rank reads its own sockets in one
+receive loop, so a root and a peer that at the same time send each other a
+frame larger than the socket buffers both wait until the deadline. No
+collective in the package does that. Any receive at rank 0 reads every
+peer, so a bad frame from any peer raises from that receive under its own
+message, and a hang-up is recorded for the next receive from that peer. A
+frame addressed to a rank other than its reader, or naming a source other
+than the rank at the far end of its connection, is a bad frame.
 
 Collectives are built from point-to-point sends with rank-ordered assembly,
 so gather results do not depend on arrival order. Every blocking operation
@@ -33,7 +37,6 @@ lapses.
 """
 
 import os
-import queue
 import select
 import socket
 import struct
@@ -57,8 +60,6 @@ BCAST_TAG = 0xFFFF0002
 
 DEFAULT_DEADLINE = 30.0
 _POLL = 0.02
-# Frames a simulated (source, dest) channel holds before a send blocks.
-CHANNEL_CAPACITY = 64
 
 # Largest matrix payload a TCP frame may announce. The biggest frames the
 # package sends are a rank's rows of the modes (gather_modes): 8192 x 5, or
@@ -113,66 +114,6 @@ class CommStats:
     bytes_sent: int = 0
     frames_received: int = 0
     bytes_received: int = 0
-
-
-class _WorldAborted(ProtocolError):
-    """Raised in simulator ranks blocked on a world another rank tore down."""
-
-
-class SimTransport:
-    """In-process transport: one bounded FIFO channel each way between rank
-    0 and every other rank, shared by all rank threads of a simulated world.
-
-    Frames are stored as encoded bytes, exactly what TCP would put on the
-    wire, so the two transports are interchangeable bit for bit.
-    """
-
-    def __init__(self, world_size):
-        if world_size < 1:
-            raise ValueError(f"world_size must be >= 1, got {world_size}")
-        self.world_size = world_size
-        self._channels = {
-            pair: queue.Queue(maxsize=CHANNEL_CAPACITY)
-            for rank in range(1, world_size)
-            for pair in ((0, rank), (rank, 0))
-        }
-        self._aborted = threading.Event()
-
-    def abort(self):
-        """Wake every blocked rank with _WorldAborted; used when one rank
-        dies so the others do not sit out their full deadlines."""
-        self._aborted.set()
-
-    def send_frame(self, source, dest, tag, payload, deadline):
-        chan = self._channels[(source, dest)]
-        while True:
-            if self._aborted.is_set():
-                raise _WorldAborted("simulated world was aborted")
-            try:
-                chan.put((tag, payload), timeout=_POLL)
-                return
-            except queue.Full:
-                if time.monotonic() > deadline:
-                    raise CollectiveTimeout(
-                        f"send from rank {source} to rank {dest} timed out "
-                        f"(channel full)"
-                    )
-
-    def recv_frame(self, source, dest, deadline):
-        chan = self._channels[(source, dest)]
-        while True:
-            if self._aborted.is_set():
-                raise _WorldAborted("simulated world was aborted")
-            try:
-                return chan.get(timeout=_POLL)
-            except queue.Empty:
-                if time.monotonic() > deadline:
-                    raise CollectiveTimeout(
-                        f"recv at rank {dest} from rank {source} timed out"
-                    )
-
-    def close(self):
-        pass
 
 
 def _parse_address(address):
@@ -268,14 +209,18 @@ def _peer_name(rank):
 
 
 class TcpTransport:
-    """Star-topology TCP transport: rank 0 owns the listening socket and a
-    connection to every other rank, which holds its one connection to rank
-    0. The star carries only rank-0 traffic: RankContext refuses a transfer
-    between two other ranks with ValueError, and a frame addressed to a
-    rank other than its reader raises ProtocolError. Each rank reads its
-    own sockets inside its own receives.
+    """The one transport, a star: rank 0 holds a connection to every other
+    rank, which holds its one connection to rank 0. The star carries only
+    rank-0 traffic: RankContext refuses a transfer between two other ranks
+    with ValueError, and a frame addressed to a rank other than its reader,
+    or from a rank other than the one at the far end of its connection,
+    raises ProtocolError. Each rank reads its own sockets inside its own
+    receives and keeps frames that arrive ahead of their receive in one
+    buffer, by source and tag.
 
-    Construct through `listen` (rank 0) or `connect` (other ranks).
+    Construct through `listen` (rank 0, which owns the listening socket)
+    or `connect` (other ranks) for TCP; run_simulated wires in-process
+    socket pairs into transports built with the bare constructor.
     """
 
     def __init__(self, rank, world_size):
@@ -283,7 +228,7 @@ class TcpTransport:
         self.world_size = world_size
         self._conns = {}            # rank -> socket: all peers', or the root's
         self._ended = set()         # ranks whose connection reached its end
-        self._pending = {}          # source -> deque[(tag, bytes)]
+        self._pending = {}          # (source, tag) -> deque[bytes]
         self._server = None         # root only: the listening socket
 
     @classmethod
@@ -366,10 +311,14 @@ class TcpTransport:
                     FRAME_HEADER.pack(tag, source, dest) + payload,
                     deadline, _peer_name(link))
 
-    def recv_frame(self, source, dest, deadline):
+    def recv_frame(self, source, tag, deadline):
+        """Return the payload of the oldest frame from `source` with `tag`,
+        reading this rank's connections until one arrives. Frames with
+        other tags wait in the pending buffer for their own receive."""
         link = self._link(source)
+        key = (source, tag)
         while True:
-            box = self._pending.get(source)
+            box = self._pending.get(key)
             if box:
                 return box.popleft()
             if link in self._ended:
@@ -378,16 +327,16 @@ class TcpTransport:
                 )
             if time.monotonic() > deadline:
                 raise CollectiveTimeout(
-                    f"recv at rank {dest} from rank {source} timed out"
+                    f"recv at rank {self.rank} from rank {source} timed out"
                 )
             self._pump(deadline)
 
     def _pump(self, deadline):
         """Wait until one of this rank's live connections is readable or
         the deadline passes, then read one frame, within the deadline, from
-        each readable connection: keep a frame addressed to this rank by
-        source, refuse one addressed to any other rank, and mark a
-        connection that reached its end."""
+        each readable connection: keep a frame from the rank at the other
+        end, addressed to this rank, by (source, tag); refuse any other;
+        and mark a connection that reached its end."""
         live = {sock: rank for rank, sock in self._conns.items()
                 if rank not in self._ended}
         wait = max(0.0, deadline - time.monotonic())
@@ -399,12 +348,17 @@ class TcpTransport:
                 self._ended.add(rank)
                 continue
             tag, source, dest, payload = frame
+            if source != rank:
+                raise ProtocolError(
+                    f"{_peer_name(rank)} sent rank {self.rank} a frame "
+                    f"from rank {source}"
+                )
             if dest != self.rank:
                 raise ProtocolError(
                     f"{_peer_name(rank)} sent rank {self.rank} a frame "
                     f"addressed to rank {dest}"
                 )
-            self._pending.setdefault(source, deque()).append((tag, payload))
+            self._pending.setdefault((source, tag), deque()).append(payload)
 
     def close(self):
         for sock in self._conns.values():
@@ -423,9 +377,10 @@ class TcpTransport:
 
 @dataclass
 class RankContext:
-    """One rank's view of the world: its id, the world size, a transport
-    (None in a world of one, whose collectives never touch it), the
-    collective deadline in seconds, and traffic counters."""
+    """One rank's view of the world: its id, the world size, a
+    TcpTransport (None in a world of one, whose collectives never touch
+    it), the collective deadline in seconds, and traffic counters, which
+    count a received frame when a receive consumes it."""
 
     rank: int
     world_size: int
@@ -446,11 +401,9 @@ class RankContext:
             raise ValueError(
                 f"a world of {self.world_size} ranks needs a transport"
             )
-        # frames stashed because they arrived ahead of the tag being awaited
-        self._stash = {}
 
     # Every transfer passes through _send_raw or _recv_raw, and each refuses
-    # one between two ranks other than 0, so both transports refuse alike.
+    # one between two ranks other than 0, so both wirings refuse alike.
     def _send_raw(self, dest, tag, payload):
         if self.rank != 0 and dest != 0:
             raise ValueError(f"rank {self.rank} cannot send to rank {dest}: "
@@ -464,18 +417,11 @@ class RankContext:
         if self.rank != 0 and source != 0:
             raise ValueError(f"rank {self.rank} cannot receive from rank "
                              f"{source}: rank 0 is one end of every transfer")
-        key = (source, tag)
-        box = self._stash.get(key)
-        if box:
-            return box.popleft()
         limit = time.monotonic() + self.deadline
-        while True:
-            got_tag, payload = self.transport.recv_frame(source, self.rank, limit)
-            self.stats.frames_received += 1
-            self.stats.bytes_received += FRAME_HEADER.size + len(payload)
-            if got_tag == tag:
-                return payload
-            self._stash.setdefault((source, got_tag), deque()).append(payload)
+        payload = self.transport.recv_frame(source, tag, limit)
+        self.stats.frames_received += 1
+        self.stats.bytes_received += FRAME_HEADER.size + len(payload)
+        return payload
 
 
 def _check_peer(ctx, peer, who):
@@ -565,47 +511,65 @@ def run_simulated(world_size, fn, *, deadline=DEFAULT_DEADLINE):
     thread, as a caller's own RankContext(0, 1, None) would run, and every
     other rank on a new thread.
 
-    Returns the per-rank results in rank order. If any rank raises, the
-    world is aborted so the rest unblock immediately, and the lowest-rank
-    original exception is re-raised.
+    The ranks talk through the TCP star's own TcpTransport, wired with one
+    in-process socket pair between rank 0 and each other rank, so frames,
+    buffering, deadlines and errors are those of `parsvd rank` processes.
+    A world of one has no transport.
+
+    Returns the per-rank results in rank order. A rank that raises records
+    its exception and closes its connections, so a rank waiting on it reads
+    the end of stream and raises ProtocolError at once; the first exception
+    recorded, the cause, is re-raised. A rank that returns keeps its
+    connections open until every rank has finished, so a receive from it
+    still waits out its deadline. Every socket is closed when this returns
+    or raises.
 
     While the ranks run, OpenBLAS gets the per-rank share of the CPUs that
     `linalg.blas_thread_budget` gives, the same count each `parsvd rank`
-    process of a world of this size uses, so both transports run the same
+    process of a world of this size uses, so both wirings run the same
     BLAS code. The previous count is back when this returns or raises.
     """
-    transport = SimTransport(world_size)
-    contexts = [
-        RankContext(rank, world_size, transport, deadline)
-        for rank in range(world_size)
-    ]
+    if world_size < 1:
+        raise ValueError(f"world_size must be >= 1, got {world_size}")
+    transports = [None]
+    if world_size > 1:
+        transports = [TcpTransport(rank, world_size)
+                      for rank in range(world_size)]
     results = [None] * world_size
-    failures = [None] * world_size
+    failures = []
 
     def runner(rank):
         try:
             results[rank] = fn(contexts[rank])
         except BaseException as exc:
-            failures[rank] = exc
-            transport.abort()
+            failures.append(exc)
+            if transports[rank] is not None:
+                transports[rank].close()
 
-    threads = [
-        threading.Thread(target=runner, args=(rank,), daemon=True)
-        for rank in range(1, world_size)
-    ]
-    with blas_thread_budget(world_size):
-        for thread in threads:
-            thread.start()
-        runner(0)
-        for thread in threads:
-            thread.join()
-    # Prefer a root-cause exception over _WorldAborted fallout in victims.
-    for exc in failures:
-        if exc is not None and not isinstance(exc, _WorldAborted):
-            raise exc
-    for exc in failures:
-        if exc is not None:
-            raise exc
+    try:
+        for rank in range(1, world_size):
+            transports[0]._conns[rank], transports[rank]._conns[0] = \
+                socket.socketpair()
+        contexts = [
+            RankContext(rank, world_size, transports[rank], deadline)
+            for rank in range(world_size)
+        ]
+        threads = [
+            threading.Thread(target=runner, args=(rank,), daemon=True)
+            for rank in range(1, world_size)
+        ]
+        with blas_thread_budget(world_size):
+            for thread in threads:
+                thread.start()
+            runner(0)
+            for thread in threads:
+                thread.join()
+    finally:
+        for transport in transports:
+            if transport is not None:
+                transport.close()
+    if failures:
+        raise failures[0]
     return results
 
 

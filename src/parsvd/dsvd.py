@@ -20,8 +20,8 @@ global matrix. The module provides:
   times its slice, is formed only when read; the streaming update only
   applies it to a small rotation.
 
-All collectives run through a RankContext, so the same functions work on
-the simulator and over TCP.
+All collectives run through a RankContext, so the same functions work in
+a simulated world and over TCP.
 """
 
 from dataclasses import dataclass

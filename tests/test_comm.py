@@ -1,4 +1,6 @@
-"""Wire codec, simulator, TCP star, and collective semantics."""
+"""Wire codec, collective semantics, and the one transport: the TCP star,
+wired through in-process socket pairs in simulated worlds and through TCP
+sockets between rank threads or processes."""
 
 import os
 import socket
@@ -16,8 +18,7 @@ from conftest import free_port
 from parsvd import comm
 from parsvd.comm import (FRAME_HEADER, GATHER_TAG, MATRIX_HEADER,
                          MAX_PAYLOAD_BYTES, MAX_USER_TAG, RankContext,
-                         SimTransport, TcpTransport, _read_frame, _recv_exact,
-                         broadcast,
+                         TcpTransport, _read_frame, _recv_exact, broadcast,
                          decode_matrix, encode_matrix, gather, recv,
                          run_simulated, send, tcp_context_from_env)
 from parsvd.errors import CollectiveTimeout, ConfigError, ProtocolError
@@ -64,7 +65,7 @@ def test_codec_column_major_layout():
                           [1.0, 2.0, 3.0, 4.0])
 
 
-# ---------- collectives on the simulator ----------
+# ---------- collectives on simulated worlds (socket pairs) ----------
 
 def test_world_size_one_collectives_are_local():
     def program(ctx):
@@ -164,22 +165,6 @@ def test_recv_timeout():
     assert time.monotonic() - start < 5.0
 
 
-def test_bounded_channel_backpressure(monkeypatch):
-    monkeypatch.setattr(comm, "CHANNEL_CAPACITY", 2)
-
-    def program(ctx):
-        if ctx.rank == 1:
-            with pytest.raises(CollectiveTimeout):
-                for _ in range(5):  # capacity 2, nobody reads
-                    send(ctx, np.ones((1, 1)), 0, tag=1)
-            return True
-        time.sleep(0.6)
-        return True
-
-    out = run_simulated(2, program, deadline=0.3)
-    assert out == [True, True]
-
-
 def test_failure_aborts_world_quickly():
     def program(ctx):
         if ctx.rank == 1:
@@ -202,6 +187,61 @@ def test_failure_in_rank_zero_aborts_world_quickly():
     with pytest.raises(RuntimeError, match="rank 0 exploded"):
         run_simulated(3, program, deadline=20.0)
     assert time.monotonic() - start < 5.0
+
+
+def test_failure_reaches_a_root_waiting_on_another_rank():
+    # rank 2 dies while the root waits on rank 1; the root marks rank 2's
+    # end of stream and raises once it reaches rank 2 in the gather
+    def program(ctx):
+        if ctx.rank == 2:
+            time.sleep(0.2)
+            raise RuntimeError("rank 2 exploded")
+        if ctx.rank == 1:
+            time.sleep(0.4)
+        return gather(ctx, np.ones((1, 1)))
+
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="rank 2 exploded"):
+        run_simulated(3, program, deadline=20.0)
+    assert time.monotonic() - start < 5.0
+
+
+def _record_socketpairs(monkeypatch):
+    """Return a list that collects every socket comm.socket.socketpair
+    hands out while the test runs."""
+    made = []
+    real = comm.socket.socketpair
+
+    def record(*args, **kwargs):
+        pair = real(*args, **kwargs)
+        made.extend(pair)
+        return pair
+
+    monkeypatch.setattr(comm.socket, "socketpair", record)
+    return made
+
+
+def test_run_simulated_closes_every_socket_pair(monkeypatch):
+    made = _record_socketpairs(monkeypatch)
+    parts = run_simulated(3, lambda ctx: gather(ctx, np.ones((1, 1))))[0]
+    assert len(parts) == 3
+    assert len(made) == 4 and all(sock.fileno() == -1 for sock in made)
+
+    def program(ctx):
+        if ctx.rank == 1:
+            raise RuntimeError("rank 1 exploded")
+        return gather(ctx, np.ones((1, 1)))
+
+    made.clear()
+    with pytest.raises(RuntimeError, match="rank 1 exploded"):
+        run_simulated(3, program)
+    assert len(made) == 4 and all(sock.fileno() == -1 for sock in made)
+
+
+def test_world_of_one_has_no_transport(monkeypatch):
+    made = _record_socketpairs(monkeypatch)
+    assert run_simulated(1, lambda ctx: ctx.transport) == [None]
+    assert made == []
 
 
 def test_rank_zero_runs_on_the_calling_thread():
@@ -284,7 +324,7 @@ def test_stats_count_framed_bytes():
 
 
 def test_rank_context_validation():
-    transport = SimTransport(2)
+    transport = TcpTransport(0, 2)
     with pytest.raises(ValueError):
         RankContext(2, 2, transport)
     with pytest.raises(ValueError):
@@ -588,6 +628,32 @@ def test_tcp_root_refuses_a_frame_addressed_to_another_rank():
     _root_refuses(1, FRAME_HEADER.pack(9, 1, 2)
                   + encode_matrix(np.ones((2, 2))),
                   "rank 1 sent rank 0 a frame addressed to rank 2")
+
+
+def test_tcp_root_refuses_a_frame_from_a_spoofed_source():
+    # a frame is filed under the rank at the other end of its connection,
+    # so rank 1 cannot pose as rank 2
+    _root_refuses(1, FRAME_HEADER.pack(9, 2, 0)
+                  + encode_matrix(np.ones((1, 1))),
+                  "rank 1 sent rank 0 a frame from rank 2")
+
+
+def test_tcp_rank_refuses_a_frame_from_a_spoofed_source():
+    # at a peer, every frame comes from the root
+    transport = TcpTransport(1, 3)
+    transport._conns[0], root = socket.socketpair()
+    with root:
+        root.sendall(FRAME_HEADER.pack(9, 2, 1)
+                     + encode_matrix(np.ones((1, 1))))
+        ctx = RankContext(1, 3, transport, deadline=20.0)
+        start = time.monotonic()
+        try:
+            with pytest.raises(ProtocolError,
+                               match="root sent rank 1 a frame from rank 2"):
+                recv(ctx, 0, 9)
+        finally:
+            transport.close()
+        assert time.monotonic() - start < 2.0
 
 
 def test_tcp_listen_starts_no_thread():
