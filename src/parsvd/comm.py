@@ -159,8 +159,9 @@ def _recv_exact(sock, n, deadline, peer="peer"):
 
 def _send_exact(sock, data, deadline, peer="peer"):
     """Write all of data to a blocking socket, raising CollectiveTimeout
-    when `peer` has not taken it all by the deadline. Errors of the socket
-    itself propagate."""
+    when `peer` has not taken it all by the deadline, and ProtocolError
+    naming `peer` and the OS error when the send fails, as when the peer
+    has hung up."""
     view = memoryview(data)
     while view:
         try:
@@ -168,6 +169,10 @@ def _send_exact(sock, data, deadline, peer="peer"):
             continue
         except BlockingIOError:
             pass
+        except OSError as exc:
+            raise ProtocolError(
+                f"connection to {peer} failed mid-send: {exc}"
+            ) from None
         wait = deadline - time.monotonic()
         if wait <= 0:
             raise CollectiveTimeout(

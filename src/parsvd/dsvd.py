@@ -7,10 +7,11 @@ global matrix. The module provides:
   its slice to r1 right singular vectors scaled by their singular values,
   W^i = V~ S~^T (snapshots x r1, cheap to ship since it has no row
   dimension). A tall slice gets them from the SVD of its n x n triangular
-  QR factor, without forming its left singular vectors. Rank 0 stacks the
-  W^i, factors the stack (exactly or with the randomized kernel), keeps r2
-  columns, and broadcasts them; each rank then lifts its local mode rows
-  as U^i_j = A^i X_j / lambda_j. The stack satisfies W W^T = A^T A, which
+  QR factor (`linalg.r_factor`, which builds no Q), without forming its
+  left singular vectors. Rank 0 stacks the W^i, factors the stack
+  (exactly or with the randomized kernel), keeps r2 columns, and
+  broadcasts them; each rank then lifts its local mode rows as
+  U^i_j = A^i X_j / lambda_j. The stack satisfies W W^T = A^T A, which
   is what makes the assembly exact when nothing is truncated.
 
 * parallel_qr and _rank_sum, the two collectives of the streaming update
@@ -32,7 +33,8 @@ import numpy as np
 from .comm import broadcast, gather, recv, send
 from .errors import DegenerateModeError, ProtocolError
 from .linalg import (QrResult, RandomSketchConfig, _positive_column_signs,
-                     as_matrix, low_rank_svd, qr_factor, svd_full)
+                     _product, as_matrix, low_rank_svd, qr_factor, r_factor,
+                     svd_full)
 
 # Tag base for shipping global-Q slices back to their ranks; rank i gets
 # tag i + 10, mirroring how the row slices are laid out in the stacked Q.
@@ -83,12 +85,13 @@ def generate_right_vectors(a_local, local_rank):
     """Leading right singular vectors and values of a local slice.
 
     A tall slice (more rows than columns) has the right vectors and values
-    of its triangular factor R, so it is reduced by qr_factor, whose Q is
-    never formed, and the SVD runs on the n x n R (Chan's R-SVD). Other
-    slices take a thin SVD directly. Either way the signs are those of
-    svd_full of the slice itself: the entry of largest magnitude in each
-    left vector is positive. The R route reads them from a_local @ v =
-    U S, at the cost of one rows x n x r1 product.
+    of its triangular factor R, so it is reduced by linalg.r_factor, a
+    blocked QR that forms neither Q nor a full compact-WY T, and the SVD
+    runs on the n x n R (Chan's R-SVD). Other slices take a thin SVD
+    directly. Either way the signs are those of svd_full of the slice
+    itself: the entry of largest magnitude in each left vector is
+    positive. The R route reads them from a_local @ v = U S, at the cost
+    of one rows x n x r1 product, taken column-major (linalg._product).
 
     Returns (v, s) with v of shape (n_cols, local_rank) and s of length
     local_rank. When the slice has fewer than local_rank nonzero directions
@@ -105,12 +108,12 @@ def generate_right_vectors(a_local, local_rank):
             f"local_rank {local_rank} exceeds the snapshot count {n}"
         )
     tall = a.shape[0] > n
-    res = svd_full(qr_factor(a, check_finite=False).r if tall else a)
+    res = svd_full(r_factor(a, check_finite=False) if tall else a)
     keep = min(local_rank, res.s.size)
     vt = res.vt[:keep]
     if tall:
         # R's left vectors carry their own signs; a @ v = U S has the slab's
-        _, vt = _positive_column_signs(a @ vt.T, vt)
+        _, vt = _positive_column_signs(_product(a, vt.T), vt)
     v = vt.T.copy()
     s = res.s[:keep].copy()
     if keep < local_rank:
@@ -161,7 +164,7 @@ def apmos(ctx, a_local, config):
             raise DegenerateModeError(
                 f"mode {j} has a zero singular value and cannot be assembled"
             )
-    u_local = (a @ x[:, :k]) / lam[:k]
+    u_local = _product(a, x[:, :k]) / lam[:k]
     return LocalModes(u_local, lam[:k].copy())
 
 

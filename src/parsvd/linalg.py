@@ -10,16 +10,19 @@ Randomness enters only through `RandomSketchConfig.seed`, which drives a
 counter-based Philox generator, so sketches are reproducible across runs and
 machines.
 
-`qr_factor` is the package's Householder QR, APMOS's R-only local step
-(`dsvd.generate_right_vectors`) included: LAPACK's recursive compact-WY QR
-`dgeqrt3` (Elmroth & Gustavson, 2000; Schreiber & Van Loan, 1989), called
-once per factor from the OpenBLAS numpy loaded, which does most of its
-work in GEMMs on wide inputs such as the streaming update's 16384 x 100
+`qr_factor` is the package's Householder QR: LAPACK's recursive compact-WY
+QR `dgeqrt3` (Elmroth & Gustavson, 2000; Schreiber & Van Loan, 1989),
+called once per factor from the OpenBLAS numpy loaded, which does most of
+its work in GEMMs on wide inputs such as the streaming update's 16384 x 100
 residual. It keeps Q as those reflectors, as the TSQR of Demmel, Grigori,
 Hoemmen & Langou (2012) keeps Q implicit, and forms it only when it is
 read. A numpy without that symbol gets the same factors, at rounding
 level and more slowly on wide inputs, from `np.linalg.qr` and LAPACK's
 `dlarft` recurrence (README, "Numerical notes").
+
+`r_factor` is the R-only QR of APMOS's local step
+(`dsvd.generate_right_vectors`): LAPACK's blocked `dgeqrt`, which builds no
+n x n T, or `np.linalg.qr(mode="r")` where numpy's library lacks it.
 
 `blas_thread_budget` divides the CPUs among the ranks of a world that runs
 on one host, by setting the thread count of the OpenBLAS numpy uses.
@@ -138,18 +141,8 @@ def _householder(a, r):
     """
     m, n = a.shape
     t = np.zeros((n, n), order="F")
-    geqrt3 = _geqrt3()
-    if geqrt3 is not None:
-        func, integer = geqrt3
-        # LAPACK reads and writes a by pointer, as m rows apart per column
-        if not (a.flags.f_contiguous and a.dtype == np.float64 and m >= n):
-            raise ValueError(f"dgeqrt3 needs a tall column-major float64 "
-                             f"block, got {a.shape} {a.dtype}")
-        info = integer(0)
-        func(integer(m), integer(n), a.ctypes.data, integer(m),
-             t.ctypes.data, integer(n), ctypes.byref(info))
-        if info.value:
-            raise RuntimeError(f"{func.__name__} returned info {info.value}")
+    if _lapack("dgeqrt3") is not None:
+        _lapack_call("dgeqrt3", m, n, a, m, t, n)
         np.copyto(r, np.triu(a[:n]))
         a[:n] = np.tril(a[:n], -1) + np.eye(n)
         return t
@@ -267,6 +260,41 @@ def qr_factor(a, overwrite_a=False, check_finite=True):
     return res
 
 
+# Columns per block of r_factor's blocked QR. On an 8192 x 800 Burgers slab,
+# two one-thread processes at once, five calls each (thread CPU, fastest to
+# median): 64 columns 333-405 ms, 96 324-386 ms, 128 332-394 ms, against
+# 461-553 ms for qr_factor's one dgeqrt3 call (2-core x86-64 host, numpy
+# 2.4.6's OpenBLAS).
+R_BLOCK = 96
+
+
+def r_factor(a, check_finite=True):
+    """The triangular factor r of a's reduced QR, without q.
+
+    Returns r of shape (min(m, n), n), upper triangular with diag(r) >= 0,
+    as qr_factor's r, so r^T r = a^T a. LAPACK's blocked dgeqrt factors a
+    column-major copy of `a` R_BLOCK columns at a time, each block by
+    dgeqrt3 and the columns right of it by one blocked update. Only the
+    block's own T is built, and discarded: qr_factor's single dgeqrt3 call
+    also builds the full n x n T, in GEMMs whose cost grows with n. A numpy
+    without dgeqrt gets np.linalg.qr(a, mode="r"). check_finite=False
+    skips the scan for non-finite entries.
+    """
+    a = as_matrix(a, check_finite=check_finite)
+    m, n = a.shape
+    if _lapack("dgeqrt") is None:
+        r = np.linalg.qr(a, mode="r")
+    else:
+        k = min(m, n)
+        block = min(R_BLOCK, k)
+        work = np.array(a, order="F")
+        t = np.empty((block, n), order="F")
+        _lapack_call("dgeqrt", m, n, block, work, m, t, block,
+                     np.empty_like(t))
+        r = np.triu(work[:k])
+    return r * _diagonal_signs(r)[:, None]
+
+
 def svd_full(a, want_vt=True):
     """Thin SVD of a dense matrix.
 
@@ -344,15 +372,16 @@ def aligned_mode_difference(a, b):
 
 # Entry points of the OpenBLAS builds numpy ships with: scipy-openblas
 # wheels, 64-bit-integer builds, plain builds. Each row names the (set,
-# get) thread-count pair, then dgeqrt3 and the integer type its LAPACK
-# takes.
+# get) thread-count pair, the prefix and suffix that make a LAPACK routine's
+# symbol ("dgeqrt3" is "scipy_dgeqrt3_64_" in the first row), and the
+# integer type that LAPACK takes.
 _OPENBLAS_API = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_",
-     "scipy_dgeqrt3_64_", ctypes.c_int64),
+     "scipy_", "_64_", ctypes.c_int64),
     ("openblas_set_num_threads64_", "openblas_get_num_threads64_",
-     "dgeqrt3_64_", ctypes.c_int64),
+     "", "_64_", ctypes.c_int64),
     ("openblas_set_num_threads", "openblas_get_num_threads",
-     "dgeqrt3_", ctypes.c_int32),
+     "", "_", ctypes.c_int32),
 )
 
 
@@ -377,7 +406,7 @@ def _openblas_threads():
     """(set, get) thread-count functions of the OpenBLAS numpy loaded, or
     None when numpy uses another BLAS."""
     lib = _numpy_lapack()
-    for set_name, get_name, _, _ in _OPENBLAS_API:
+    for set_name, get_name, *_ in _OPENBLAS_API:
         set_threads = getattr(lib, set_name, None)
         get_threads = getattr(lib, get_name, None)
         if set_threads is None or get_threads is None:
@@ -388,21 +417,48 @@ def _openblas_threads():
     return None
 
 
+# The arguments of each LAPACK routine called here, INFO left out: "i" an
+# integer, "a" a column-major float64 array.
+_LAPACK_ARGS = {"dgeqrt3": "iiaiai", "dgeqrt": "iiiaiaia"}
+
+
 @functools.cache
-def _geqrt3():
-    """(dgeqrt3, its integer type) from the LAPACK numpy loaded, or None
-    when numpy's library does not export it. A ctypes call releases the
-    GIL, so the simulated ranks' threads factor concurrently."""
-    for _, _, name, integer in _OPENBLAS_API:
-        func = getattr(_numpy_lapack(), name, None)
+def _lapack(routine):
+    """(function, its integer type) for the LAPACK `routine`, a key of
+    _LAPACK_ARGS, from the library numpy loaded, or None when that library
+    does not export it. A ctypes call releases the GIL, so the simulated
+    ranks' threads factor concurrently."""
+    for _, _, prefix, suffix, integer in _OPENBLAS_API:
+        func = getattr(_numpy_lapack(), prefix + routine + suffix, None)
         if func is None:
             continue
         pointer = ctypes.POINTER(integer)
-        func.argtypes = [pointer, pointer, ctypes.c_void_p, pointer,
-                         ctypes.c_void_p, pointer, pointer]
+        func.argtypes = [pointer if kind == "i" else ctypes.c_void_p
+                         for kind in _LAPACK_ARGS[routine]] + [pointer]
         func.restype = None
         return func, integer
     return None
+
+
+def _lapack_call(routine, *args):
+    """Call the LAPACK `routine`, which `_lapack` must have found, with
+    `args` and then its INFO. Each array must be column-major float64:
+    LAPACK reads and writes it by pointer, one column after another. A
+    nonzero INFO raises RuntimeError."""
+    func, integer = _lapack(routine)
+
+    def argument(kind, x):
+        if kind == "i":
+            return integer(x)
+        if not (x.flags.f_contiguous and x.dtype == np.float64):
+            raise ValueError(f"{routine} needs column-major float64 arrays, "
+                             f"got {x.shape} {x.dtype}")
+        return x.ctypes.data
+
+    info = integer(0)
+    func(*map(argument, _LAPACK_ARGS[routine], args), ctypes.byref(info))
+    if info.value:
+        raise RuntimeError(f"{func.__name__} returned info {info.value}")
 
 
 def _openblas_thread_count():

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from parsvd import linalg
 from parsvd.datagen import BurgersConfig, burgers_matrix
 from parsvd.linalg import svd_full
 
@@ -63,6 +64,13 @@ def subprocess_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return env
+
+
+@pytest.fixture
+def fallback_qr(monkeypatch):
+    """Makes qr_factor and r_factor take the routes that a numpy whose
+    library exports neither dgeqrt3 nor dgeqrt gets."""
+    monkeypatch.setattr(linalg, "_lapack", lambda routine: None)
 
 
 @pytest.fixture

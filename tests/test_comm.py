@@ -547,6 +547,32 @@ def test_tcp_rank_send_to_a_root_that_never_reads_times_out():
             conn.close()
 
 
+def test_tcp_rank_send_to_a_root_that_hangs_up_names_the_root():
+    # the root takes the hello, then closes with the frame unread: the send
+    # fails at once, naming the root, as a read from a dead peer does
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        def root():
+            conn, _ = server.accept()
+            with conn:
+                _recv_exact(conn, 4, time.monotonic() + 10.0)
+                time.sleep(0.3)
+
+        thread = threading.Thread(target=root)
+        thread.start()
+        host, port = server.getsockname()
+        transport = TcpTransport.connect(1, 2, f"{host}:{port}", deadline=5.0)
+        try:
+            ctx = RankContext(1, 2, transport, deadline=30.0)
+            start = time.monotonic()
+            with pytest.raises(ProtocolError,
+                               match="connection to root failed mid-send"):
+                send(ctx, np.ones(_BIG), 0, 1)
+            assert time.monotonic() - start < 5.0
+        finally:
+            transport.close()
+            thread.join(timeout=10.0)
+
+
 def _fake_rank(address, rank):
     """A raw socket standing in for `rank`: dial the root, retrying while
     it is not listening yet, and send the rank's 4-byte hello."""

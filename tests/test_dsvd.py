@@ -52,17 +52,44 @@ def test_right_vectors_zero_padding_keeps_gram_identity():
     assert np.max(np.abs(w @ w.T - a.T @ a)) < 1e-12
 
 
-@pytest.mark.parametrize("rows", [slice(1024, None), slice(1024, 1824),
-                                  slice(1024, 1424)],
-                         ids=["tall", "square", "wide"])
-def test_right_vectors_match_slab_svd(burgers_snapshots, rows):
-    # a tall slab goes through its R factor, the others through a direct
-    # SVD; values and sign-fixed vectors must be those of svd_full(slab)
-    slab = burgers_snapshots[rows]
+# Slabs of the 2048 x 800 Burgers matrix: the tall ones are 1024 rows high
+# and go through R. "narrow" is 300 columns wide, three of r_factor's blocks
+# and part of a fourth; the full 800 is not a whole number of blocks either.
+_SLABS = ["tall", "square", "wide", "zero-column", "repeated-column", "narrow"]
+
+
+def _slab(snapshots, name):
+    rows = {"square": slice(1024, 1824), "wide": slice(1024, 1424)}
+    slab = snapshots[rows.get(name, slice(1024, None))].copy()
+    if name == "zero-column":
+        slab[:, 400] = 0.0
+    elif name == "repeated-column":
+        slab[:, -1] = slab[:, 0]
+    elif name == "narrow":
+        slab = slab[:, :300]
+    return slab
+
+
+def _check_right_vectors_match_slab_svd(slab):
+    # values and sign-fixed vectors must be those of svd_full(slab)
     ref = svd_full(slab)
     v, s = generate_right_vectors(slab, 20)
     assert np.max(np.abs(s - ref.s[:20])) <= 1e-13 * ref.s[0]
     assert np.max(np.abs(v - ref.vt[:20].T)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", _SLABS)
+def test_right_vectors_match_slab_svd(burgers_snapshots, name):
+    # a tall slab goes through its R factor, the others through a direct
+    # SVD
+    _check_right_vectors_match_slab_svd(_slab(burgers_snapshots, name))
+
+
+@pytest.mark.parametrize("name", _SLABS)
+def test_right_vectors_match_slab_svd_on_the_fallback(burgers_snapshots, name,
+                                                      fallback_qr):
+    # the R of np.linalg.qr(mode="r"), which a numpy without dgeqrt gets
+    _check_right_vectors_match_slab_svd(_slab(burgers_snapshots, name))
 
 
 def test_right_vectors_validation():
