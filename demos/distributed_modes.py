@@ -20,11 +20,11 @@ def rank_body(ctx, a):
     lo, hi = partition_bounds(a.shape[0], ctx.world_size)[ctx.rank]
     print(f"rank {ctx.rank}: rows {lo}..{hi} ({hi - lo} of {a.shape[0]})")
     config = ApmosConfig(local_rank=R1, global_rank=R2, k_modes=K)
-    state = apmos(ctx, a[lo:hi], config)
-    stacked = gather_modes(ctx, state)
+    res = apmos(ctx, a[lo:hi], config)
+    stacked = gather_modes(ctx, res.u)
     return {
         "modes": stacked,
-        "values": state.singular_values,
+        "values": res.s,
         "sent": ctx.stats.bytes_sent,
         "received": ctx.stats.bytes_received,
     }

@@ -10,8 +10,8 @@ import os
 
 import numpy as np
 
-from parsvd import (BatchSource, BurgersConfig, RankContext, StreamConfig,
-                    burgers_matrix, stream_all, svd_full, write_mode_svg)
+from parsvd import (BurgersConfig, RankContext, StreamConfig, burgers_matrix,
+                    stream_all, svd_full, write_mode_svg)
 
 
 def run(grid_points=2048, n_snapshots=800, k=5, batch=100, ff=1.0,
@@ -20,10 +20,10 @@ def run(grid_points=2048, n_snapshots=800, k=5, batch=100, ff=1.0,
     a = burgers_matrix(config)
     print(f"snapshot matrix: {a.shape[0]} x {a.shape[1]}")
 
-    # one rank, no transport: the serial stream
+    # one rank, no transport: the serial stream, over column slices of a
     state, history = stream_all(
         RankContext(0, 1, None),
-        BatchSource.from_matrix(a, batch),
+        [a[:, i:i + batch] for i in range(0, a.shape[1], batch)],
         StreamConfig(k_modes=k, forget_factor=ff, buffer_columns=buffer),
     )
     exact = svd_full(a, want_vt=False)

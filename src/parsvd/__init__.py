@@ -20,8 +20,8 @@ from .comm import (CommStats, RankContext, TcpTransport, broadcast,
                    send, tcp_context_from_env)
 from .datagen import (BurgersConfig, burgers_matrix, burgers_solution,
                       partition_bounds, synthetic_spectrum_matrix)
-from .dsvd import (ApmosConfig, LocalModes, apmos, gather_modes,
-                   generate_right_vectors, parallel_qr)
+from .dsvd import (ApmosConfig, apmos, gather_modes, generate_right_vectors,
+                   parallel_qr)
 from .errors import (CapacityError, CollectiveTimeout, ConfigError,
                      ConvergenceError, DegenerateModeError,
                      MatrixFormatError, ProtocolError)

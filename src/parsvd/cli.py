@@ -26,7 +26,7 @@ import numpy as np
 
 from .comm import run_simulated, tcp_context_from_env
 from .datagen import BurgersConfig, burgers_matrix, partition_bounds
-from .dsvd import ApmosConfig, LocalModes, apmos, gather_modes
+from .dsvd import ApmosConfig, apmos, gather_modes
 from .errors import CapacityError, CollectiveTimeout, ConfigError, \
     ConvergenceError, DegenerateModeError, MatrixFormatError, ProtocolError
 from .io import BatchSource, read_matrix_header, read_modes_csv, \
@@ -253,6 +253,9 @@ def _rank_work(ctx, cfg):
     world and over TCP: the transport beneath ctx is the same TcpTransport,
     wired through in-process socket pairs or TCP sockets."""
     rows, cols = read_matrix_header(cfg.input)
+    if rows == 0 or cols == 0:
+        raise ConfigError(f"{cfg.input} holds a {rows}x{cols} matrix, "
+                          f"nothing to factor")
     lo, hi = partition_bounds(rows, ctx.world_size)[ctx.rank]
     history = None
     if cfg.mode == "serial-batch":
@@ -265,25 +268,24 @@ def _rank_work(ctx, cfg):
             res = low_rank_svd(block, _sketch_config(cfg, cfg.k))
         else:
             res = svd_full(block, want_vt=False)
-        state = LocalModes(res.u[:, :cfg.k], res.s[:cfg.k])
+        modes, values = res.u[:, :cfg.k], res.s[:cfg.k]
     elif cfg.mode == "parallel-batch":
         block = read_submatrix(cfg.input, lo, hi, 0, cols)
         sketch = _sketch_config(cfg, cfg.r2) if cfg.randomized else None
         acfg = ApmosConfig(local_rank=cfg.r1, global_rank=cfg.r2,
                            k_modes=cfg.k, sketch=sketch)
-        state = apmos(ctx, block, acfg)
+        modes, values, _ = apmos(ctx, block, acfg)
     else:
         scfg = StreamConfig(k_modes=cfg.k, forget_factor=cfg.ff)
-        if cols == 0:
-            raise ConfigError(f"{cfg.input} has no columns to stream")
-        source = BatchSource.from_file(cfg.input, cfg.batch, rows=(lo, hi))
+        source = BatchSource(cfg.input, cfg.batch, rows=(lo, hi))
         state, history = stream_all(ctx, source, scfg)
-    stacked = gather_modes(ctx, state)
+        modes, values = state.modes, state.singular_values
+    stacked = gather_modes(ctx, modes)
     if ctx.rank != 0:
         return None
     return {
         "modes": stacked,
-        "values": state.singular_values,
+        "values": values,
         "history": history,
         "rows": rows,
         "cols": cols,

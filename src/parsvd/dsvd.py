@@ -12,7 +12,12 @@ global matrix. The module provides:
   (exactly or with the randomized kernel), keeps r2 columns, and
   broadcasts them; each rank then lifts its local mode rows as
   U^i_j = A^i X_j / lambda_j. The stack satisfies W W^T = A^T A, which
-  is what makes the assembly exact when nothing is truncated.
+  is what makes the assembly exact when nothing is truncated. The result
+  is a linalg.SvdResult of the form svd_full(want_vt=False) returns,
+  with this rank's rows in u.
+
+* gather_modes: stacks every rank's mode block, an apmos result's u or a
+  streaming state's modes, at rank 0.
 
 * parallel_qr and _rank_sum, the two collectives of the streaming update
   (`streaming`): a tall-skinny QR across ranks (local QR, QR of the stacked
@@ -32,9 +37,9 @@ import numpy as np
 
 from .comm import broadcast, gather, recv, send
 from .errors import DegenerateModeError, ProtocolError
-from .linalg import (QrResult, RandomSketchConfig, _positive_column_signs,
-                     _product, as_matrix, low_rank_svd, qr_factor, r_factor,
-                     svd_full)
+from .linalg import (QrResult, RandomSketchConfig, SvdResult,
+                     _positive_column_signs, _product, as_matrix, low_rank_svd,
+                     qr_factor, r_factor, svd_full)
 
 # Tag base for shipping global-Q slices back to their ranks; rank i gets
 # tag i + 10, mirroring how the row slices are laid out in the stacked Q.
@@ -70,15 +75,6 @@ class ApmosConfig:
                 f"sketch target_rank {self.sketch.target_rank} is below "
                 f"global_rank {self.global_rank}"
             )
-
-
-@dataclass(frozen=True)
-class LocalModes:
-    """This rank's rows of the assembled left singular vectors, plus the
-    (globally shared) singular values, both truncated to K."""
-
-    modes: np.ndarray
-    singular_values: np.ndarray
 
 
 def generate_right_vectors(a_local, local_rank):
@@ -125,11 +121,12 @@ def generate_right_vectors(a_local, local_rank):
 def apmos(ctx, a_local, config):
     """One-shot distributed SVD of the row-partitioned matrix.
 
-    Every rank passes its slice; every rank returns LocalModes holding its
-    rows of the K leading left singular vectors. Stacking the blocks in rank
-    order reassembles the global modes. A zero singular value among the
-    first K cannot be normalized against and raises DegenerateModeError on
-    all ranks alike.
+    Every rank passes its slice and returns an SvdResult: u is this rank's
+    rows of the K leading left singular vectors, s their singular values
+    (the same on every rank), vt None. Stacking the u blocks in rank order
+    (gather_modes) reassembles the global modes. A zero singular value
+    among the first K cannot be normalized against and raises
+    DegenerateModeError on all ranks alike.
     """
     a = as_matrix(a_local, "a_local")
     r1, r2, k = config.local_rank, config.global_rank, config.k_modes
@@ -165,7 +162,7 @@ def apmos(ctx, a_local, config):
                 f"mode {j} has a zero singular value and cannot be assembled"
             )
     u_local = _product(a, x[:, :k]) / lam[:k]
-    return LocalModes(u_local, lam[:k].copy())
+    return SvdResult(u_local, lam[:k].copy(), None)
 
 
 def parallel_qr(ctx, a_local, overwrite_a=False, check_finite=True):
@@ -234,14 +231,15 @@ def _rank_sum(ctx, x):
     return broadcast(ctx, total)
 
 
-def gather_modes(ctx, local_modes):
-    """Stack per-rank mode blocks at the root, in rank order. Returns the
-    (total_rows, K) matrix at the root and None elsewhere; a block whose K
-    differs from the root's raises ProtocolError there."""
-    parts = gather(ctx, local_modes.modes)
+def gather_modes(ctx, modes):
+    """Stack per-rank mode blocks, this rank's rows of the modes, at the
+    root, in rank order. Returns the (total_rows, K) matrix at the root and
+    None elsewhere; a block whose K differs from the root's raises
+    ProtocolError there."""
+    parts = gather(ctx, modes)
     if parts is None:
         return None
-    own = local_modes.modes.shape
+    own = modes.shape
     _refuse_misfits(parts, "mode block", own,
                     lambda shape: shape[1] == own[1])
     return np.concatenate(parts, axis=0)

@@ -114,43 +114,27 @@ def read_submatrix(path, row_start, row_stop, col_start, col_stop, out=None):
 
 
 class BatchSource:
-    """Iterates a matrix as column batches of a nominal width.
+    """Iterates a matrix file as column batches of a nominal width.
 
-    Backed either by an open-on-demand matrix file (columns are read as
-    needed, the whole matrix never resides in memory) or by an in-memory
-    array. A file source may be limited to the half-open row window
-    `rows=(lo, hi)`, one rank's slice of the file; `rows` is then the
-    window's height. The final batch is narrower when the width does not
-    divide the column count.
+    Columns are read as needed from the file, opened on demand, so the
+    whole matrix never resides in memory. The source may be limited to the
+    half-open row window `rows=(lo, hi)`, one rank's slice of the file;
+    `rows` is then the window's height. The final batch is narrower when
+    the width does not divide the column count. A matrix in memory needs
+    no source: stream_all takes a list of its column slices.
     """
 
-    def __init__(self, batch_columns, *, path=None, matrix=None, rows=None):
+    def __init__(self, path, batch_columns, rows=None):
         if batch_columns < 1:
             raise ValueError(f"batch_columns must be >= 1, got {batch_columns}")
-        if (path is None) == (matrix is None):
-            raise ValueError("exactly one of path or matrix is required")
-        if rows is not None and path is None:
-            raise ValueError("a row window needs a file source")
-        self.batch_columns = batch_columns
         self._path = path
-        self._matrix = None if matrix is None else as_matrix(matrix, "matrix")
-        if path is not None:
-            total, self.cols = read_matrix_header(path)
-            self._window = (0, total) if rows is None else rows
-            lo, hi = self._window
-            if not 0 <= lo <= hi <= total:
-                raise ValueError(f"row window [{lo}, {hi}) outside [0, {total})")
-            self.rows = hi - lo
-        else:
-            self.rows, self.cols = self._matrix.shape
-
-    @classmethod
-    def from_file(cls, path, batch_columns, rows=None):
-        return cls(batch_columns, path=path, rows=rows)
-
-    @classmethod
-    def from_matrix(cls, a, batch_columns):
-        return cls(batch_columns, matrix=a)
+        self.batch_columns = batch_columns
+        total, self.cols = read_matrix_header(path)
+        self._window = (0, total) if rows is None else rows
+        lo, hi = self._window
+        if not 0 <= lo <= hi <= total:
+            raise ValueError(f"row window [{lo}, {hi}) outside [0, {total})")
+        self.rows = hi - lo
 
     def __iter__(self):
         """The column batches, in order."""
@@ -158,21 +142,15 @@ class BatchSource:
 
     def batches(self, into=None):
         """The column batches, in order. `into(width)`, when given, returns
-        the column-major array each batch is read (or copied) into, such as
-        the columns next to the carried block in a streaming workspace; it
-        is called just before that batch is needed."""
+        the column-major array each batch is read into, such as the columns
+        next to the carried block in a streaming workspace; it is called
+        just before that batch is needed."""
         width = self.batch_columns
         for start in range(0, self.cols, width):
             stop = min(start + width, self.cols)
             out = None if into is None else into(stop - start)
-            if self._matrix is None:
-                yield read_submatrix(self._path, *self._window, start, stop,
-                                     out=out)
-            elif out is None:
-                yield self._matrix[:, start:stop]
-            else:
-                np.copyto(out, self._matrix[:, start:stop])
-                yield out
+            yield read_submatrix(self._path, *self._window, start, stop,
+                                 out=out)
 
 
 def _write_csv(path, header, table):

@@ -10,19 +10,21 @@ Randomness enters only through `RandomSketchConfig.seed`, which drives a
 counter-based Philox generator, so sketches are reproducible across runs and
 machines.
 
-`qr_factor` is the package's Householder QR: LAPACK's recursive compact-WY
-QR `dgeqrt3` (Elmroth & Gustavson, 2000; Schreiber & Van Loan, 1989),
-called once per factor from the OpenBLAS numpy loaded, which does most of
-its work in GEMMs on wide inputs such as the streaming update's 16384 x 100
-residual. It keeps Q as those reflectors, as the TSQR of Demmel, Grigori,
-Hoemmen & Langou (2012) keeps Q implicit, and forms it only when it is
-read. A numpy without that symbol gets the same factors, at rounding
-level and more slowly on wide inputs, from `np.linalg.qr` and LAPACK's
-`dlarft` recurrence (README, "Numerical notes").
+`qr_factor` is the package's Householder QR: LAPACK's compact-WY QR
+`dgeqrt` with one block as wide as the input, which makes it one call of
+the recursive `dgeqrt3` (Elmroth & Gustavson, 2000; Schreiber & Van Loan,
+1989), from the OpenBLAS numpy loaded. That does most of its work in GEMMs
+on wide inputs such as the streaming update's 16384 x 100 residual. It
+keeps Q as those reflectors, as the TSQR of Demmel, Grigori, Hoemmen &
+Langou (2012) keeps Q implicit, and forms it only when it is read. A numpy
+without that symbol gets the same factors, at rounding level and more
+slowly on wide inputs, from `np.linalg.qr` and LAPACK's `dlarft`
+recurrence (README, "Numerical notes").
 
 `r_factor` is the R-only QR of APMOS's local step
-(`dsvd.generate_right_vectors`): LAPACK's blocked `dgeqrt`, which builds no
-n x n T, or `np.linalg.qr(mode="r")` where numpy's library lacks it.
+(`dsvd.generate_right_vectors`): the same `dgeqrt` in narrower blocks,
+which builds no n x n T, or `np.linalg.qr(mode="r")` where numpy's library
+lacks it.
 
 `blas_thread_budget` divides the CPUs among the ranks of a world that runs
 on one host, by setting the thread count of the OpenBLAS numpy uses.
@@ -135,14 +137,16 @@ def _householder(a, r):
     triangular T with H_1 ... H_n = I - V T V^T, so that the input equals
     (I - V T V^T) [r; 0].
 
-    LAPACK's dgeqrt3, the recursive QR of Elmroth & Gustavson (2000),
-    factors the block in one call. Without it, LAPACK's QR factors the
-    block as one panel and T follows from LAPACK's dlarft recurrence.
+    LAPACK's dgeqrt with one block of all n columns factors it by one call
+    of dgeqrt3, the recursive QR of Elmroth & Gustavson (2000). Without
+    dgeqrt, LAPACK's QR factors the block as one panel and T follows from
+    LAPACK's dlarft recurrence.
     """
     m, n = a.shape
     t = np.zeros((n, n), order="F")
-    if _lapack("dgeqrt3") is not None:
-        _lapack_call("dgeqrt3", m, n, a, m, t, n)
+    if _lapack("dgeqrt") is not None:
+        _lapack_call("dgeqrt", m, n, n, a, m, t, n,
+                     np.empty((n, n), order="F"))
         np.copyto(r, np.triu(a[:n]))
         a[:n] = np.tril(a[:n], -1) + np.eye(n)
         return t
@@ -234,8 +238,8 @@ def qr_factor(a, overwrite_a=False, check_finite=True):
     columns and whose r is upper triangular, such that q @ r reconstructs
     a. The result is deterministic for a given BLAS thread count.
 
-    LAPACK's dgeqrt3 factors the leading k = min(m, n) columns in one
-    call (`_householder`), and q stays in the reflector form of QrResult
+    LAPACK's dgeqrt factors the leading k = min(m, n) columns as one block
+    (`_householder`), and q stays in the reflector form of QrResult
     until it is read, with d the signs that make r's diagonal
     non-negative. A wide input (n > m) sets r[:, k:] = q^T a[:, k:].
 
@@ -263,7 +267,7 @@ def qr_factor(a, overwrite_a=False, check_finite=True):
 # Columns per block of r_factor's blocked QR. On an 8192 x 800 Burgers slab,
 # two one-thread processes at once, five calls each (thread CPU, fastest to
 # median): 64 columns 333-405 ms, 96 324-386 ms, 128 332-394 ms, against
-# 461-553 ms for qr_factor's one dgeqrt3 call (2-core x86-64 host, numpy
+# 461-553 ms for qr_factor's one block (2-core x86-64 host, numpy
 # 2.4.6's OpenBLAS).
 R_BLOCK = 96
 
@@ -275,8 +279,8 @@ def r_factor(a, check_finite=True):
     as qr_factor's r, so r^T r = a^T a. LAPACK's blocked dgeqrt factors a
     column-major copy of `a` R_BLOCK columns at a time, each block by
     dgeqrt3 and the columns right of it by one blocked update. Only the
-    block's own T is built, and discarded: qr_factor's single dgeqrt3 call
-    also builds the full n x n T, in GEMMs whose cost grows with n. A numpy
+    block's own T is built, and discarded: qr_factor's single block
+    builds the full n x n T, in GEMMs whose cost grows with n. A numpy
     without dgeqrt gets np.linalg.qr(a, mode="r"). check_finite=False
     skips the scan for non-finite entries.
     """
@@ -373,7 +377,7 @@ def aligned_mode_difference(a, b):
 # Entry points of the OpenBLAS builds numpy ships with: scipy-openblas
 # wheels, 64-bit-integer builds, plain builds. Each row names the (set,
 # get) thread-count pair, the prefix and suffix that make a LAPACK routine's
-# symbol ("dgeqrt3" is "scipy_dgeqrt3_64_" in the first row), and the
+# symbol ("dgeqrt" is "scipy_dgeqrt_64_" in the first row), and the
 # integer type that LAPACK takes.
 _OPENBLAS_API = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_",
@@ -419,7 +423,7 @@ def _openblas_threads():
 
 # The arguments of each LAPACK routine called here, INFO left out: "i" an
 # integer, "a" a column-major float64 array.
-_LAPACK_ARGS = {"dgeqrt3": "iiaiai", "dgeqrt": "iiiaiaia"}
+_LAPACK_ARGS = {"dgeqrt": "iiiaiaia"}
 
 
 @functools.cache

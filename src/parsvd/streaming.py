@@ -7,10 +7,11 @@ reports the leading K of them. Each new batch A is projected onto U, only
 the m x b residual is QR-factored, and the SVD of a small matrix rotates
 the widened basis:
 
-    initialize:  A0 = Q R,  R = U' D0 V0^T,  U0 = (Q U')[:, :K+p]
-    incorporate: C = U^T A,  A - U C = Q R,
-                 [[ff diag(s), C], [0, R]] = U~ D V~^T,
-                 U_i = [U Q] U~[:, :K+p],  s_i = D[:K+p]
+    C = U^T A,  A - U C = Q R,  [[ff diag(s), C], [0, R]] = U~ D V~^T,
+    U_i = [U Q] U~[:, :K+p],  s_i = D[:K+p]
+
+The first batch is the update of a block with no columns: U, C and
+ff diag(s) are empty, A0 = Q R, and the small matrix is R.
 
 This is the buffered incremental SVD of Baker, Gallivan & Van Dooren (2012,
 "Low-rank incremental methods for computing dominant singular subspaces");
@@ -66,7 +67,6 @@ import ctypes
 import functools
 import os
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -117,15 +117,13 @@ class StreamConfig:
 
 @dataclass(frozen=True)
 class StreamState:
-    """Current estimate: modes (m x K), their singular values (descending,
-    length K), and the number of incorporate calls.
+    """Current estimate: modes (m x K) and their singular values
+    (descending, length K).
 
     carried_modes and carried_values hold the whole block the update
     carries, up to K + buffer_columns columns whose leading K are modes and
-    singular_values. A state built without them carries just its modes.
-    total_rows is the row count of the whole matrix, which caps the carried
-    width; a state built without it has it summed over ranks by its next
-    update. modes and carried_modes are this rank's rows.
+    singular_values. total_rows is the row count of the whole matrix, which
+    caps the carried width. modes and carried_modes are this rank's rows.
 
     The columns are orthonormal to ORTHO_DRIFT_TOL in the states that
     stream_all returns. A state straight out of an
@@ -136,10 +134,9 @@ class StreamState:
 
     modes: np.ndarray
     singular_values: np.ndarray
-    iteration: int
-    carried_modes: Optional[np.ndarray] = None
-    carried_values: Optional[np.ndarray] = None
-    total_rows: Optional[int] = None
+    carried_modes: np.ndarray
+    carried_values: np.ndarray
+    total_rows: int
 
 
 # glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, and
@@ -218,19 +215,8 @@ class Workspace:
         self._carried = basis
 
 
-def _state(basis, values, k, iteration, rows):
-    return StreamState(basis[:, :k], values[:k], iteration, basis, values,
-                       rows)
-
-
-def _total_rows(ctx, local_rows):
-    return int(_rank_sum(ctx, np.array([[float(local_rows)]]))[0, 0])
-
-
-def _carried(state):
-    if state.carried_modes is None:
-        return state.modes, state.singular_values
-    return state.carried_modes, state.carried_values
+def _state(basis, values, k, rows):
+    return StreamState(basis[:, :k], values[:k], basis, values, rows)
 
 
 def _drift(gram):
@@ -270,7 +256,7 @@ def _settle(ctx, state):
     """Check the orthonormality of the carried block once more, after the
     last batch, and re-orthonormalize it if it drifted. The incorporate
     steps only check the block they receive."""
-    u, s = _carried(state)
+    u, s = state.carried_modes, state.carried_values
     gram = _rank_sum(ctx, u.T @ u)
     if _drift(gram) <= ORTHO_DRIFT_TOL:
         return state
@@ -278,11 +264,68 @@ def _settle(ctx, state):
     res = svd_full(tri * s, want_vt=False)
     rotation = res.u if fold is None else fold @ res.u
     return _state(_product(u, rotation), res.s, state.modes.shape[1],
-                  state.iteration, state.total_rows)
+                  state.total_rows)
+
+
+def _update(ctx, u, s, rows, a_new, config, workspace):
+    """Fold a batch into the carried block u with values s, the first batch
+    into a block with no columns; returns the new state. rows is the
+    matrix's total row count.
+
+    With no carried block there is nothing to project onto: the head rank
+    sum and the drift check are skipped, the batch itself is factored, and
+    the small matrix is its R.
+    """
+    width = u.shape[1]
+    workspace = Workspace() if workspace is None else workspace
+    front = workspace.load(u, a_new.shape[1])
+    u, batch = front[:, :width], front[:, width:]
+    np.copyto(batch, a_new)  # no copy when the batch was read in place
+    coeff, top, fold = np.empty((0, batch.shape[1])), np.empty((0, 0)), None
+    if width:
+        # One rank sum carries the drift check U^T U and the projection U^T A.
+        head = np.empty((width, width + batch.shape[1]))
+        head[:, :width] = u.T @ u
+        head[:, width:] = u.T @ batch
+        head = _rank_sum(ctx, head)
+        coeff = head[:, width:]
+        top = np.diag(config.forget_factor * s)
+        if _drift(head[:, :width]) > ORTHO_DRIFT_TOL:
+            # U diag(s) = (U fold) (T diag(s)): the re-orthonormalized block
+            # enters the small matrix through its triangular factor T.
+            u, fold, tri = _reorthonormalize(ctx, u, head[:, :width])
+            top = tri * (config.forget_factor * s)
+            if fold is None:
+                coeff = _rank_sum(ctx, u.T @ batch)
+            else:
+                coeff = fold.T @ coeff
+        # The residual A - U C replaces the batch, then its QR factors
+        # replace the residual.
+        proj = _product(u, coeff if fold is None else fold @ coeff,
+                        workspace.back[:, :batch.shape[1]])
+        np.subtract(batch, proj, out=batch)
+    qr = parallel_qr(ctx, batch, overwrite_a=True, check_finite=False)
+    r = qr.r
+    small = np.zeros((width + r.shape[0], width + batch.shape[1]))
+    small[:width, :width] = top
+    small[:width, width:] = coeff
+    small[width:, width:] = r
+    res = svd_full(small, want_vt=False)
+    keep = _keep(res.s, small.shape, config, rows)
+    lift = res.u[:, :keep]
+    lift_top = lift[:width] if fold is None else fold @ lift[:width]
+    # A block re-orthonormalized by QR takes U's place; u is U otherwise.
+    np.copyto(front[:, :width], u)
+    basis = qr.apply(lift[width:], out=workspace.back[:, :keep],
+                     tall=front[:, :width + qr.basis.shape[1]],
+                     tall_x=lift_top)
+    workspace.turn(basis)
+    return _state(basis, res.s[:keep], config.k_modes, rows)
 
 
 def stream_initialize(ctx, a0, config, workspace=None):
-    """Build the initial state from this rank's rows of the first batch.
+    """Build the initial state from this rank's rows of the first batch:
+    the update of a block with no columns.
 
     a0 needs at least k_modes columns; fewer would leave the mode block
     rank-deficient from the start. `workspace` is for stream_all, which
@@ -295,15 +338,9 @@ def stream_initialize(ctx, a0, config, workspace=None):
         raise ValueError(
             f"initial batch has {a0.shape[1]} columns, need at least k_modes={k}"
         )
-    workspace = Workspace() if workspace is None else workspace
-    front = workspace.load(np.empty((a0.shape[0], 0)), a0.shape[1])
-    np.copyto(front, a0)  # no copy when the batch was read in place
-    qr = parallel_qr(ctx, front, overwrite_a=True, check_finite=False)
-    res = svd_full(qr.r, want_vt=False)
-    keep = _keep(res.s, qr.r.shape, config, qr.r.shape[0])
-    basis = qr.apply(res.u[:, :keep], out=workspace.back[:, :keep])
-    workspace.turn(basis)
-    return _state(basis, res.s[:keep], k, 0, _total_rows(ctx, a0.shape[0]))
+    rows = int(_rank_sum(ctx, np.array([[float(a0.shape[0])]]))[0, 0])
+    return _update(ctx, np.empty((a0.shape[0], 0)), np.empty(0), rows, a0,
+                   config, workspace)
 
 
 def stream_incorporate(ctx, state, a_new, config, workspace=None):
@@ -331,54 +368,8 @@ def stream_incorporate(ctx, state, a_new, config, workspace=None):
         raise ValueError(
             f"batch rows {a_new.shape[0]} != mode rows {state.modes.shape[0]}"
         )
-    u, s = _carried(state)
-    width = u.shape[1]
-    rows = state.total_rows
-    if rows is None:
-        rows = _total_rows(ctx, a_new.shape[0])
-    workspace = Workspace() if workspace is None else workspace
-    front = workspace.load(u, a_new.shape[1])
-    u, batch = front[:, :width], front[:, width:]
-    np.copyto(batch, a_new)  # no copy when the batch was read in place
-    # One rank sum carries the drift check U^T U and the projection U^T A.
-    head = np.empty((width, width + batch.shape[1]))
-    head[:, :width] = u.T @ u
-    head[:, width:] = u.T @ batch
-    head = _rank_sum(ctx, head)
-    coeff = head[:, width:]
-    top = np.diag(config.forget_factor * s)
-    fold = None
-    if _drift(head[:, :width]) > ORTHO_DRIFT_TOL:
-        # U diag(s) = (U fold) (T diag(s)): the re-orthonormalized block
-        # enters the small matrix through its triangular factor T.
-        u, fold, tri = _reorthonormalize(ctx, u, head[:, :width])
-        top = tri * (config.forget_factor * s)
-        if fold is None:
-            coeff = _rank_sum(ctx, u.T @ batch)
-        else:
-            coeff = fold.T @ coeff
-    # The residual A - U C replaces the batch, then its QR factors replace
-    # the residual.
-    np.subtract(batch, _product(u, coeff if fold is None else fold @ coeff,
-                                workspace.back[:, :batch.shape[1]]),
-                out=batch)
-    qr = parallel_qr(ctx, batch, overwrite_a=True, check_finite=False)
-    r = qr.r
-    small = np.zeros((width + r.shape[0], width + batch.shape[1]))
-    small[:width, :width] = top
-    small[:width, width:] = coeff
-    small[width:, width:] = r
-    res = svd_full(small, want_vt=False)
-    keep = _keep(res.s, small.shape, config, rows)
-    lift = res.u[:, :keep]
-    lift_top = lift[:width] if fold is None else fold @ lift[:width]
-    # A block re-orthonormalized by QR takes U's place; u is U otherwise.
-    np.copyto(front[:, :width], u)
-    basis = qr.apply(lift[width:], out=workspace.back[:, :keep],
-                     tall=front[:, :width + qr.basis.shape[1]],
-                     tall_x=lift_top)
-    workspace.turn(basis)
-    return _state(basis, res.s[:keep], k, state.iteration + 1, rows)
+    return _update(ctx, state.carried_modes, state.carried_values,
+                   state.total_rows, a_new, config, workspace)
 
 
 def stream_all(ctx, batches, config):
@@ -392,7 +383,8 @@ def stream_all(ctx, batches, config):
     state = None
 
     def slot(width):
-        u = np.empty((batches.rows, 0)) if state is None else _carried(state)[0]
+        u = np.empty((batches.rows, 0)) if state is None \
+            else state.carried_modes
         return workspace.load(u, width)[:, -width:]
 
     source = batches.batches(slot) if isinstance(batches, BatchSource) \

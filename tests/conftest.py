@@ -69,7 +69,7 @@ def subprocess_env():
 @pytest.fixture
 def fallback_qr(monkeypatch):
     """Makes qr_factor and r_factor take the routes that a numpy whose
-    library exports neither dgeqrt3 nor dgeqrt gets."""
+    library does not export dgeqrt gets."""
     monkeypatch.setattr(linalg, "_lapack", lambda routine: None)
 
 

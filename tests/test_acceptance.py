@@ -29,9 +29,9 @@ def _apmos_runner(a, world_size, config):
 
     def body(ctx):
         lo, hi = partition_bounds(a.shape[0], ctx.world_size)[ctx.rank]
-        state = apmos(ctx, a[lo:hi], config)
-        stacked = gather_modes(ctx, state)
-        return (stacked, state.singular_values) if ctx.rank == 0 else None
+        res = apmos(ctx, a[lo:hi], config)
+        stacked = gather_modes(ctx, res.u)
+        return (stacked, res.s) if ctx.rank == 0 else None
 
     return run_simulated(world_size, body)[0]
 

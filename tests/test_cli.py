@@ -131,8 +131,8 @@ def test_decompose_parallel_randomized_matches_library(tmp_path, capsys):
         # the same column-major row block the CLI reads for this rank
         lo, hi = bounds[ctx.rank]
         block = read_submatrix(mat, lo, hi, 0, a.shape[1])
-        state = apmos(ctx, block, config)
-        return gather_modes(ctx, state), state.singular_values
+        res = apmos(ctx, block, config)
+        return gather_modes(ctx, res.u), res.s
 
     modes, values = run_simulated(2, program)[0]
     assert np.array_equal(
@@ -199,13 +199,19 @@ def test_serial_stream_world_size_limits(tmp_path, monkeypatch, threads, rows,
     assert _summary(outdir)["world_size"] == str(world_size)
 
 
-@pytest.mark.parametrize("mode", ["serial-stream", "parallel-stream"])
-def test_decompose_stream_rejects_zero_columns(tmp_path, capsys, mode):
+@pytest.mark.parametrize("shape", [(0, 3), (4, 0)], ids=["0x3", "4x0"])
+@pytest.mark.parametrize("mode", MODES)
+def test_decompose_rejects_an_empty_matrix(tmp_path, capsys, mode, shape):
+    # one check names the file and its shape in every mode, before any
+    # mode's own checks (world size against rows, k against columns)
     mat = tmp_path / "empty.bin"
-    write_matrix(mat, np.zeros((4, 0)))
+    write_matrix(mat, np.zeros(shape))
     assert main(["decompose", "--input", str(mat), "--outdir",
                  str(tmp_path / "o"), "--mode", mode]) == 1
-    assert f"{mat} has no columns to stream" in capsys.readouterr().err
+    rows, cols = shape
+    assert (f"error: {mat} holds a {rows}x{cols} matrix, nothing to factor"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("mode", ["serial-stream", "parallel-stream"])

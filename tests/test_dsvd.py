@@ -9,8 +9,8 @@ from parsvd.comm import RankContext, run_simulated
 from test_comm import run_tcp
 from oracles import row_partition
 from parsvd.datagen import partition_bounds, synthetic_spectrum_matrix
-from parsvd.dsvd import (ApmosConfig, LocalModes, _rank_sum, apmos,
-                         gather_modes, generate_right_vectors, parallel_qr)
+from parsvd.dsvd import (ApmosConfig, _rank_sum, apmos, gather_modes,
+                         generate_right_vectors, parallel_qr)
 from parsvd.errors import DegenerateModeError, ProtocolError
 from parsvd.linalg import (RandomSketchConfig, aligned_mode_difference,
                            qr_factor, svd_full)
@@ -106,8 +106,9 @@ def test_apmos_world_size_one_matches_direct():
     direct = svd_full(a)
     config = ApmosConfig(local_rank=10, global_rank=6, k_modes=4)
     [local] = run_simulated(1, lambda ctx: apmos(ctx, a, config))
-    assert np.allclose(local.singular_values, direct.s[:4], rtol=1e-10)
-    assert np.max(aligned_mode_difference(local.modes, direct.u[:, :4])) < 1e-9
+    assert local.vt is None
+    assert np.allclose(local.s, direct.s[:4], rtol=1e-10)
+    assert np.max(aligned_mode_difference(local.u, direct.u[:, :4])) < 1e-9
 
 
 def test_apmos_four_ranks_exact_when_untrancated():
@@ -118,7 +119,7 @@ def test_apmos_four_ranks_exact_when_untrancated():
 
     def program(ctx):
         local = apmos(ctx, blocks[ctx.rank], config)
-        return gather_modes(ctx, local), local.singular_values
+        return gather_modes(ctx, local.u), local.s
 
     results = run_simulated(4, program)
     stacked, values = results[0]
@@ -137,7 +138,7 @@ def test_apmos_rank_count_invariance_with_short_blocks():
         config = ApmosConfig(local_rank=16, global_rank=16, k_modes=5)
 
         def program(ctx):
-            return gather_modes(ctx, apmos(ctx, blocks[ctx.rank], config))
+            return gather_modes(ctx, apmos(ctx, blocks[ctx.rank], config).u)
 
         stacked = run_simulated(world_size, program)[0]
         if reference is None:
@@ -157,7 +158,7 @@ def test_apmos_randomized_kernel_route():
                          sketch=sketch)
 
     def program(ctx):
-        return gather_modes(ctx, apmos(ctx, blocks[ctx.rank], config))
+        return gather_modes(ctx, apmos(ctx, blocks[ctx.rank], config).u)
 
     stacked = run_simulated(3, program)[0]
     assert np.max(aligned_mode_difference(stacked, direct.u[:, :3])) < 1e-7
@@ -313,15 +314,16 @@ def test_parallel_rescue_pass_restores_orthonormality():
     drifted = q + 1e-4 * rng.standard_normal((30, 3))
     values = np.array([3.0, 2.0, 1.0])
     batch = rng.standard_normal((30, 4))
-    serial = stream_incorporate(ONE, StreamState(drifted, values, 0), batch,
-                                config)
+    serial = stream_incorporate(
+        ONE, StreamState(drifted, values, drifted, values, 30), batch, config)
     mode_blocks = row_partition(drifted, 2)
     batch_blocks = row_partition(batch, 2)
 
     def program(ctx):
-        state = StreamState(mode_blocks[ctx.rank], values, 0)
+        block = mode_blocks[ctx.rank]
+        state = StreamState(block, values, block, values, 30)
         new = stream_incorporate(ctx, state, batch_blocks[ctx.rank], config)
-        return gather_modes(ctx, new), new.singular_values
+        return gather_modes(ctx, new.modes), new.singular_values
 
     (stacked, got), (_, other) = run_simulated(2, program)
     assert np.max(np.abs(stacked.T @ stacked - np.eye(3))) < 1e-12
@@ -341,7 +343,7 @@ def test_stream_all_in_a_world_of_one_matches_simulated_ranks():
         lo, hi = partition_bounds(40, ctx.world_size)[ctx.rank]
         state, history = stream_all(
             ctx, [a[lo:hi, i:i + 5] for i in range(0, 23, 5)], config)
-        return gather_modes(ctx, state), state, history
+        return gather_modes(ctx, state.modes), state, history
 
     [(modes, state, history)] = run_simulated(1, program)
     assert np.array_equal(modes, serial.modes)
@@ -369,7 +371,7 @@ def test_a_world_of_one_never_touches_the_codec(monkeypatch):
     assert len(history) == 5
     config = ApmosConfig(local_rank=10, global_rank=5, k_modes=3)
     [modes] = run_simulated(
-        1, lambda ctx: gather_modes(ctx, apmos(ctx, a, config)))
+        1, lambda ctx: gather_modes(ctx, apmos(ctx, a, config).u))
     assert modes.shape == (40, 3)
 
 
@@ -408,6 +410,33 @@ def test_parallel_stream_refuses_a_non_finite_later_batch(bad):
 
     with pytest.raises(ValueError, match="non-finite"):
         run_simulated(2, program)
+
+
+# Rank 0's (frames sent, bytes sent, frames received, bytes received) over
+# a stream of four batches, by world size.
+STREAM_TRAFFIC = {2: (13, 8772, 9, 5460), 3: (26, 17544, 18, 10920)}
+
+
+@pytest.mark.parametrize("world_size", [2, 3])
+def test_stream_traffic_is_five_transfers_per_batch(world_size):
+    # with no QR rescue, rank 0 moves 5 (P - 1) frames per batch and
+    # 2 (P - 1) for the final check. The first batch is the update of an
+    # empty block: its TSQR and row-count sum make the five, with no rank
+    # sum of a projection
+    a = _random(60, 40, seed=74)
+    config = StreamConfig(k_modes=3, buffer_columns=2)
+
+    def program(ctx):
+        lo, hi = partition_bounds(60, ctx.world_size)[ctx.rank]
+        stream_all(ctx, [a[lo:hi, i:i + 10] for i in range(0, 40, 10)],
+                   config)
+        return ctx.stats
+
+    stats = run_simulated(world_size, program)[0]
+    assert stats.frames_sent + stats.frames_received \
+        == (5 * 4 + 2) * (world_size - 1)
+    assert (stats.frames_sent, stats.bytes_sent, stats.frames_received,
+            stats.bytes_received) == STREAM_TRAFFIC[world_size]
 
 
 def test_parallel_stream_caps_width_at_global_rows():
@@ -461,7 +490,7 @@ def test_parallel_stream_matches_direct_on_gapped_spectrum():
         for start in (8, 16):
             state = stream_incorporate(ctx, state, block[:, start:start + 8],
                                        config)
-        return gather_modes(ctx, state), state.singular_values
+        return gather_modes(ctx, state.modes), state.singular_values
 
     stacked, values = run_simulated(4, program)[0]
     assert np.max(np.abs(values - direct.s[:4]) / direct.s[:4]) < 1e-8
@@ -505,8 +534,7 @@ def test_parallel_stream_burgers_truncation_error_profile(burgers_snapshots,
 
 def test_gather_modes_rank_order():
     def program(ctx):
-        local = LocalModes(np.full((2, 2), float(ctx.rank)), np.ones(2))
-        return gather_modes(ctx, local)
+        return gather_modes(ctx, np.full((2, 2), float(ctx.rank)))
 
     results = run_simulated(3, program)
     assert results[1] is None and results[2] is None
@@ -516,8 +544,7 @@ def test_gather_modes_rank_order():
 def test_gather_modes_refuses_a_block_of_another_width():
     # ranks started with different --k values assemble different K
     def program(ctx):
-        local = LocalModes(np.ones((2, 2 + ctx.rank)), np.ones(2 + ctx.rank))
-        return gather_modes(ctx, local)
+        return gather_modes(ctx, np.ones((2, 2 + ctx.rank)))
 
     with pytest.raises(ProtocolError, match=r"rank 1 sent a \(2, 3\)"):
         run_simulated(2, program)

@@ -16,7 +16,7 @@ from parsvd.io import (BatchSource, read_matrix_header, read_modes_csv,
 # Every reader checks the file's size against its header before it reads.
 READERS = (read_matrix_header,
            lambda path: read_submatrix(path, 0, 1, 0, 1),
-           lambda path: BatchSource.from_file(path, 1))
+           lambda path: BatchSource(path, 1))
 
 
 def _read_whole(path):
@@ -128,39 +128,27 @@ def test_read_submatrix_blocks(tmp_path):
 def test_batches_tile_the_matrix(tmp_path):
     rng = np.random.Generator(np.random.Philox(72))
     a = rng.standard_normal((6, 10))
-    widths = [b.shape[1] for b in BatchSource.from_matrix(a, 4)]
-    assert widths == [4, 4, 2]
-    assert np.array_equal(
-        np.concatenate(list(BatchSource.from_matrix(a, 4)), axis=1), a)
-
     path = tmp_path / "a.bin"
     write_matrix(path, a)
     for rows in (None, (1, 4)):
         lo, hi = rows or (0, a.shape[0])
-        from_file = list(BatchSource.from_file(path, 4, rows=rows))
-        from_memory = list(BatchSource.from_matrix(a[lo:hi], 4))
-        assert len(from_file) == len(from_memory) == 3
-        for fb, mb in zip(from_file, from_memory):
-            assert np.array_equal(fb, mb)
+        batches = list(BatchSource(path, 4, rows=rows))
+        assert [b.shape[1] for b in batches] == [4, 4, 2]
+        for batch, start in zip(batches, range(0, 10, 4)):
+            assert np.array_equal(batch, a[lo:hi, start:start + 4])
 
 
 def test_batch_source_validation(tmp_path):
-    with pytest.raises(ValueError):
-        BatchSource(0, matrix=np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        BatchSource(2)
     path = tmp_path / "a.bin"
     write_matrix(path, np.ones((2, 2)))
     with pytest.raises(ValueError):
-        BatchSource(2, path=path, matrix=np.ones((2, 2)))
+        BatchSource(path, 0)
     with pytest.raises(ValueError):
-        BatchSource(2, matrix=np.ones((2, 2)), rows=(0, 1))
-    with pytest.raises(ValueError):
-        BatchSource.from_file(path, 2, rows=(1, 3))
-    src = BatchSource.from_file(path, 1)
+        BatchSource(path, 2, rows=(1, 3))
+    src = BatchSource(path, 1)
     assert (src.rows, src.cols) == (2, 2)
     assert len(list(src)) == 2
-    assert BatchSource.from_file(path, 1, rows=(1, 2)).rows == 1
+    assert BatchSource(path, 1, rows=(1, 2)).rows == 1
 
 
 # ---------- CSV emitters ----------

@@ -63,12 +63,11 @@ def test_qr_is_deterministic():
     assert np.array_equal(first.r, second.r)
 
 
-def test_qr_finds_dgeqrt3_wherever_openblas_is_found():
+def test_qr_finds_dgeqrt_wherever_openblas_is_found():
     # a symbol renamed by a numpy or OpenBLAS upgrade fails here instead of
-    # silently running the fallback; r_factor's dgeqrt too
+    # silently running the fallback of qr_factor and r_factor
     if linalg._openblas_threads() is None:
         pytest.skip("numpy does not use OpenBLAS")
-    assert linalg._lapack("dgeqrt3") is not None
     assert linalg._lapack("dgeqrt") is not None
 
 
@@ -132,8 +131,8 @@ def _check_tall_and_wide(shape):
 @pytest.mark.parametrize("n", [1, 16, 17, 33, 100, 135])
 @pytest.mark.parametrize("rows_per_col", [1, 3])
 def test_qr_recursive_kernel_matches_lapack(n, rows_per_col):
-    # dgeqrt3 splits every block wider than one column in half, so odd
-    # widths exercise uneven splits
+    # dgeqrt's one block is dgeqrt3's, which splits every block wider than
+    # one column in half, so odd widths exercise uneven splits
     _check_kernel_against_lapack(n, rows_per_col)
 
 

@@ -17,6 +17,16 @@ from parsvd.streaming import StreamConfig, StreamState, Workspace, \
 # Every stream here runs serially: one rank with no transport.
 ONE = RankContext(0, 1, None)
 
+def _slices(a, width):
+    """a's column batches of the given width, the last one narrower."""
+    return [a[:, i:i + width] for i in range(0, a.shape[1], width)]
+
+
+def _carrying(modes, values):
+    """A state that carries just its modes: the rescue-pass tests' inputs."""
+    return StreamState(modes, values, modes, values, modes.shape[0])
+
+
 def _constructed(rows=60, cols=36, seed=11):
     """Spectrum with a clear gap after the fifth value and a tiny tail, so
     K = 5 streaming is essentially exact under any partition."""
@@ -42,7 +52,6 @@ def test_initialize_diagonal_exact():
                               StreamConfig(k_modes=3))
     assert np.array_equal(state.singular_values, [3.0, 2.0, 1.0])
     assert np.array_equal(np.abs(state.modes), np.eye(3))
-    assert state.iteration == 0
 
 
 def test_initialize_matches_direct_svd():
@@ -64,7 +73,7 @@ def test_single_shot_equivalence_constructed_spectrum():
     a = _constructed()
     direct = svd_full(a)
     config = StreamConfig(k_modes=5, forget_factor=1.0)
-    state, _ = stream_all(ONE, BatchSource.from_matrix(a, 15), config)
+    state, _ = stream_all(ONE, _slices(a, 15), config)
     rel = np.abs(state.singular_values - direct.s[:5]) / direct.s[:5]
     assert np.max(rel) < 1e-8
     assert np.max(aligned_mode_difference(state.modes, direct.u[:, :5])) < 1e-6
@@ -75,13 +84,12 @@ def test_partition_invariance():
     direct = svd_full(a)
     for width in (36, 12, 9, 7, 5):
         config = StreamConfig(k_modes=5, forget_factor=1.0)
-        state, history = stream_all(ONE, BatchSource.from_matrix(a, width),
-                                    config)
+        state, history = stream_all(ONE, _slices(a, width), config)
         rel = np.abs(state.singular_values - direct.s[:5]) / direct.s[:5]
         assert np.max(rel) < 1e-6, f"width {width}"
         assert np.max(aligned_mode_difference(state.modes,
                                               direct.u[:, :5])) < 1e-5
-        assert state.iteration == len(history) - 1 == -(-36 // width) - 1
+        assert len(history) == -(-36 // width)
 
 
 def test_exact_when_k_covers_rank():
@@ -89,7 +97,7 @@ def test_exact_when_k_covers_rank():
     a = synthetic_spectrum_matrix(40, 24, [4.0, 2.0, 1.0], seed=12)
     direct = svd_full(a)
     config = StreamConfig(k_modes=3, forget_factor=1.0)
-    state, _ = stream_all(ONE, BatchSource.from_matrix(a, 6), config)
+    state, _ = stream_all(ONE, _slices(a, 6), config)
     assert np.allclose(state.singular_values, direct.s[:3], rtol=1e-10)
     assert np.max(aligned_mode_difference(state.modes, direct.u[:, :3])) < 1e-9
 
@@ -111,15 +119,14 @@ def test_incorporate_batch_in_current_span():
     small = np.concatenate([np.diag(state.singular_values), coeff], axis=1)
     expect = svd_full(small).s[:4]
     assert np.allclose(new.singular_values, expect, rtol=1e-12)
-    assert new.iteration == 1
 
 
 def test_forget_factor_damps_history():
     a = _constructed(rows=50, cols=20, seed=13)
     plain = StreamConfig(k_modes=5, forget_factor=1.0)
     damped = StreamConfig(k_modes=5, forget_factor=0.95)
-    s_plain, _ = stream_all(ONE, BatchSource.from_matrix(a, 10), plain)
-    s_damped, _ = stream_all(ONE, BatchSource.from_matrix(a, 10), damped)
+    s_plain, _ = stream_all(ONE, _slices(a, 10), plain)
+    s_damped, _ = stream_all(ONE, _slices(a, 10), damped)
     assert s_damped.singular_values[0] < s_plain.singular_values[0]
     assert np.all(s_damped.singular_values <= s_plain.singular_values + 1e-12)
 
@@ -135,7 +142,6 @@ def test_modes_stay_orthonormal_over_many_updates():
     assert np.max(np.abs(gram - np.eye(6))) < 1e-8
     assert np.all(np.diff(state.singular_values) <= 0.0)
     assert np.all(state.singular_values >= 0.0)
-    assert state.iteration == 50
 
 
 def test_variable_batch_width_accepted():
@@ -147,7 +153,8 @@ def test_variable_batch_width_accepted():
     state = stream_incorporate(ONE, state, rng.standard_normal((20, 9)),
                                config)
     assert state.modes.shape == (20, 3)
-    assert state.iteration == 2
+    # 15 Gaussian columns span 15 directions, all carried
+    assert state.carried_modes.shape == (20, 15)
 
 
 def test_incorporate_validates_shapes():
@@ -169,7 +176,7 @@ def test_rescue_pass_restores_orthonormality():
     config = StreamConfig(k_modes=3, forget_factor=1.0)
     q = qr_factor(rng.standard_normal((30, 3))).q
     drifted = q + 1e-4 * rng.standard_normal((30, 3))
-    state = StreamState(drifted, np.array([3.0, 2.0, 1.0]), 0)
+    state = _carrying(drifted, np.array([3.0, 2.0, 1.0]))
     new = stream_incorporate(ONE, state, rng.standard_normal((30, 4)), config)
     gram = new.modes.T @ new.modes
     assert np.max(np.abs(gram - np.eye(3))) < 1e-12
@@ -189,8 +196,7 @@ def test_rescue_pass_keeps_the_carried_matrix(lean):
     drifted[:, 2] = lean * q[:, 0] + np.sqrt(1.0 - lean ** 2) * q[:, 2]
     values = np.array([3.0, 2.0, 1.0])
     batch = rng.standard_normal((30, 4))
-    new = stream_incorporate(ONE, StreamState(drifted, values, 0), batch,
-                             config)
+    new = stream_incorporate(ONE, _carrying(drifted, values), batch, config)
     exact = svd_full(np.concatenate([drifted * values, batch], axis=1))
     basis = new.carried_modes
     assert basis.shape == (30, 7)
@@ -203,13 +209,12 @@ def test_carried_width_follows_rank_and_row_count():
     # rank-3 data: the directions past the third are rounding noise and are
     # not carried; six rows: at most six columns are
     low_rank = synthetic_spectrum_matrix(40, 24, [4.0, 2.0, 1.0], seed=12)
-    state, _ = stream_all(ONE, BatchSource.from_matrix(low_rank, 6),
-                          StreamConfig(k_modes=3))
+    state, _ = stream_all(ONE, _slices(low_rank, 6), StreamConfig(k_modes=3))
     assert state.carried_modes.shape == (40, 3)
     rng = np.random.Generator(np.random.Philox(46))
     short = rng.standard_normal((6, 20))
     config = StreamConfig(k_modes=2, forget_factor=1.0)
-    state, _ = stream_all(ONE, BatchSource.from_matrix(short, 4), config)
+    state, _ = stream_all(ONE, _slices(short, 4), config)
     assert state.carried_modes.shape == (6, 6)
     assert state.modes.shape == (6, 2)
     direct = svd_full(short)
@@ -305,7 +310,7 @@ def test_stream_all_matches_single_steps_bit_for_bit(widths, tmp_path):
     # a file source reads its batches straight into the workspace
     path = tmp_path / "a.bin"
     write_matrix(path, a)
-    source = BatchSource.from_file(path, widths[0], rows=(10, 50))
+    source = BatchSource(path, widths[0], rows=(10, 50))
     ref, ref_history = _single_steps(list(source), config)
     state, history = stream_all(ONE, source, config)
     assert _same_state(state, ref)
@@ -317,11 +322,11 @@ def _drifted_state(lean, rng):
     1e-4 (lean None), or with its third column leaning on its first."""
     q = qr_factor(rng.standard_normal((30, 3))).q
     if lean is None:
-        return StreamState(q + 1e-4 * rng.standard_normal((30, 3)),
-                           np.array([3.0, 2.0, 1.0]), 0)
+        return _carrying(q + 1e-4 * rng.standard_normal((30, 3)),
+                         np.array([3.0, 2.0, 1.0]))
     drifted = q.copy()
     drifted[:, 2] = lean * q[:, 0] + np.sqrt(1.0 - lean ** 2) * q[:, 2]
-    return StreamState(drifted, np.array([3.0, 2.0, 1.0]), 0)
+    return _carrying(drifted, np.array([3.0, 2.0, 1.0]))
 
 
 @pytest.mark.parametrize("lean", [None, 1e-4, 0.99999])
@@ -354,7 +359,7 @@ def test_non_finite_later_batch_is_refused(bad, tmp_path):
         fh.seek(24 + 8 * (20 * 9 + 7))
         fh.write(np.float64(bad).tobytes())
     with pytest.raises(ValueError, match="non-finite"):
-        stream_all(ONE, BatchSource.from_file(path, 4), config)
+        stream_all(ONE, BatchSource(path, 4), config)
 
 
 def test_workspace_keeps_freed_memory_unless_malloc_is_tuned(monkeypatch):
