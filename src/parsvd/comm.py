@@ -13,6 +13,12 @@ Wire layout, little endian throughout:
     matrix = [u64 rows][u64 cols][rows * cols float64, column-major]
     frame  = [u32 tag][u32 source][u32 dest][matrix]
 
+The tag names the operation that sent the frame (SEND_TAG, GATHER_TAG or
+BCAST_TAG). Every rank runs the same program over FIFO connections, so the
+frames between rank 0 and a peer arrive in program order, as MPI promises.
+A receive takes its peer's oldest frame; one sent by another operation
+means the ranks diverged, and raises ProtocolError naming both tags.
+
 A frame whose matrix header announces more than MAX_PAYLOAD_BYTES is
 refused with ProtocolError before its payload is read. Rank 0 records a
 peer's hang-up: once the frames that peer sent before closing are consumed,
@@ -42,7 +48,7 @@ import socket
 import struct
 import threading
 import time
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,10 +59,11 @@ from .linalg import as_matrix, blas_thread_budget
 FRAME_HEADER = struct.Struct("<III")
 MATRIX_HEADER = struct.Struct("<QQ")
 
-# Tags at or above this bound are reserved for the collectives.
-MAX_USER_TAG = 0xFFFF0000
+# The operation that sent a frame, checked by the receive that takes it.
+SEND_TAG = 0xFFFF0000
 GATHER_TAG = 0xFFFF0001
 BCAST_TAG = 0xFFFF0002
+_TAG_NAMES = {SEND_TAG: "send", GATHER_TAG: "gather", BCAST_TAG: "broadcast"}
 
 DEFAULT_DEADLINE = 30.0
 _POLL = 0.02
@@ -131,13 +138,12 @@ def _parse_address(address):
 
 def _recv_exact(sock, n, deadline, peer="peer"):
     """Read exactly n bytes. Returns None on a clean EOF at offset zero;
-    raises ProtocolError on EOF mid-read or a failed read, naming `peer`
-    (who is on the other end) and the OS error, and CollectiveTimeout past
-    the deadline."""
+    raises ProtocolError on EOF mid-read or a failed read (with the OS
+    error), and CollectiveTimeout past the deadline, each naming `peer`."""
     buf = bytearray()
     while len(buf) < n:
         if time.monotonic() > deadline:
-            raise CollectiveTimeout(f"timed out reading {n}-byte block")
+            raise CollectiveTimeout(f"timed out reading {n} bytes from {peer}")
         ready, _, _ = select.select([sock], [], [], _POLL)
         if not ready:
             continue
@@ -151,7 +157,7 @@ def _recv_exact(sock, n, deadline, peer="peer"):
             if not buf:
                 return None
             raise ProtocolError(
-                f"connection closed after {len(buf)} of {n} bytes"
+                f"connection to {peer} closed after {len(buf)} of {n} bytes"
             )
         buf += chunk
     return bytes(buf)
@@ -186,14 +192,15 @@ def _read_frame(sock, deadline, peer="peer"):
     """Read one full frame from `peer`; returns (tag, source, dest,
     payload) or None on clean EOF between frames. A matrix header
     announcing more than MAX_PAYLOAD_BYTES raises ProtocolError before the
-    payload is read."""
+    payload is read; every error names `peer`."""
     head = _recv_exact(sock, FRAME_HEADER.size, deadline, peer)
     if head is None:
         return None
     tag, source, dest = FRAME_HEADER.unpack(head)
     mhead = _recv_exact(sock, MATRIX_HEADER.size, deadline, peer)
     if mhead is None:
-        raise ProtocolError("connection closed between frame and matrix header")
+        raise ProtocolError(f"connection to {peer} closed between frame "
+                            f"and matrix header")
     rows, cols = MATRIX_HEADER.unpack(mhead)
     size = 8 * rows * cols
     if size > MAX_PAYLOAD_BYTES:
@@ -205,7 +212,8 @@ def _read_frame(sock, deadline, peer="peer"):
     if size:
         body = _recv_exact(sock, size, deadline, peer)
         if body is None:
-            raise ProtocolError("connection closed before matrix payload")
+            raise ProtocolError(f"connection to {peer} closed before "
+                                f"matrix payload")
     return tag, source, dest, mhead + body
 
 
@@ -220,8 +228,9 @@ class TcpTransport:
     with ValueError, and a frame addressed to a rank other than its reader,
     or from a rank other than the one at the far end of its connection,
     raises ProtocolError. Each rank reads its own sockets inside its own
-    receives and keeps frames that arrive ahead of their receive in one
-    buffer, by source and tag.
+    receives and queues frames that arrive ahead of their receive in one
+    FIFO per peer. A receive takes its peer's oldest frame, which must
+    carry the tag of the operation it expects.
 
     Construct through `listen` (rank 0, which owns the listening socket)
     or `connect` (other ranks) for TCP; run_simulated wires in-process
@@ -233,7 +242,7 @@ class TcpTransport:
         self.world_size = world_size
         self._conns = {}            # rank -> socket: all peers', or the root's
         self._ended = set()         # ranks whose connection reached its end
-        self._pending = {}          # (source, tag) -> deque[bytes]
+        self._queues = defaultdict(deque)   # rank -> deque[(tag, bytes)]
         self._server = None         # root only: the listening socket
 
     @classmethod
@@ -317,15 +326,13 @@ class TcpTransport:
                     deadline, _peer_name(link))
 
     def recv_frame(self, source, tag, deadline):
-        """Return the payload of the oldest frame from `source` with `tag`,
-        reading this rank's connections until one arrives. Frames with
-        other tags wait in the pending buffer for their own receive."""
+        """Return the payload of the oldest frame from `source`, reading
+        this rank's connections until one arrives. A frame whose tag is not
+        `tag` was sent by another operation: the two programs have
+        diverged, and ProtocolError names the peer and both tags."""
         link = self._link(source)
-        key = (source, tag)
-        while True:
-            box = self._pending.get(key)
-            if box:
-                return box.popleft()
+        queue = self._queues[link]
+        while not queue:
             if link in self._ended:
                 raise ProtocolError(
                     f"{_peer_name(link)} closed the connection"
@@ -335,13 +342,21 @@ class TcpTransport:
                     f"recv at rank {self.rank} from rank {source} timed out"
                 )
             self._pump(deadline)
+        got, payload = queue.popleft()
+        if got != tag:
+            raise ProtocolError(
+                f"{_peer_name(link)} sent rank {self.rank} a "
+                f"{_TAG_NAMES.get(got, 'foreign')} frame (tag {got:#x}) where "
+                f"a {_TAG_NAMES[tag]} frame (tag {tag:#x}) was due"
+            )
+        return payload
 
     def _pump(self, deadline):
         """Wait until one of this rank's live connections is readable or
         the deadline passes, then read one frame, within the deadline, from
-        each readable connection: keep a frame from the rank at the other
-        end, addressed to this rank, by (source, tag); refuse any other;
-        and mark a connection that reached its end."""
+        each readable connection: queue a frame from the rank at the other
+        end, addressed to this rank, behind that rank's earlier frames;
+        refuse any other; and mark a connection that reached its end."""
         live = {sock: rank for rank, sock in self._conns.items()
                 if rank not in self._ended}
         wait = max(0.0, deadline - time.monotonic())
@@ -363,7 +378,7 @@ class TcpTransport:
                     f"{_peer_name(rank)} sent rank {self.rank} a frame "
                     f"addressed to rank {dest}"
                 )
-            self._pending.setdefault((source, tag), deque()).append(payload)
+            self._queues[rank].append((tag, payload))
 
     def close(self):
         for sock in self._conns.values():
@@ -436,28 +451,19 @@ def _check_peer(ctx, peer, who):
         raise ValueError(f"{who} {peer} is this rank; self-transfer is not allowed")
 
 
-def _check_tag(tag):
-    if not 0 <= tag < MAX_USER_TAG:
-        raise ValueError(f"tag must be in [0, {MAX_USER_TAG}), got {tag}")
-
-
-def send(ctx, value, dest, tag):
+def send(ctx, value, dest):
     """Point-to-point send of one matrix."""
     _check_peer(ctx, dest, "dest")
-    _check_tag(tag)
     value = as_matrix(value, "value", allow_empty=True)
-    ctx._send_raw(dest, tag, encode_matrix(value))
+    ctx._send_raw(dest, SEND_TAG, encode_matrix(value))
 
 
-def recv(ctx, source, tag):
-    """Blocking receive of one matrix with the given tag from `source`.
-
-    Frames from the same source with other tags are held aside and returned
-    to later receives, so interleaved tag usage cannot drop data.
-    """
+def recv(ctx, source):
+    """Blocking receive of the next frame from `source`, which must come
+    from its matching send: frames between two ranks arrive in program
+    order, and one from another operation raises ProtocolError."""
     _check_peer(ctx, source, "source")
-    _check_tag(tag)
-    return decode_matrix(ctx._recv_raw(source, tag))
+    return decode_matrix(ctx._recv_raw(source, SEND_TAG))
 
 
 def gather(ctx, local, root=0):
@@ -482,33 +488,22 @@ def gather(ctx, local, root=0):
 
 
 def broadcast(ctx, value, root=0):
-    """Send the root's array to every rank; returns it on all ranks.
+    """Send the root's matrix to every rank; returns it on all ranks.
 
-    Vectors ride the wire as n-by-1 matrices. Non-root callers signal which
-    shape they expect through the placeholder they pass: a 1-D placeholder
-    (any length, e.g. np.empty(0)) yields a 1-D result, anything else yields
-    the matrix as sent. The root gets back a copy of its own value, and
+    Other ranks pass None. The root gets back a copy of its own value, and
     encodes it only when another rank exists.
     """
     if not 0 <= root < ctx.world_size:
         raise ValueError(f"root {root} out of range for world {ctx.world_size}")
-    if ctx.rank == root:
-        arr = np.asarray(value, dtype=np.float64)
-        if arr.ndim not in (1, 2):
-            raise ValueError(f"broadcast value must be 1-D or 2-D, got {arr.ndim}-D")
-        if ctx.world_size > 1:
-            matrix = arr.reshape(-1, 1) if arr.ndim == 1 else arr
-            payload = encode_matrix(as_matrix(matrix, "value", allow_empty=True))
-            for rank in range(ctx.world_size):
-                if rank != root:
-                    ctx._send_raw(rank, BCAST_TAG, payload)
-        return arr.copy()
-    mat = decode_matrix(ctx._recv_raw(root, BCAST_TAG))
-    want_vector = value is not None and np.ndim(value) == 1
-    if want_vector:
-        # (n, 1) column-major bytes are exactly the vector's bytes
-        return mat.reshape(-1)
-    return mat
+    if ctx.rank != root:
+        return decode_matrix(ctx._recv_raw(root, BCAST_TAG))
+    value = as_matrix(value, "value", allow_empty=True)
+    if ctx.world_size > 1:
+        payload = encode_matrix(value)
+        for rank in range(ctx.world_size):
+            if rank != root:
+                ctx._send_raw(rank, BCAST_TAG, payload)
+    return value.copy()
 
 
 def run_simulated(world_size, fn, *, deadline=DEFAULT_DEADLINE):

@@ -10,7 +10,8 @@ global matrix. The module provides:
   QR factor (`linalg.r_factor`, which builds no Q), without forming its
   left singular vectors. Rank 0 stacks the W^i, factors the stack
   (exactly or with the randomized kernel), keeps r2 columns, and
-  broadcasts them; each rank then lifts its local mode rows as
+  broadcasts them with their values in one matrix [X; lambda^T]; each
+  rank then lifts its local mode rows as
   U^i_j = A^i X_j / lambda_j. The stack satisfies W W^T = A^T A, which
   is what makes the assembly exact when nothing is truncated. The result
   is a linalg.SvdResult of the form svd_full(want_vt=False) returns,
@@ -21,10 +22,10 @@ global matrix. The module provides:
 
 * parallel_qr and _rank_sum, the two collectives of the streaming update
   (`streaming`): a tall-skinny QR across ranks (local QR, QR of the stacked
-  triangular factors at rank 0, ship each rank its slice of the stacked Q)
-  and a sum of small matrices. A rank's block of the global Q, its local Q
-  times its slice, is formed only when read; the streaming update only
-  applies it to a small rotation.
+  triangular factors at rank 0, one reply to each rank holding its slice of
+  the stacked Q and the shared R) and a sum of small matrices. A rank's
+  block of the global Q, its local Q times its slice, is formed only when
+  read; the streaming update only applies it to a small rotation.
 
 All collectives run through a RankContext, so the same functions work in
 a simulated world and over TCP.
@@ -40,10 +41,6 @@ from .errors import DegenerateModeError, ProtocolError
 from .linalg import (QrResult, RandomSketchConfig, SvdResult,
                      _positive_column_signs, _product, as_matrix, low_rank_svd,
                      qr_factor, r_factor, svd_full)
-
-# Tag base for shipping global-Q slices back to their ranks; rank i gets
-# tag i + 10, mirroring how the row slices are laid out in the stacked Q.
-QR_SLICE_TAG = 10
 
 
 @dataclass(frozen=True)
@@ -138,6 +135,7 @@ def apmos(ctx, a_local, config):
     v, s = generate_right_vectors(a, r1)
     w_local = v * s
     parts = gather(ctx, w_local)
+    packed = None
     if ctx.rank == 0:
         w = np.concatenate(parts, axis=1)
         if config.sketch is not None:
@@ -149,13 +147,9 @@ def apmos(ctx, a_local, config):
                 f"stacked exchange matrix only has {res.s.size} singular "
                 f"values, global_rank is {r2}"
             )
-        x = res.u[:, :r2]
-        lam = res.s[:r2]
-        broadcast(ctx, x)
-        broadcast(ctx, lam)
-    else:
-        x = broadcast(ctx, None)
-        lam = broadcast(ctx, np.empty(0))
+        packed = np.vstack([res.u[:, :r2], res.s[None, :r2]])
+    packed = broadcast(ctx, packed)
+    x, lam = packed[:-1], packed[-1]
     for j in range(k):
         if lam[j] == 0.0:
             raise DegenerateModeError(
@@ -175,28 +169,29 @@ def parallel_qr(ctx, a_local, overwrite_a=False, check_finite=True):
     `apply(x)` takes the local factor through the slice times x. At world
     size 1 this is exactly qr_factor, the same kernel call with no wire
     traffic. overwrite_a and check_finite go to the local qr_factor.
+
+    Each rank sends rank 0 its triangular factor and gets one reply, [its
+    slice of the stacked q; r^T]: both parts are as wide as r has rows, so
+    they stack even when r is wider than it is tall.
     """
     local = qr_factor(a_local, overwrite_a, check_finite)
     if ctx.world_size == 1:
         return local
     parts = gather(ctx, local.r)
-    if ctx.rank == 0:
-        n = local.r.shape[1]
-        _refuse_misfits(parts, "triangular factor", local.r.shape,
-                        lambda shape: shape[1] == n and shape[0] <= n)
-        heights = [p.shape[0] for p in parts]
-        q_stack, r_final = qr_factor(np.concatenate(parts, axis=0))
-        offset = heights[0]
-        for rank in range(1, ctx.world_size):
-            send(ctx, q_stack[offset:offset + heights[rank]],
-                 rank, QR_SLICE_TAG + rank)
-            offset += heights[rank]
-        broadcast(ctx, r_final)
-        q_slice = q_stack[:heights[0]]
-    else:
-        q_slice = recv(ctx, 0, QR_SLICE_TAG + ctx.rank)
-        r_final = broadcast(ctx, None)
-    return QrResult(local.basis, r_final, local.wy, q_slice)
+    height, n = local.r.shape
+    if ctx.rank != 0:
+        reply = recv(ctx, 0)
+        return QrResult(local.basis, reply[height:].T, local.wy,
+                        reply[:height])
+    _refuse_misfits(parts, "triangular factor", local.r.shape,
+                    lambda shape: shape[1] == n and shape[0] <= n)
+    q_stack, r_final = qr_factor(np.concatenate(parts, axis=0))
+    offset = height
+    for rank in range(1, ctx.world_size):
+        end = offset + parts[rank].shape[0]
+        send(ctx, np.vstack([q_stack[offset:end], r_final.T]), rank)
+        offset = end
+    return QrResult(local.basis, r_final, local.wy, q_stack[:height])
 
 
 def _refuse_misfits(parts, what, own, fits):

@@ -464,7 +464,7 @@ def _root_against_fake_peers(tmp_path, env, misbehave, deadline,
 def test_rank_root_refuses_oversized_frame(tmp_path, subprocess_env):
     # the peer stays connected, so only the header can end the run
     def oversized(sock):
-        sock.sendall(FRAME_HEADER.pack(1, 1, 0)
+        sock.sendall(FRAME_HEADER.pack(GATHER_TAG, 1, 0)
                      + MATRIX_HEADER.pack(2 ** 32, 2 ** 32))
 
     code, err, elapsed = _root_against_fake_peers(
@@ -477,14 +477,14 @@ def test_rank_root_refuses_oversized_frame(tmp_path, subprocess_env):
 def test_rank_root_fails_fast_on_truncated_frame(tmp_path, subprocess_env):
     # a 2x2 matrix needs 32 payload bytes; the peer sends 8 and hangs up
     def truncated(sock):
-        sock.sendall(FRAME_HEADER.pack(1, 1, 0) + MATRIX_HEADER.pack(2, 2)
-                     + bytes(8))
+        sock.sendall(FRAME_HEADER.pack(GATHER_TAG, 1, 0)
+                     + MATRIX_HEADER.pack(2, 2) + bytes(8))
         sock.close()
 
     code, err, elapsed = _root_against_fake_peers(
         tmp_path, subprocess_env, truncated, deadline=30.0)
     assert code == 2, err
-    assert "connection closed after 8 of 32 bytes" in err
+    assert "connection to rank 1 closed after 8 of 32 bytes" in err
     assert elapsed < 5.0
 
 

@@ -16,11 +16,11 @@ import pytest
 import oracles
 from conftest import free_port
 from parsvd import comm
-from parsvd.comm import (FRAME_HEADER, GATHER_TAG, MATRIX_HEADER,
-                         MAX_PAYLOAD_BYTES, MAX_USER_TAG, RankContext,
-                         TcpTransport, _read_frame, _recv_exact, broadcast,
-                         decode_matrix, encode_matrix, gather, recv,
-                         run_simulated, send, tcp_context_from_env)
+from parsvd.comm import (FRAME_HEADER, MATRIX_HEADER, MAX_PAYLOAD_BYTES,
+                         SEND_TAG, RankContext, TcpTransport, _read_frame,
+                         _recv_exact, broadcast, decode_matrix, encode_matrix,
+                         gather, recv, run_simulated, send,
+                         tcp_context_from_env)
 from parsvd.errors import CollectiveTimeout, ConfigError, ProtocolError
 from parsvd.linalg import _openblas_threads, blas_thread_budget
 
@@ -108,46 +108,51 @@ def test_gather_order_independent_of_arrival_time():
 
 
 def test_broadcast_matrix_vector_and_empty():
+    # broadcast moves matrices only: the root refuses a vector before it
+    # sends anything, so the other ranks never wait on it
     payload = np.arange(12.0).reshape(3, 4)
 
     def program(ctx):
         mat = broadcast(ctx, payload if ctx.rank == 0 else None)
-        vec = broadcast(ctx, np.array([1.5, 2.5]) if ctx.rank == 0
-                        else np.empty(0))
+        if ctx.rank == 0:
+            with pytest.raises(ValueError, match="must be 2-D"):
+                broadcast(ctx, np.array([1.5, 2.5]))
         nil = broadcast(ctx, np.zeros((0, 0)) if ctx.rank == 0 else None)
-        return mat, vec, nil.shape
+        return mat, nil.shape
 
-    for mat, vec, nil_shape in run_simulated(3, program):
+    for mat, nil_shape in run_simulated(3, program):
         assert np.array_equal(mat, payload)
-        assert vec.shape == (2,) and np.array_equal(vec, [1.5, 2.5])
         assert nil_shape == (0, 0)
 
 
-def test_send_recv_fifo_and_tag_stash():
+def test_recv_refuses_a_frame_of_another_operation():
+    # frames between two ranks arrive in program order: the receives take
+    # rank 1's sends first in first out, and the third finds its gather
     def program(ctx):
         if ctx.rank == 1:
-            send(ctx, np.array([[1.0]]), 0, tag=9)   # different tag first
-            send(ctx, np.array([[2.0]]), 0, tag=5)
-            send(ctx, np.array([[3.0]]), 0, tag=5)
+            send(ctx, np.array([[1.0]]), 0)
+            send(ctx, np.array([[2.0]]), 0)
+            gather(ctx, np.array([[3.0]]))
             return None
-        first = recv(ctx, 1, tag=5)      # must skip past the tag-9 frame
-        second = recv(ctx, 1, tag=5)     # FIFO within a tag
-        parked = recv(ctx, 1, tag=9)     # stashed frame still delivered
-        return first[0, 0], second[0, 0], parked[0, 0]
+        first, second = recv(ctx, 1), recv(ctx, 1)
+        with pytest.raises(ProtocolError) as info:
+            recv(ctx, 1)
+        return first[0, 0], second[0, 0], str(info.value)
 
-    assert run_simulated(2, program)[0] == (2.0, 3.0, 1.0)
+    first, second, message = run_simulated(2, program)[0]
+    assert (first, second) == (1.0, 2.0)
+    assert message == ("rank 1 sent rank 0 a gather frame (tag 0xffff0001) "
+                       "where a send frame (tag 0xffff0000) was due")
 
 
 def test_send_recv_validation():
     def program(ctx):
         with pytest.raises(ValueError):
-            send(ctx, np.ones((1, 1)), ctx.rank, tag=1)  # self
+            send(ctx, np.ones((1, 1)), ctx.rank)  # self
         with pytest.raises(ValueError):
-            send(ctx, np.ones((1, 1)), 5, tag=1)          # out of range
+            send(ctx, np.ones((1, 1)), 5)          # out of range
         with pytest.raises(ValueError):
-            send(ctx, np.ones((1, 1)), 1 - ctx.rank, tag=MAX_USER_TAG)
-        with pytest.raises(ValueError):
-            recv(ctx, ctx.rank, tag=1)
+            recv(ctx, ctx.rank)
         return True
 
     assert run_simulated(2, program) == [True, True]
@@ -157,7 +162,7 @@ def test_recv_timeout():
     def program(ctx):
         if ctx.rank == 0:
             with pytest.raises(CollectiveTimeout):
-                recv(ctx, 1, tag=3)
+                recv(ctx, 1)
         return True
 
     start = time.monotonic()
@@ -169,7 +174,7 @@ def test_failure_aborts_world_quickly():
     def program(ctx):
         if ctx.rank == 1:
             raise RuntimeError("rank 1 exploded")
-        recv(ctx, 1, tag=2)  # would wait the full deadline otherwise
+        recv(ctx, 1)  # would wait the full deadline otherwise
 
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="rank 1 exploded"):
@@ -181,7 +186,7 @@ def test_failure_in_rank_zero_aborts_world_quickly():
     def program(ctx):
         if ctx.rank == 0:
             raise RuntimeError("rank 0 exploded")
-        recv(ctx, 0, tag=2)  # would wait the full deadline otherwise
+        recv(ctx, 0)  # would wait the full deadline otherwise
 
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="rank 0 exploded"):
@@ -374,23 +379,21 @@ def run_tcp(world_size, fn, deadline=15.0):
 
 
 def _exchange_program(ctx):
-    """A fixed conversation touching gather, both broadcast kinds, and a
+    """A fixed conversation touching gather, broadcast, and a
     point-to-point transfer each way between rank 2 and rank 0; returns
     everything observable."""
     local = np.full((ctx.rank + 2, 3), float(ctx.rank + 1))
     parts = gather(ctx, local)
     stacked = np.concatenate(parts, axis=0) if ctx.rank == 0 else None
     mat = broadcast(ctx, stacked)
-    vec = broadcast(ctx, np.array([4.0, 5.0, 6.0]) if ctx.rank == 0
-                    else np.empty(0))
     p2p = None
     if ctx.rank == 2:
-        send(ctx, np.array([[3.25], [1.5]]), 0, tag=5)
-        p2p = recv(ctx, 0, tag=6)
+        send(ctx, np.array([[3.25], [1.5]]), 0)
+        p2p = recv(ctx, 0)
     elif ctx.rank == 0:
-        p2p = recv(ctx, 2, tag=5)
-        send(ctx, -2.0 * p2p, 2, tag=6)
-    return (mat, vec, p2p, ctx.stats.frames_sent, ctx.stats.bytes_sent,
+        p2p = recv(ctx, 2)
+        send(ctx, -2.0 * p2p, 2)
+    return (mat, p2p, ctx.stats.frames_sent, ctx.stats.bytes_sent,
             ctx.stats.frames_received, ctx.stats.bytes_received)
 
 
@@ -398,10 +401,9 @@ def test_tcp_matches_simulator_bitwise():
     sim = run_simulated(3, _exchange_program)
     tcp = run_tcp(3, _exchange_program)
     for rank in range(3):
-        s_mat, s_vec, s_p2p, *s_stats = sim[rank]
-        t_mat, t_vec, t_p2p, *t_stats = tcp[rank]
+        s_mat, s_p2p, *s_stats = sim[rank]
+        t_mat, t_p2p, *t_stats = tcp[rank]
         assert np.array_equal(s_mat, t_mat)
-        assert np.array_equal(s_vec, t_vec)
         if s_p2p is None:
             assert t_p2p is None
         else:
@@ -415,11 +417,11 @@ def _off_root_program(ctx):
     lands at rank 1."""
     if ctx.rank == 1:
         with pytest.raises(ValueError, match="rank 1 cannot send to rank 2"):
-            send(ctx, np.ones((1, 1)), 2, tag=3)
+            send(ctx, np.ones((1, 1)), 2)
     elif ctx.rank == 2:
         with pytest.raises(ValueError,
                            match="rank 2 cannot receive from rank 1"):
-            recv(ctx, 1, tag=3)
+            recv(ctx, 1)
     if ctx.rank == 0:
         return gather(ctx, np.ones((1, 1)), root=1)
     with pytest.raises(ValueError, match="rank 1 .* rank 2|rank 2 .* rank 1"):
@@ -430,6 +432,26 @@ def _off_root_program(ctx):
 @pytest.mark.parametrize("run", [run_simulated, run_tcp], ids=["sim", "tcp"])
 def test_tcp_and_simulator_refuse_transfers_between_two_other_ranks(run):
     assert run(3, _off_root_program) == [None, 1, 0]
+
+
+def _diverged_program(ctx):
+    """Rank 0 broadcasts while rank 1 waits in recv, as two ranks whose
+    programs took different branches would."""
+    if ctx.rank == 0:
+        return broadcast(ctx, np.ones((2, 2)))
+    return recv(ctx, 0)
+
+
+@pytest.mark.parametrize("run", [run_simulated, run_tcp], ids=["sim", "tcp"])
+def test_diverged_rank_raises_at_once(run):
+    # the receive checks the tag of the frame it takes, so the divergence
+    # raises with the first frame instead of at the deadline
+    start = time.monotonic()
+    with pytest.raises(ProtocolError,
+                       match=r"root sent rank 1 a broadcast frame \(tag "
+                             r"0xffff0002\) where a send frame \(tag 0xffff0000"):
+        run(2, _diverged_program, deadline=20.0)
+    assert time.monotonic() - start < 1.0
 
 
 def test_tcp_world_size_two_collectives():
@@ -524,7 +546,7 @@ def test_tcp_send_longer_than_a_second_keeps_the_deadline():
         host, port = server.getsockname()
         transport = TcpTransport.connect(1, 2, f"{host}:{port}", deadline=30.0)
         try:
-            send(RankContext(1, 2, transport, deadline=30.0), value, 0, 1)
+            send(RankContext(1, 2, transport, deadline=30.0), value, 0)
         finally:
             transport.close()
             root.join(timeout=30.0)
@@ -540,7 +562,7 @@ def test_tcp_rank_send_to_a_root_that_never_reads_times_out():
             ctx = RankContext(1, 2, transport, deadline=0.5)
             start = time.monotonic()
             with pytest.raises(CollectiveTimeout, match="to root"):
-                send(ctx, np.ones(_BIG), 0, 1)
+                send(ctx, np.ones(_BIG), 0)
             assert time.monotonic() - start < 5.0
         finally:
             transport.close()
@@ -566,7 +588,7 @@ def test_tcp_rank_send_to_a_root_that_hangs_up_names_the_root():
             start = time.monotonic()
             with pytest.raises(ProtocolError,
                                match="connection to root failed mid-send"):
-                send(ctx, np.ones(_BIG), 0, 1)
+                send(ctx, np.ones(_BIG), 0)
             assert time.monotonic() - start < 5.0
         finally:
             transport.close()
@@ -605,7 +627,7 @@ def test_tcp_root_send_to_a_rank_that_never_reads_times_out():
         ctx = RankContext(0, 2, transport, deadline=0.5)
         start = time.monotonic()
         with pytest.raises(CollectiveTimeout, match="to rank 1"):
-            send(ctx, np.ones(_BIG), 1, 1)
+            send(ctx, np.ones(_BIG), 1)
         assert time.monotonic() - start < 5.0
     finally:
         release.set()
@@ -633,7 +655,7 @@ def _root_refuses(sender, frame, refusal):
         ctx = RankContext(0, 3, transport, deadline=20.0)
         start = time.monotonic()
         with pytest.raises(ProtocolError, match=refusal):
-            recv(ctx, 1, 9)
+            recv(ctx, 1)
         assert time.monotonic() - start < 2.0
     finally:
         transport.close()
@@ -644,14 +666,14 @@ def _root_refuses(sender, frame, refusal):
 def test_tcp_root_receive_refuses_a_bad_frame_from_another_rank():
     # the root waits on rank 1, which stays silent; rank 2's oversized
     # header still ends that receive, with no thread reading behind it
-    _root_refuses(2, FRAME_HEADER.pack(1, 2, 0)
+    _root_refuses(2, FRAME_HEADER.pack(SEND_TAG, 2, 0)
                   + MATRIX_HEADER.pack(2 ** 32, 2 ** 32), "limit")
 
 
 def test_tcp_root_refuses_a_frame_addressed_to_another_rank():
     # rank 0 is one end of every transfer, so a frame rank 1 addresses to
     # rank 2 is corrupt: the root raises instead of passing it on
-    _root_refuses(1, FRAME_HEADER.pack(9, 1, 2)
+    _root_refuses(1, FRAME_HEADER.pack(SEND_TAG, 1, 2)
                   + encode_matrix(np.ones((2, 2))),
                   "rank 1 sent rank 0 a frame addressed to rank 2")
 
@@ -659,7 +681,7 @@ def test_tcp_root_refuses_a_frame_addressed_to_another_rank():
 def test_tcp_root_refuses_a_frame_from_a_spoofed_source():
     # a frame is filed under the rank at the other end of its connection,
     # so rank 1 cannot pose as rank 2
-    _root_refuses(1, FRAME_HEADER.pack(9, 2, 0)
+    _root_refuses(1, FRAME_HEADER.pack(SEND_TAG, 2, 0)
                   + encode_matrix(np.ones((1, 1))),
                   "rank 1 sent rank 0 a frame from rank 2")
 
@@ -669,14 +691,14 @@ def test_tcp_rank_refuses_a_frame_from_a_spoofed_source():
     transport = TcpTransport(1, 3)
     transport._conns[0], root = socket.socketpair()
     with root:
-        root.sendall(FRAME_HEADER.pack(9, 2, 1)
+        root.sendall(FRAME_HEADER.pack(SEND_TAG, 2, 1)
                      + encode_matrix(np.ones((1, 1))))
         ctx = RankContext(1, 3, transport, deadline=20.0)
         start = time.monotonic()
         try:
             with pytest.raises(ProtocolError,
                                match="root sent rank 1 a frame from rank 2"):
-                recv(ctx, 0, 9)
+                recv(ctx, 0)
         finally:
             transport.close()
         assert time.monotonic() - start < 2.0
@@ -733,17 +755,17 @@ def test_root_recv_fails_fast_after_peer_hangs_up():
 
     def peer():
         with _fake_rank(address, 1) as sock:
-            sock.sendall(FRAME_HEADER.pack(9, 1, 0) + encode_matrix(a))
+            sock.sendall(FRAME_HEADER.pack(SEND_TAG, 1, 0) + encode_matrix(a))
 
     thread = threading.Thread(target=peer)
     thread.start()
     transport = TcpTransport.listen(2, address, deadline=5.0)
     try:
         ctx = RankContext(0, 2, transport, deadline=20.0)
-        assert np.array_equal(recv(ctx, 1, 9), a)
+        assert np.array_equal(recv(ctx, 1), a)
         start = time.monotonic()
         with pytest.raises(ProtocolError, match="rank 1 closed"):
-            recv(ctx, 1, 9)
+            recv(ctx, 1)
         assert time.monotonic() - start < 2.0
     finally:
         thread.join(timeout=10.0)
@@ -755,7 +777,7 @@ def test_oversized_frame_header_fails_fast():
     # protocol error, without allocating its payload or waiting it out
     reader, writer = socket.socketpair()
     with reader, writer:
-        writer.sendall(FRAME_HEADER.pack(1, 1, 0)
+        writer.sendall(FRAME_HEADER.pack(SEND_TAG, 1, 0)
                        + MATRIX_HEADER.pack(2 ** 32, 2 ** 32))
         tracemalloc.start()
         start = time.monotonic()
@@ -773,17 +795,17 @@ def test_frame_larger_than_one_recv_chunk():
     # a payload of several receive chunks arrives whole; a header just over
     # the limit is refused
     a = np.arange(300 * 1000, dtype=np.float64).reshape(300, 1000)
-    frame = FRAME_HEADER.pack(5, 1, 0) + encode_matrix(a)
+    frame = FRAME_HEADER.pack(SEND_TAG, 1, 0) + encode_matrix(a)
     reader, writer = socket.socketpair()
     with reader, writer:
         thread = threading.Thread(target=writer.sendall, args=(frame,))
         thread.start()
         tag, source, dest, payload = _read_frame(reader, time.monotonic() + 10.0)
         thread.join(timeout=10.0)
-        assert (tag, source, dest) == (5, 1, 0)
+        assert (tag, source, dest) == (SEND_TAG, 1, 0)
         assert np.array_equal(decode_matrix(payload), a)
         cols = MAX_PAYLOAD_BYTES // 8 + 1
-        writer.sendall(FRAME_HEADER.pack(5, 1, 0) + MATRIX_HEADER.pack(1, cols))
+        writer.sendall(FRAME_HEADER.pack(SEND_TAG, 1, 0) + MATRIX_HEADER.pack(1, cols))
         with pytest.raises(ProtocolError):
             _read_frame(reader, time.monotonic() + 10.0)
 
@@ -803,6 +825,32 @@ def test_reset_mid_read_names_the_peer_and_the_error():
     message = str(info.value)
     assert message.startswith("connection to rank 1 failed mid-read: ")
     assert "reset" in message.lower()
+
+
+_HEAD = FRAME_HEADER.pack(SEND_TAG, 2, 0)
+
+
+@pytest.mark.parametrize("sent, message", [
+    (_HEAD[:5], "connection to rank 2 closed after 5 of 12 bytes"),
+    (_HEAD, "connection to rank 2 closed between frame and matrix header"),
+    (_HEAD + MATRIX_HEADER.pack(1, 1),
+     "connection to rank 2 closed before matrix payload"),
+], ids=["mid-block", "between-headers", "before-payload"])
+def test_every_hang_up_mid_frame_names_the_peer(sent, message):
+    reader, writer = socket.socketpair()
+    with reader:
+        with writer:
+            writer.sendall(sent)
+        with pytest.raises(ProtocolError, match=message):
+            _read_frame(reader, time.monotonic() + 10.0, peer="rank 2")
+
+
+def test_read_timeout_names_the_peer():
+    reader, writer = socket.socketpair()
+    with reader, writer:
+        with pytest.raises(CollectiveTimeout,
+                           match="timed out reading 12 bytes from rank 2"):
+            _read_frame(reader, time.monotonic() + 0.05, peer="rank 2")
 
 
 def test_address_parsing_errors():

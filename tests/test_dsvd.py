@@ -414,15 +414,16 @@ def test_parallel_stream_refuses_a_non_finite_later_batch(bad):
 
 # Rank 0's (frames sent, bytes sent, frames received, bytes received) over
 # a stream of four batches, by world size.
-STREAM_TRAFFIC = {2: (13, 8772, 9, 5460), 3: (26, 17544, 18, 10920)}
+STREAM_TRAFFIC = {2: (9, 8660, 9, 5460), 3: (18, 17320, 18, 10920)}
 
 
 @pytest.mark.parametrize("world_size", [2, 3])
-def test_stream_traffic_is_five_transfers_per_batch(world_size):
-    # with no QR rescue, rank 0 moves 5 (P - 1) frames per batch and
-    # 2 (P - 1) for the final check. The first batch is the update of an
-    # empty block: its TSQR and row-count sum make the five, with no rank
-    # sum of a projection
+def test_stream_traffic_is_four_transfers_per_batch(world_size):
+    # with no QR rescue, rank 0 moves 4 (P - 1) frames per batch and
+    # 2 (P - 1) for the final check: a TSQR is one gather and one reply to
+    # each rank, a rank sum one gather and one broadcast. The first batch
+    # is the update of an empty block: its TSQR and row-count sum make the
+    # four, with no rank sum of a projection
     a = _random(60, 40, seed=74)
     config = StreamConfig(k_modes=3, buffer_columns=2)
 
@@ -434,7 +435,7 @@ def test_stream_traffic_is_five_transfers_per_batch(world_size):
 
     stats = run_simulated(world_size, program)[0]
     assert stats.frames_sent + stats.frames_received \
-        == (5 * 4 + 2) * (world_size - 1)
+        == (4 * 4 + 2) * (world_size - 1)
     assert (stats.frames_sent, stats.bytes_sent, stats.frames_received,
             stats.bytes_received) == STREAM_TRAFFIC[world_size]
 

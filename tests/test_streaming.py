@@ -131,6 +131,24 @@ def test_forget_factor_damps_history():
     assert np.all(s_damped.singular_values <= s_plain.singular_values + 1e-12)
 
 
+@pytest.mark.parametrize("ff, width", [(0.95, 100), (0.8, 50)])
+def test_forget_factor_matches_the_weighted_matrix(burgers_snapshots, ff,
+                                                   width):
+    # with ff < 1 the stream tracks [ff^(T-1) A_1, ..., ff A_(T-1), A_T]:
+    # the weight falls per batch, not per snapshot. The gates are those of
+    # the streaming-equivalence acceptance line
+    batches = _slices(burgers_snapshots, width)
+    count = len(batches)
+    weighted = np.hstack([ff ** (count - 1 - t) * batch
+                          for t, batch in enumerate(batches)])
+    state, _ = stream_all(ONE, batches,
+                          StreamConfig(k_modes=5, forget_factor=ff))
+    exact = svd_full(weighted)
+    value_err = np.abs(state.singular_values - exact.s[:5]) / exact.s[:5]
+    assert np.max(value_err) <= 1e-6
+    assert np.max(aligned_mode_difference(state.modes, exact.u[:, :5])) <= 1e-5
+
+
 def test_modes_stay_orthonormal_over_many_updates():
     rng = np.random.Generator(np.random.Philox(42))
     config = StreamConfig(k_modes=6, forget_factor=0.95)
