@@ -3,19 +3,21 @@
 Each rank holds a horizontal slice A^i (some rows, all columns) of the
 global matrix. The module provides:
 
-* apmos: approximate partitioned method of snapshots. Each rank compresses
-  its slice to r1 right singular vectors scaled by their singular values,
-  W^i = V~ S~^T (snapshots x r1, cheap to ship since it has no row
-  dimension). A tall slice gets them from the SVD of its n x n triangular
-  QR factor (`linalg.r_factor`, which builds no Q), without forming its
-  left singular vectors. Rank 0 stacks the W^i, factors the stack
-  (exactly or with the randomized kernel), keeps r2 columns, and
-  broadcasts them with their values in one matrix [X; lambda^T]; each
-  rank then lifts its local mode rows as
-  U^i_j = A^i X_j / lambda_j. The stack satisfies W W^T = A^T A, which
-  is what makes the assembly exact when nothing is truncated. The result
-  is a linalg.SvdResult of the form svd_full(want_vt=False) returns,
-  with this rank's rows in u.
+* apmos: approximate partitioned method of snapshots (Wang, McBee &
+  Iliescu 2016). Each rank compresses its slice to r1 right singular
+  vectors scaled by their singular values, W^i = V~ S~^T (snapshots x r1,
+  cheap to ship since it has no row dimension). A tall slice gets them
+  from the eigenvectors of its n x n Gram matrix, the method of
+  snapshots, sharpened by one subspace iteration on the slice: the
+  power-iterated range finder of Halko, Martinsson & Tropp (2011) with
+  those eigenvectors as its start. Its left singular vectors are never
+  formed. Rank 0 stacks the W^i, factors the stack (exactly or with the
+  randomized kernel), keeps r2 columns, and broadcasts them with their
+  values in one matrix [X; lambda^T]; each rank then lifts its local mode
+  rows as U^i_j = A^i X_j / lambda_j. The stack satisfies W W^T = A^T A,
+  which is what makes the assembly exact when nothing is truncated. The
+  result is a linalg.SvdResult of the form svd_full(want_vt=False)
+  returns, with this rank's rows in u.
 
 * gather_modes: stacks every rank's mode block, an apmos result's u or a
   streaming state's modes, at rank 0.
@@ -38,9 +40,8 @@ import numpy as np
 
 from .comm import broadcast, gather, recv, send
 from .errors import DegenerateModeError, ProtocolError
-from .linalg import (QrResult, RandomSketchConfig, SvdResult,
-                     _positive_column_signs, _product, as_matrix, low_rank_svd,
-                     qr_factor, r_factor, svd_full)
+from .linalg import (QrResult, RandomSketchConfig, SvdResult, _product,
+                     as_matrix, low_rank_svd, qr_factor, svd_full)
 
 
 @dataclass(frozen=True)
@@ -74,17 +75,29 @@ class ApmosConfig:
             )
 
 
+# Columns the tall-slab route carries beyond r1. On the tests' 1024 x 800
+# Burgers slab at r1 = 20, 10, 20 and 30 extra columns matched svd_full's
+# vectors equally well (8.3e-15, 7.1e-15 and 6.7e-15), so the narrowest,
+# and cheapest, is kept.
+SUBSPACE_EXTRA = 10
+
+
 def generate_right_vectors(a_local, local_rank):
     """Leading right singular vectors and values of a local slice.
 
-    A tall slice (more rows than columns) has the right vectors and values
-    of its triangular factor R, so it is reduced by linalg.r_factor, a
-    blocked QR that forms neither Q nor a full compact-WY T, and the SVD
-    runs on the n x n R (Chan's R-SVD). Other slices take a thin SVD
-    directly. Either way the signs are those of svd_full of the slice
-    itself: the entry of largest magnitude in each left vector is
-    positive. The R route reads them from a_local @ v = U S, at the cost
-    of one rows x n x r1 product, taken column-major (linalg._product).
+    A tall slice `a` (more rows than its n columns) is reduced by the
+    method of snapshots: the w = min(n, r1 + SUBSPACE_EXTRA) leading
+    eigenvectors V0 of its Gram matrix a^T a. Those alone miss svd_full's
+    vectors at the 1e-13 level, so one subspace iteration on the slab
+    itself, Q = qr(a^T a V0), sharpens them, and a Rayleigh-Ritz step,
+    the thin SVD of a Q = U S Z^T, gives v = Q Z and s = S. This is the
+    power-iterated range finder of Halko, Martinsson & Tropp (2011, §4.5)
+    applied to a^T, with the Gram eigenvectors as its start. The slab's
+    m x n left vectors are never formed, and since a v = U S, U's signs
+    are the slab's own: the entry of largest magnitude in each left
+    vector is positive, as in svd_full of the slice. Other slices take a
+    thin SVD directly. Slab products are taken column-major
+    (linalg._product).
 
     Returns (v, s) with v of shape (n_cols, local_rank) and s of length
     local_rank. When the slice has fewer than local_rank nonzero directions
@@ -100,14 +113,17 @@ def generate_right_vectors(a_local, local_rank):
         raise ValueError(
             f"local_rank {local_rank} exceeds the snapshot count {n}"
         )
-    tall = a.shape[0] > n
-    res = svd_full(r_factor(a, check_finite=False) if tall else a)
+    if a.shape[0] > n:
+        width = min(n, local_rank + SUBSPACE_EXTRA)
+        v0 = np.linalg.eigh(a.T @ a)[1][:, -width:]
+        q = qr_factor(a.T @ _product(a, v0), check_finite=False).q
+        res = svd_full(_product(a, q))
+        vt = res.vt @ q.T
+    else:
+        res = svd_full(a)
+        vt = res.vt
     keep = min(local_rank, res.s.size)
-    vt = res.vt[:keep]
-    if tall:
-        # R's left vectors carry their own signs; a @ v = U S has the slab's
-        _, vt = _positive_column_signs(_product(a, vt.T), vt)
-    v = vt.T.copy()
+    v = vt[:keep].T.copy()
     s = res.s[:keep].copy()
     if keep < local_rank:
         v = np.hstack([v, np.zeros((n, local_rank - keep))])

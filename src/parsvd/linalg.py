@@ -21,11 +21,6 @@ without that symbol gets the same factors, at rounding level and more
 slowly on wide inputs, from `np.linalg.qr` and LAPACK's `dlarft`
 recurrence (README, "Numerical notes").
 
-`r_factor` is the R-only QR of APMOS's local step
-(`dsvd.generate_right_vectors`): the same `dgeqrt` in narrower blocks,
-which builds no n x n T, or `np.linalg.qr(mode="r")` where numpy's library
-lacks it.
-
 `blas_thread_budget` divides the CPUs among the ranks of a world that runs
 on one host, by setting the thread count of the OpenBLAS numpy uses.
 """
@@ -262,41 +257,6 @@ def qr_factor(a, overwrite_a=False, check_finite=True):
     if n > k:
         r[:, k:] = res.q.T @ a[:, k:]
     return res
-
-
-# Columns per block of r_factor's blocked QR. On an 8192 x 800 Burgers slab,
-# two one-thread processes at once, five calls each (thread CPU, fastest to
-# median): 64 columns 333-405 ms, 96 324-386 ms, 128 332-394 ms, against
-# 461-553 ms for qr_factor's one block (2-core x86-64 host, numpy
-# 2.4.6's OpenBLAS).
-R_BLOCK = 96
-
-
-def r_factor(a, check_finite=True):
-    """The triangular factor r of a's reduced QR, without q.
-
-    Returns r of shape (min(m, n), n), upper triangular with diag(r) >= 0,
-    as qr_factor's r, so r^T r = a^T a. LAPACK's blocked dgeqrt factors a
-    column-major copy of `a` R_BLOCK columns at a time, each block by
-    dgeqrt3 and the columns right of it by one blocked update. Only the
-    block's own T is built, and discarded: qr_factor's single block
-    builds the full n x n T, in GEMMs whose cost grows with n. A numpy
-    without dgeqrt gets np.linalg.qr(a, mode="r"). check_finite=False
-    skips the scan for non-finite entries.
-    """
-    a = as_matrix(a, check_finite=check_finite)
-    m, n = a.shape
-    if _lapack("dgeqrt") is None:
-        r = np.linalg.qr(a, mode="r")
-    else:
-        k = min(m, n)
-        block = min(R_BLOCK, k)
-        work = np.array(a, order="F")
-        t = np.empty((block, n), order="F")
-        _lapack_call("dgeqrt", m, n, block, work, m, t, block,
-                     np.empty_like(t))
-        r = np.triu(work[:k])
-    return r * _diagonal_signs(r)[:, None]
 
 
 def svd_full(a, want_vt=True):

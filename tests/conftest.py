@@ -68,8 +68,8 @@ def subprocess_env():
 
 @pytest.fixture
 def fallback_qr(monkeypatch):
-    """Makes qr_factor and r_factor take the routes that a numpy whose
-    library does not export dgeqrt gets."""
+    """Makes qr_factor take the route that a numpy whose library does not
+    export dgeqrt gets."""
     monkeypatch.setattr(linalg, "_lapack", lambda routine: None)
 
 

@@ -52,9 +52,26 @@ def test_right_vectors_zero_padding_keeps_gram_identity():
     assert np.max(np.abs(w @ w.T - a.T @ a)) < 1e-12
 
 
+@pytest.mark.parametrize("name", ["zeros", "rank-2"])
+def test_right_vectors_degenerate_tall_slabs(name):
+    # a tall slab with fewer nonzero directions than r1: the subspace
+    # iteration's QR meets a rank-deficient block, and v must still be
+    # orthonormal with W W^T = A^T A
+    a = np.zeros((50, 8))
+    if name == "rank-2":
+        a = _random(50, 2, seed=65) @ _random(2, 8, seed=66)
+    v, s = generate_right_vectors(a, 5)
+    assert v.shape == (8, 5) and s.shape == (5,)
+    assert np.all(np.isfinite(v)) and np.all(np.isfinite(s))
+    assert np.max(np.abs(v.T @ v - np.eye(5))) < 1e-13
+    w = v * s
+    scale = 1.0 + np.linalg.norm(a, 2) ** 2
+    assert np.max(np.abs(w @ w.T - a.T @ a)) <= 1e-13 * scale
+
+
 # Slabs of the 2048 x 800 Burgers matrix: the tall ones are 1024 rows high
-# and go through R. "narrow" is 300 columns wide, three of r_factor's blocks
-# and part of a fourth; the full 800 is not a whole number of blocks either.
+# and go through the Gram eigenvectors and one subspace iteration. "narrow"
+# is a tall slab 300 columns wide.
 _SLABS = ["tall", "square", "wide", "zero-column", "repeated-column", "narrow"]
 
 
@@ -80,16 +97,33 @@ def _check_right_vectors_match_slab_svd(slab):
 
 @pytest.mark.parametrize("name", _SLABS)
 def test_right_vectors_match_slab_svd(burgers_snapshots, name):
-    # a tall slab goes through its R factor, the others through a direct
-    # SVD
+    # a tall slab goes through its Gram eigenvectors, the others through a
+    # direct SVD
     _check_right_vectors_match_slab_svd(_slab(burgers_snapshots, name))
 
 
 @pytest.mark.parametrize("name", _SLABS)
 def test_right_vectors_match_slab_svd_on_the_fallback(burgers_snapshots, name,
                                                       fallback_qr):
-    # the R of np.linalg.qr(mode="r"), which a numpy without dgeqrt gets
+    # the subspace iteration's QR as a numpy without dgeqrt takes it
     _check_right_vectors_match_slab_svd(_slab(burgers_snapshots, name))
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_right_vectors_steep_spectrum(fallback, request):
+    # sigma_20 / sigma_1 = 4.6e-7: the Gram eigenvectors alone miss the
+    # slab's trailing vectors by 9e-4, the subspace iteration recovers them
+    if fallback:
+        request.getfixturevalue("fallback_qr")
+    a = synthetic_spectrum_matrix(3000, 40, 10.0 ** (-np.arange(40) / 3),
+                                  seed=3)
+    ref = svd_full(a)
+    v, s = generate_right_vectors(a, 20)
+    assert np.max(np.abs(s - ref.s[:20])) <= 1e-13 * ref.s[0]
+    assert np.max(np.abs(v - ref.vt[:20].T)) <= 1e-9
+    w = v * s
+    leading = (ref.vt[:20].T * ref.s[:20] ** 2) @ ref.vt[:20]
+    assert np.max(np.abs(w @ w.T - leading)) <= 1e-13 * ref.s[0] ** 2
 
 
 def test_right_vectors_validation():
@@ -109,6 +143,25 @@ def test_apmos_world_size_one_matches_direct():
     assert local.vt is None
     assert np.allclose(local.s, direct.s[:4], rtol=1e-10)
     assert np.max(aligned_mode_difference(local.u, direct.u[:, :4])) < 1e-9
+
+
+@pytest.mark.parametrize("world_size", [1, 2, 4])
+def test_apmos_matches_the_burgers_svd(burgers_snapshots, burgers_direct_svd,
+                                       world_size):
+    # r1 = 50 of 800 columns per rank, so every rank truncates; tall slabs
+    # (P = 1, 2) take the Gram route, the 512-row slabs at P = 4 a direct SVD
+    blocks = row_partition(burgers_snapshots, world_size)
+    config = ApmosConfig(local_rank=50, global_rank=5, k_modes=5)
+
+    def program(ctx):
+        local = apmos(ctx, blocks[ctx.rank], config)
+        return gather_modes(ctx, local.u), local.s
+
+    modes, values = run_simulated(world_size, program)[0]
+    exact = burgers_direct_svd.s[:5]
+    assert np.max(np.abs(values - exact) / exact) <= 1e-10
+    assert np.max(aligned_mode_difference(
+        modes, burgers_direct_svd.u[:, :5])) <= 1e-10
 
 
 def test_apmos_four_ranks_exact_when_untrancated():

@@ -65,7 +65,7 @@ def test_qr_is_deterministic():
 
 def test_qr_finds_dgeqrt_wherever_openblas_is_found():
     # a symbol renamed by a numpy or OpenBLAS upgrade fails here instead of
-    # silently running the fallback of qr_factor and r_factor
+    # silently running qr_factor's fallback
     if linalg._openblas_threads() is None:
         pytest.skip("numpy does not use OpenBLAS")
     assert linalg._lapack("dgeqrt") is not None
@@ -296,39 +296,17 @@ def test_qr_check_finite_false_skips_only_the_scan():
         qr_factor(np.ones(4), check_finite=False)
 
 
-# ---------- r_factor ----------
+# ---------- _lapack_call ----------
 
-@pytest.mark.parametrize("fallback", [False, True])
-@pytest.mark.parametrize("shape", [(40, 1), (300, 96), (500, 97), (2000, 250),
-                                   (20, 40)])
-def test_r_factor_matches_lapack(shape, fallback, request):
-    # one block, exactly one block, a block and one column, a partial last
-    # block, and a wide input, on dgeqrt and on the fallback
-    if fallback:
-        request.getfixturevalue("fallback_qr")
-    rng = np.random.Generator(np.random.Philox(35))
-    for name, a, full_rank in _qr_inputs(*shape, rng):
-        label = f"{shape} {name}"
-        r = linalg.r_factor(a)
-        _, r_ref = _lapack_qr(a)
-        scale = 1.0 + np.max(np.abs(a))
-        assert r.shape == r_ref.shape, label
-        assert np.all(np.diag(r) >= 0.0), label
-        assert np.all(np.tril(r, -1) == 0.0), label
-        gram_err = np.max(np.abs(r.T @ r - a.T @ a))
-        assert gram_err <= 1e-13 * shape[0] * scale ** 2, label
-        if full_rank:
-            assert np.max(np.abs(r - r_ref)) <= 1e-12 * scale, label
-
-
-def test_r_factor_raises_on_a_lapack_error(monkeypatch, capfd):
+def test_r_factor_raises_on_a_lapack_error(capfd):
     # a block of 0 columns is an illegal third argument to dgeqrt, which
     # LAPACK reports through INFO (and a line on stdout)
     if linalg._lapack("dgeqrt") is None:
         pytest.skip("numpy's LAPACK does not export dgeqrt")
-    monkeypatch.setattr(linalg, "R_BLOCK", 0)
+    work = np.ones((5, 3), order="F")
+    t = np.empty((0, 3), order="F")
     with pytest.raises(RuntimeError, match="info -3"):
-        linalg.r_factor(np.ones((5, 3)))
+        linalg._lapack_call("dgeqrt", 5, 3, 0, work, 5, t, 1, np.empty_like(t))
 
 
 # ---------- svd_full ----------
