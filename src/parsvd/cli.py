@@ -378,6 +378,7 @@ def _cmd_rank(args):
         with blas_thread_budget(ctx.world_size):
             result = _rank_work(ctx, cfg)
             if ctx.rank == 0:
+                ctx.transport.refuse_unread()
                 _write_outputs(cfg, result)
                 print(f"wrote results for {cfg.mode} to {cfg.outdir}")
     finally:

@@ -25,7 +25,9 @@ peer's hang-up: once the frames that peer sent before closing are consumed,
 the next receive from it raises ProtocolError at once, as a receive at any
 other rank does when rank 0 closes. That is also how a failure spreads: a
 rank that raises closes its connections, and the ranks waiting on it raise
-ProtocolError, over TCP and in a simulated world alike.
+ProtocolError, over TCP and in a simulated world alike. A root whose
+program has finished cleanly refuses a frame that a peer sent it and no
+receive took (TcpTransport.refuse_unread).
 
 No thread runs behind a rank: every rank reads its own sockets in one
 receive loop, so a root and a peer that at the same time send each other a
@@ -380,6 +382,34 @@ class TcpTransport:
                 )
             self._queues[rank].append((tag, payload))
 
+    def refuse_unread(self):
+        """Raise ProtocolError, naming the peer and the frame's tag, when a
+        peer sent this rank a frame that no receive took: one still queued,
+        or bytes still unread on its connection. The root calls this once
+        its program has finished cleanly, since a peer that sends more than
+        the root receives has diverged from it. A peer's hang-up alone
+        leaves no frame."""
+        for rank, sock in sorted(self._conns.items()):
+            queue = self._queues.get(rank)
+            if queue:
+                tag = queue[0][0]
+            else:
+                try:
+                    head = sock.recv(4, socket.MSG_PEEK | socket.MSG_DONTWAIT)
+                except OSError:     # nothing to read, or a reset connection
+                    continue
+                if not head:
+                    continue
+                if len(head) < 4:
+                    raise ProtocolError(f"{_peer_name(rank)} left rank "
+                                        f"{self.rank} {len(head)} unread bytes")
+                (tag,) = struct.unpack("<I", head)
+            raise ProtocolError(
+                f"{_peer_name(rank)} sent rank {self.rank} a "
+                f"{_TAG_NAMES.get(tag, 'foreign')} frame (tag {tag:#x}) that "
+                f"no receive took"
+            )
+
     def close(self):
         for sock in self._conns.values():
             try:
@@ -521,7 +551,9 @@ def run_simulated(world_size, fn, *, deadline=DEFAULT_DEADLINE):
     the end of stream and raises ProtocolError at once; the first exception
     recorded, the cause, is re-raised. A rank that returns keeps its
     connections open until every rank has finished, so a receive from it
-    still waits out its deadline. Every socket is closed when this returns
+    still waits out its deadline. When every rank returns, a frame that a
+    rank sent rank 0 and rank 0 never received raises ProtocolError
+    (TcpTransport.refuse_unread). Every socket is closed when this returns
     or raises.
 
     While the ranks run, OpenBLAS gets the per-rank share of the CPUs that
@@ -564,6 +596,8 @@ def run_simulated(world_size, fn, *, deadline=DEFAULT_DEADLINE):
             runner(0)
             for thread in threads:
                 thread.join()
+        if not failures and world_size > 1:
+            transports[0].refuse_unread()
     finally:
         for transport in transports:
             if transport is not None:

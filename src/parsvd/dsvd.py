@@ -7,17 +7,18 @@ global matrix. The module provides:
   Iliescu 2016). Each rank compresses its slice to r1 right singular
   vectors scaled by their singular values, W^i = V~ S~^T (snapshots x r1,
   cheap to ship since it has no row dimension). A tall slice gets them
-  from the eigenvectors of its n x n Gram matrix, the method of
+  from the leading eigenvectors of its n x n Gram matrix, the method of
   snapshots, sharpened by one subspace iteration on the slice: the
   power-iterated range finder of Halko, Martinsson & Tropp (2011) with
-  those eigenvectors as its start. Its left singular vectors are never
-  formed. Rank 0 stacks the W^i, factors the stack (exactly or with the
-  randomized kernel), keeps r2 columns, and broadcasts them with their
-  values in one matrix [X; lambda^T]; each rank then lifts its local mode
-  rows as U^i_j = A^i X_j / lambda_j. The stack satisfies W W^T = A^T A,
-  which is what makes the assembly exact when nothing is truncated. The
-  result is a linalg.SvdResult of the form svd_full(want_vt=False)
-  returns, with this rank's rows in u.
+  those eigenvectors as its start, finished by Rayleigh-Ritz on the
+  triangular factor of the slice times that basis. Its left singular
+  vectors are never formed. Rank 0 stacks the W^i, factors the stack
+  (exactly or with the randomized kernel), keeps r2 columns, and
+  broadcasts them with their values in one matrix [X; lambda^T]; each
+  rank then lifts its local mode rows as U^i_j = A^i X_j / lambda_j. The
+  stack satisfies W W^T = A^T A, which is what makes the assembly exact
+  when nothing is truncated. The result is a linalg.SvdResult of the form
+  svd_full(want_vt=False) returns, with this rank's rows in u.
 
 * gather_modes: stacks every rank's mode block, an apmos result's u or a
   streaming state's modes, at rank 0.
@@ -40,7 +41,8 @@ import numpy as np
 
 from .comm import broadcast, gather, recv, send
 from .errors import DegenerateModeError, ProtocolError
-from .linalg import (QrResult, RandomSketchConfig, SvdResult, _product,
+from .linalg import (QrResult, RandomSketchConfig, SvdResult,
+                     _positive_column_signs, _product, _top_eigenvectors,
                      as_matrix, low_rank_svd, qr_factor, svd_full)
 
 
@@ -87,17 +89,18 @@ def generate_right_vectors(a_local, local_rank):
 
     A tall slice `a` (more rows than its n columns) is reduced by the
     method of snapshots: the w = min(n, r1 + SUBSPACE_EXTRA) leading
-    eigenvectors V0 of its Gram matrix a^T a. Those alone miss svd_full's
-    vectors at the 1e-13 level, so one subspace iteration on the slab
-    itself, Q = qr(a^T a V0), sharpens them, and a Rayleigh-Ritz step,
-    the thin SVD of a Q = U S Z^T, gives v = Q Z and s = S. This is the
-    power-iterated range finder of Halko, Martinsson & Tropp (2011, §4.5)
-    applied to a^T, with the Gram eigenvectors as its start. The slab's
-    m x n left vectors are never formed, and since a v = U S, U's signs
-    are the slab's own: the entry of largest magnitude in each left
-    vector is positive, as in svd_full of the slice. Other slices take a
-    thin SVD directly. Slab products are taken column-major
-    (linalg._product).
+    eigenvectors V0 of its Gram matrix a^T a, and only those
+    (linalg._top_eigenvectors). They alone miss svd_full's vectors at the
+    1e-13 level, so one subspace iteration on the slab itself,
+    Q = qr(a^T a V0), sharpens them. Rayleigh-Ritz follows from the
+    triangular factor of a Q = B R alone: the SVD R = U S Z^T gives
+    v = Q Z and s = S. This is the power-iterated range finder of Halko,
+    Martinsson & Tropp (2011, §4.5) applied to a^T, with the Gram
+    eigenvectors as its start. The slab's m x n left vectors are never
+    formed; its leading ones, B U, are taken only for their signs, so
+    that, as in svd_full of the slice, the entry of largest magnitude in
+    each left vector is positive. Other slices take a thin SVD directly.
+    Slab products are taken column-major (linalg._product).
 
     Returns (v, s) with v of shape (n_cols, local_rank) and s of length
     local_rank. When the slice has fewer than local_rank nonzero directions
@@ -115,15 +118,19 @@ def generate_right_vectors(a_local, local_rank):
         )
     if a.shape[0] > n:
         width = min(n, local_rank + SUBSPACE_EXTRA)
-        v0 = np.linalg.eigh(a.T @ a)[1][:, -width:]
-        q = qr_factor(a.T @ _product(a, v0), check_finite=False).q
-        res = svd_full(_product(a, q))
-        vt = res.vt @ q.T
+        v0 = _top_eigenvectors(a.T @ a, width)
+        # (a V0)^T a, transposed, is column-major, so the QR takes it as is.
+        q = qr_factor((_product(a, v0).T @ a).T, check_finite=False).q
+        b = qr_factor(_product(a, q), check_finite=False)
+        res = svd_full(b.r)
+        keep = local_rank
+        _, vt = _positive_column_signs(b.apply(res.u[:, :keep]),
+                                       res.vt[:keep])
+        v = q @ vt.T
     else:
         res = svd_full(a)
-        vt = res.vt
-    keep = min(local_rank, res.s.size)
-    v = vt[:keep].T.copy()
+        keep = min(local_rank, res.s.size)
+        v = res.vt[:keep].T.copy()
     s = res.s[:keep].copy()
     if keep < local_rank:
         v = np.hstack([v, np.zeros((n, local_rank - keep))])
@@ -141,7 +148,8 @@ def apmos(ctx, a_local, config):
     among the first K cannot be normalized against and raises
     DegenerateModeError on all ranks alike.
     """
-    a = as_matrix(a_local, "a_local")
+    # generate_right_vectors scans the slab for non-finite entries.
+    a = as_matrix(a_local, "a_local", check_finite=False)
     r1, r2, k = config.local_rank, config.global_rank, config.k_modes
     if r2 > ctx.world_size * r1:
         raise ValueError(

@@ -21,6 +21,14 @@ without that symbol gets the same factors, at rounding level and more
 slowly on wide inputs, from `np.linalg.qr` and LAPACK's `dlarft`
 recurrence (README, "Numerical notes").
 
+The APMOS local step needs only the leading eigenvectors of a Gram
+matrix. `_top_eigenvectors` takes just those from LAPACK's `dsyevr`, from
+the same library, where `np.linalg.eigh` would compute all of them, and
+falls back to `eigh` without that symbol. Both routines are called
+through ctypes (`_lapack_call`), which passes integers, doubles, arrays
+and one-character options by reference, as Fortran expects, and each
+option's length after the other arguments.
+
 `blas_thread_budget` divides the CPUs among the ranks of a world that runs
 on one host, by setting the thread count of the OpenBLAS numpy uses.
 """
@@ -382,8 +390,10 @@ def _openblas_threads():
 
 
 # The arguments of each LAPACK routine called here, INFO left out: "i" an
-# integer, "a" a column-major float64 array.
-_LAPACK_ARGS = {"dgeqrt": "iiiaiaia"}
+# integer, "a" a column-major float64 array, "I" an array of LAPACK's
+# integer type, "d" a double and "c" a one-character option.
+_LAPACK_ARGS = {"dgeqrt": "iiiaiaia",
+                "dsyevr": "ccciaiddiidIaaiIaiIi"}
 
 
 @functools.cache
@@ -392,13 +402,17 @@ def _lapack(routine):
     _LAPACK_ARGS, from the library numpy loaded, or None when that library
     does not export it. A ctypes call releases the GIL, so the simulated
     ranks' threads factor concurrently."""
+    kinds = _LAPACK_ARGS[routine]
     for _, _, prefix, suffix, integer in _OPENBLAS_API:
         func = getattr(_numpy_lapack(), prefix + routine + suffix, None)
         if func is None:
             continue
         pointer = ctypes.POINTER(integer)
-        func.argtypes = [pointer if kind == "i" else ctypes.c_void_p
-                         for kind in _LAPACK_ARGS[routine]] + [pointer]
+        by_kind = {"i": pointer, "d": ctypes.POINTER(ctypes.c_double),
+                   "c": ctypes.c_char_p}
+        # Fortran passes each character argument's length after the others.
+        func.argtypes = ([by_kind.get(kind, ctypes.c_void_p) for kind in kinds]
+                         + [pointer] + [ctypes.c_size_t] * kinds.count("c"))
         func.restype = None
         return func, integer
     return None
@@ -406,23 +420,76 @@ def _lapack(routine):
 
 def _lapack_call(routine, *args):
     """Call the LAPACK `routine`, which `_lapack` must have found, with
-    `args` and then its INFO. Each array must be column-major float64:
-    LAPACK reads and writes it by pointer, one column after another. A
-    nonzero INFO raises RuntimeError."""
+    `args`, then its INFO and the lengths of its character options, and
+    return INFO. Each array must be column-major, of float64 or of LAPACK's
+    integer type as _LAPACK_ARGS says: LAPACK reads and writes it by
+    pointer, one column after another. A negative INFO, an illegal
+    argument, raises RuntimeError; a positive one is the routine's own
+    failure report, which its caller reads."""
     func, integer = _lapack(routine)
+    kinds = _LAPACK_ARGS[routine]
 
     def argument(kind, x):
         if kind == "i":
             return integer(x)
-        if not (x.flags.f_contiguous and x.dtype == np.float64):
-            raise ValueError(f"{routine} needs column-major float64 arrays, "
+        if kind == "d":
+            return ctypes.c_double(x)
+        if kind == "c":
+            return x.encode()
+        dtype = np.float64 if kind == "a" else np.dtype(integer)
+        if not (x.flags.f_contiguous and x.dtype == dtype):
+            raise ValueError(f"{routine} needs column-major "
+                             f"{np.dtype(dtype)} arrays, "
                              f"got {x.shape} {x.dtype}")
         return x.ctypes.data
 
     info = integer(0)
-    func(*map(argument, _LAPACK_ARGS[routine], args), ctypes.byref(info))
-    if info.value:
+    lengths = [1] * kinds.count("c")
+    func(*map(argument, kinds, args), ctypes.byref(info), *lengths)
+    if info.value < 0:
         raise RuntimeError(f"{func.__name__} returned info {info.value}")
+    return info.value
+
+
+def _top_eigenvectors(g, w):
+    """The eigenvectors of the w largest eigenvalues of the symmetric g, in
+    ascending order of eigenvalue, as np.linalg.eigh(g)[1][:, -w:] gives
+    them, from g's lower triangle as eigh reads it.
+
+    LAPACK's dsyevr reduces g to tridiagonal form, as eigh's dsyevd does,
+    but then computes and back-transforms only the w eigenpairs asked for,
+    with IL = n - w + 1 and IU = n. Its work arrays are sized by a
+    workspace query: at the minimum, 26 n, the reduction runs unblocked. A
+    numpy without the symbol takes eigh's full eigensolve. A failed
+    eigensolve raises ConvergenceError.
+    """
+    n = g.shape[0]
+    if _lapack("dsyevr") is None:
+        return np.linalg.eigh(g)[1][:, -w:]
+    ints = np.dtype(_lapack("dsyevr")[1])
+    # Column-major, g^T holds a row-major g's memory as it is, and its
+    # upper triangle is g's lower one.
+    a = np.array(g.T, order="F")
+    found = np.zeros(1, ints)
+    values = np.empty(n)
+    z = np.empty((n, w), order="F")
+    support = np.empty(2 * w, ints)
+
+    def dsyevr(work, iwork, lwork, liwork):
+        return _lapack_call("dsyevr", "V", "I", "U", n, a, n, 0.0, 0.0,
+                            n - w + 1, n, 0.0, found, values, z, n, support,
+                            work, lwork, iwork, liwork)
+
+    work, iwork = np.empty(1), np.empty(1, ints)
+    dsyevr(work, iwork, -1, -1)
+    lwork, liwork = int(work[0]), int(iwork[0])
+    info = dsyevr(np.empty(lwork), np.empty(liwork, ints), lwork, liwork)
+    if info:
+        raise ConvergenceError(
+            f"symmetric eigensolve did not converge for {n}x{n} input "
+            f"(dsyevr info {info})"
+        )
+    return z
 
 
 def _openblas_thread_count():

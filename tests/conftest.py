@@ -68,8 +68,9 @@ def subprocess_env():
 
 @pytest.fixture
 def fallback_qr(monkeypatch):
-    """Makes qr_factor take the route that a numpy whose library does not
-    export dgeqrt gets."""
+    """Hides every LAPACK routine that linalg looks up, so qr_factor and the
+    APMOS local step's eigensolve take the routes that a numpy whose
+    library exports neither dgeqrt nor dsyevr gets."""
     monkeypatch.setattr(linalg, "_lapack", lambda routine: None)
 
 

@@ -1,10 +1,12 @@
 """Command-line interface: subcommands, config precedence, exit codes."""
 
 import os
+import select
 import socket
 import struct
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -583,6 +585,52 @@ def test_rank_world_size_one_matches_simulated(monkeypatch, tmp_path):
 
     for name in RESULT_FILES:
         assert (sim / name).read_bytes() == (tcp / name).read_bytes(), name
+
+
+def test_rank_root_refuses_an_unread_frame_before_writing(monkeypatch,
+                                                         capsys, tmp_path):
+    # rank 0 finishes its work while a frame from rank 1 sits unread: the
+    # ranks diverged, so it exits 2 naming the frame and writes no results
+    mat = tmp_path / "a.bin"
+    _write_test_matrix(mat)
+    port = free_port()
+    frame = FRAME_HEADER.pack(GATHER_TAG, 1, 0) + encode_matrix(np.ones((1, 1)))
+    peer = []
+
+    def rank_one():
+        limit = time.monotonic() + 10.0
+        while True:
+            try:
+                sock = socket.create_connection(("127.0.0.1", port), 1.0)
+                break
+            except OSError:
+                assert time.monotonic() < limit, "root never listened"
+                time.sleep(0.02)
+        peer.append(sock)
+        sock.sendall(struct.pack("<I", 1) + frame)
+
+    def work_without_receiving(ctx, cfg):
+        sock = ctx.transport._conns[1]
+        assert select.select([sock], [], [], 5.0)[0] == [sock]
+
+    monkeypatch.setattr(parsvd.cli, "_rank_work", work_without_receiving)
+    monkeypatch.setenv("PARSVD_WORLD_SIZE", "2")
+    monkeypatch.setenv("PARSVD_RANK", "0")
+    monkeypatch.setenv("PARSVD_ROOT_ADDR", f"127.0.0.1:{port}")
+    thread = threading.Thread(target=rank_one)
+    thread.start()
+    out = tmp_path / "out"
+    try:
+        code = main(["rank", "--input", str(mat), "--outdir", str(out),
+                     "--mode", "parallel-batch", "--k", "2"])
+    finally:
+        thread.join(timeout=10.0)
+        for sock in peer:
+            sock.close()
+    assert code == 2
+    assert ("rank 1 sent rank 0 a gather frame (tag 0xffff0001) that no "
+            "receive took") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_two_rank_tcp_run_matches_simulated(tmp_path, subprocess_env):

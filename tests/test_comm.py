@@ -3,6 +3,7 @@ wired through in-process socket pairs in simulated worlds and through TCP
 sockets between rank threads or processes."""
 
 import os
+import select
 import socket
 import struct
 import sys
@@ -16,11 +17,11 @@ import pytest
 import oracles
 from conftest import free_port
 from parsvd import comm
-from parsvd.comm import (FRAME_HEADER, MATRIX_HEADER, MAX_PAYLOAD_BYTES,
-                         SEND_TAG, RankContext, TcpTransport, _read_frame,
-                         _recv_exact, broadcast, decode_matrix, encode_matrix,
-                         gather, recv, run_simulated, send,
-                         tcp_context_from_env)
+from parsvd.comm import (FRAME_HEADER, GATHER_TAG, MATRIX_HEADER,
+                         MAX_PAYLOAD_BYTES, SEND_TAG, RankContext,
+                         TcpTransport, _read_frame, _recv_exact, broadcast,
+                         decode_matrix, encode_matrix, gather, recv,
+                         run_simulated, send, tcp_context_from_env)
 from parsvd.errors import CollectiveTimeout, ConfigError, ProtocolError
 from parsvd.linalg import _openblas_threads, blas_thread_budget
 
@@ -454,6 +455,33 @@ def test_diverged_rank_raises_at_once(run):
     assert time.monotonic() - start < 1.0
 
 
+def test_root_refuses_a_frame_it_never_received():
+    # rank 1 sends, rank 0 returns at once: the frame would sit unread and
+    # the world would end clean, so the root refuses it, naming the sender
+    # and the frame's operation
+    def program(ctx):
+        if ctx.rank == 1:
+            send(ctx, np.ones((2, 2)), 0)
+        return ctx.rank
+
+    with pytest.raises(ProtocolError,
+                       match=r"^rank 1 sent rank 0 a send frame \(tag "
+                             r"0xffff0000\) that no receive took$"):
+        run_simulated(2, program)
+
+
+def test_root_refusal_of_unread_frames_waits_for_a_clean_finish():
+    # a rank that raises is the cause; its peer's unread frame is not
+    def program(ctx):
+        if ctx.rank == 2:
+            raise RuntimeError("rank 2 exploded")
+        if ctx.rank == 1:
+            send(ctx, np.ones((1, 1)), 0)
+
+    with pytest.raises(RuntimeError, match="rank 2 exploded"):
+        run_simulated(3, program)
+
+
 def test_tcp_world_size_two_collectives():
     def program(ctx):
         parts = gather(ctx, np.array([[float(ctx.rank)]]))
@@ -657,6 +685,52 @@ def _root_refuses(sender, frame, refusal):
         with pytest.raises(ProtocolError, match=refusal):
             recv(ctx, 1)
         assert time.monotonic() - start < 2.0
+    finally:
+        transport.close()
+        for sock in fakes.values():
+            sock.close()
+
+
+def test_tcp_root_refuses_unread_frames_but_not_a_hang_up():
+    # a frame that no receive took is refused, whether it is still on the
+    # peer's socket or already in its queue; a peer that only hangs up
+    # leaves nothing to refuse
+    address = f"127.0.0.1:{free_port()}"
+    fakes = {}
+
+    def dial():
+        for rank in (1, 2):
+            fakes[rank] = _fake_rank(address, rank)
+
+    def readable(rank):
+        sock = transport._conns[rank]
+        assert select.select([sock], [], [], 5.0)[0] == [sock]
+
+    thread = threading.Thread(target=dial)
+    thread.start()
+    transport = TcpTransport.listen(3, address, deadline=5.0)
+    thread.join(timeout=10.0)
+    payload = encode_matrix(np.ones((2, 2)))
+    refusal = (r"rank 1 sent rank 0 a gather frame \(tag 0xffff0001\) that "
+               r"no receive took")
+    try:
+        transport.refuse_unread()
+        fakes[1].sendall(FRAME_HEADER.pack(GATHER_TAG, 1, 0) + payload)
+        readable(1)
+        with pytest.raises(ProtocolError, match=refusal):
+            transport.refuse_unread()
+        # the receive from rank 2 reads every readable socket, so rank 1's
+        # frame moves to its queue
+        fakes[2].sendall(FRAME_HEADER.pack(SEND_TAG, 2, 0) + payload)
+        readable(2)
+        recv(RankContext(0, 3, transport, deadline=5.0), 2)
+        with pytest.raises(ProtocolError, match=refusal):
+            transport.refuse_unread()
+        transport.recv_frame(1, GATHER_TAG, time.monotonic() + 5.0)
+        for rank in (1, 2):
+            fakes[rank].close()
+            readable(rank)
+        transport.refuse_unread()
     finally:
         transport.close()
         for sock in fakes.values():

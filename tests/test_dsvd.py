@@ -217,6 +217,17 @@ def test_apmos_randomized_kernel_route():
     assert np.max(aligned_mode_difference(stacked, direct.u[:, :3])) < 1e-7
 
 
+@pytest.mark.parametrize("rows", [20, 4])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_apmos_refuses_a_non_finite_slab(rows, bad):
+    # apmos leaves the scan of its slab to generate_right_vectors, on the
+    # tall route and the short one alike
+    a = _random(rows, 6, seed=67)
+    a[2, 3] = bad
+    with pytest.raises(ValueError, match="a_local contains non-finite"):
+        apmos(RankContext(0, 1, None), a, ApmosConfig(3, 2, 2))
+
+
 def test_apmos_degenerate_mode_error_names_index():
     blocks = [np.zeros((4, 6)), np.zeros((4, 6))]
     config = ApmosConfig(local_rank=3, global_rank=2, k_modes=2)

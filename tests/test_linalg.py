@@ -10,7 +10,10 @@ from parsvd.linalg import (QrResult, RandomSketchConfig, SvdResult,
                            aligned_mode_difference, low_rank_svd, qr_factor,
                            randomized_range, svd_full)
 from parsvd.comm import RankContext
+from parsvd.datagen import synthetic_spectrum_matrix
+from parsvd.errors import ConvergenceError
 from parsvd.streaming import StreamConfig, stream_initialize
+from test_dsvd import _slab
 
 
 # ---------- qr_factor ----------
@@ -307,6 +310,88 @@ def test_r_factor_raises_on_a_lapack_error(capfd):
     t = np.empty((0, 3), order="F")
     with pytest.raises(RuntimeError, match="info -3"):
         linalg._lapack_call("dgeqrt", 5, 3, 0, work, 5, t, 1, np.empty_like(t))
+
+
+def test_dsyevr_raises_on_a_lapack_error(capfd):
+    # a leading dimension below N is an illegal sixth argument to dsyevr
+    if linalg._lapack("dsyevr") is None:
+        pytest.skip("numpy's LAPACK does not export dsyevr")
+    ints = np.dtype(linalg._lapack("dsyevr")[1])
+    a = np.eye(3, order="F")
+    with pytest.raises(RuntimeError, match="dsyevr.* info -6"):
+        linalg._lapack_call("dsyevr", "V", "I", "U", 3, a, 1, 0.0, 0.0, 1,
+                            3, 0.0, np.zeros(1, ints), np.empty(3),
+                            np.empty((3, 3), order="F"), 3,
+                            np.empty(6, ints), np.empty(100), 100,
+                            np.empty(30, ints), 30)
+
+
+def test_lapack_call_refuses_an_integer_array_of_another_type():
+    if linalg._lapack("dsyevr") is None:
+        pytest.skip("numpy's LAPACK does not export dsyevr")
+    a = np.eye(3, order="F")
+    with pytest.raises(ValueError, match="dsyevr needs column-major"):
+        linalg._lapack_call("dsyevr", "V", "I", "U", 3, a, 3, 0.0, 0.0, 1,
+                            3, 0.0, np.zeros(1, np.int8), np.empty(3),
+                            np.empty((3, 3), order="F"), 3,
+                            np.empty(6, np.int8), np.empty(100), 100,
+                            np.empty(30, np.int8), 30)
+
+
+def test_top_eigenvectors_raises_when_dsyevr_fails(monkeypatch):
+    # a positive INFO from dsyevr is a failed eigensolve, as svd_full
+    # reports one; the workspace query's is let through
+    if linalg._lapack("dsyevr") is None:
+        pytest.skip("numpy's LAPACK does not export dsyevr")
+    call = linalg._lapack_call
+
+    def failing(routine, *args):
+        info = call(routine, *args)
+        return info if args[-3] == -1 else 2
+
+    monkeypatch.setattr(linalg, "_lapack_call", failing)
+    with pytest.raises(ConvergenceError, match="dsyevr info 2"):
+        linalg._top_eigenvectors(np.eye(4), 2)
+
+
+def _gram(name, snapshots):
+    if name == "zero":
+        return np.zeros((50, 50))
+    if name == "double":
+        sv = 2.0 ** -np.arange(40.0)
+        sv[4] = sv[3]
+        a = synthetic_spectrum_matrix(100, 40, sv, seed=7)
+    else:
+        a = _slab(snapshots, name)
+    return a.T @ a
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+@pytest.mark.parametrize("name", ["tall", "repeated-column", "double",
+                                  "zero"])
+def test_top_eigenvectors_match_eigh(burgers_snapshots, name, fallback,
+                                     request):
+    # the w leading eigenpairs, as eigh's last w columns give them: values
+    # (Rayleigh quotients) to 1e-13 of the largest, and the same invariant
+    # subspace to within rounding over the gap that separates it. A slab
+    # with a repeated column has a singular Gram matrix; "double" has a
+    # repeated eigenvalue inside the w; every eigenvalue of zero is 0
+    if fallback:
+        request.getfixturevalue("fallback_qr")
+    g = _gram(name, burgers_snapshots)
+    w = 30 if g.shape[0] > 40 else 10
+    lam, vec = np.linalg.eigh(g)
+    v = linalg._top_eigenvectors(g, w)
+    assert v.shape == (g.shape[0], w)
+    assert np.max(np.abs(v.T @ v - np.eye(w))) <= 1e-14
+    theta = np.einsum("ij,ij->j", v, g @ v)
+    scale = max(lam[-1], 1.0)
+    assert np.max(np.abs(theta - lam[-w:])) <= 1e-13 * scale
+    gap = lam[-w] - lam[-w - 1]
+    if gap > 0:
+        lead = vec[:, -w:]
+        sin = np.linalg.norm(v @ v.T - lead @ lead.T, 2)
+        assert sin <= 10 * np.finfo(float).eps * lam[-1] / gap
 
 
 # ---------- svd_full ----------
