@@ -15,6 +15,17 @@ file format with CSV/SVG emitters (`io`), and a command-line front end
 (`cli`).
 """
 
+import os
+import sys
+
+# OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, when numpy loads it: an idle
+# worker spins for 2^N clock ticks before it sleeps. Ranks that run one BLAS
+# thread never wake the workers, so OpenBLAS's N = 28 (0.13 s at 2 GHz) is
+# CPU burnt for nothing; N = 24 (8 ms) still outlasts the gaps inside one
+# threaded call. A value the user set, or one numpy has read already, stays.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "24")
+
 from .comm import (CommStats, RankContext, TcpTransport, broadcast,
                    decode_matrix, encode_matrix, gather, recv, run_simulated,
                    send, tcp_context_from_env)

@@ -377,8 +377,8 @@ def _cmd_rank(args):
         # The ranks are taken to share this host, as simulated ranks do.
         with blas_thread_budget(ctx.world_size):
             result = _rank_work(ctx, cfg)
+            ctx.transport.refuse_unread()
             if ctx.rank == 0:
-                ctx.transport.refuse_unread()
                 _write_outputs(cfg, result)
                 print(f"wrote results for {cfg.mode} to {cfg.outdir}")
     finally:

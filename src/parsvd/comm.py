@@ -25,9 +25,9 @@ peer's hang-up: once the frames that peer sent before closing are consumed,
 the next receive from it raises ProtocolError at once, as a receive at any
 other rank does when rank 0 closes. That is also how a failure spreads: a
 rank that raises closes its connections, and the ranks waiting on it raise
-ProtocolError, over TCP and in a simulated world alike. A root whose
-program has finished cleanly refuses a frame that a peer sent it and no
-receive took (TcpTransport.refuse_unread).
+ProtocolError, over TCP and in a simulated world alike. A rank whose
+program has finished cleanly refuses a frame that was sent to it and that
+no receive took (TcpTransport.refuse_unread).
 
 No thread runs behind a rank: every rank reads its own sockets in one
 receive loop, so a root and a peer that at the same time send each other a
@@ -44,6 +44,7 @@ carries a deadline (default 30 s) and raises CollectiveTimeout when it
 lapses.
 """
 
+import math
 import os
 import select
 import socket
@@ -385,9 +386,9 @@ class TcpTransport:
     def refuse_unread(self):
         """Raise ProtocolError, naming the peer and the frame's tag, when a
         peer sent this rank a frame that no receive took: one still queued,
-        or bytes still unread on its connection. The root calls this once
-        its program has finished cleanly, since a peer that sends more than
-        the root receives has diverged from it. A peer's hang-up alone
+        or bytes still unread on its connection. Every rank calls this once
+        its program has finished cleanly, since a rank that is sent more
+        than it receives has diverged from its sender. A hang-up alone
         leaves no frame."""
         for rank, sock in sorted(self._conns.items()):
             queue = self._queues.get(rank)
@@ -445,8 +446,9 @@ class RankContext:
             raise ValueError(
                 f"rank must be in [0, {self.world_size}), got {self.rank}"
             )
-        if not self.deadline > 0:
-            raise ValueError(f"deadline must be positive, got {self.deadline}")
+        if not (math.isfinite(self.deadline) and self.deadline > 0):
+            raise ValueError(f"deadline must be finite and positive, got "
+                             f"{self.deadline}")
         if self.transport is None and self.world_size > 1:
             raise ValueError(
                 f"a world of {self.world_size} ranks needs a transport"
@@ -552,7 +554,7 @@ def run_simulated(world_size, fn, *, deadline=DEFAULT_DEADLINE):
     recorded, the cause, is re-raised. A rank that returns keeps its
     connections open until every rank has finished, so a receive from it
     still waits out its deadline. When every rank returns, a frame that a
-    rank sent rank 0 and rank 0 never received raises ProtocolError
+    rank was sent and never received raises ProtocolError
     (TcpTransport.refuse_unread). Every socket is closed when this returns
     or raises.
 
@@ -597,7 +599,8 @@ def run_simulated(world_size, fn, *, deadline=DEFAULT_DEADLINE):
             for thread in threads:
                 thread.join()
         if not failures and world_size > 1:
-            transports[0].refuse_unread()
+            for transport in transports:
+                transport.refuse_unread()
     finally:
         for transport in transports:
             if transport is not None:
@@ -612,7 +615,9 @@ def tcp_context_from_env(environ=None):
     PARSVD_ROOT_ADDR (plus optional PARSVD_DEADLINE, seconds).
 
     Rank 0 listens on the address; other ranks connect to it. Missing or
-    malformed variables raise ConfigError naming the offender.
+    malformed variables, a deadline that is not a finite number above 0
+    among them, raise ConfigError naming the offender before any socket
+    opens.
     """
     environ = os.environ if environ is None else environ
     values = {}
@@ -631,8 +636,12 @@ def tcp_context_from_env(environ=None):
     deadline_raw = environ.get("PARSVD_DEADLINE")
     try:
         deadline = DEFAULT_DEADLINE if not deadline_raw else float(deadline_raw)
+        usable = math.isfinite(deadline) and deadline > 0
     except ValueError:
-        raise ConfigError("PARSVD_DEADLINE must be a number") from None
+        usable = False
+    if not usable:
+        raise ConfigError(f"PARSVD_DEADLINE must be a finite number of "
+                          f"seconds above 0, got {deadline_raw!r}")
     if world_size < 1:
         raise ConfigError(f"PARSVD_WORLD_SIZE must be >= 1, got {world_size}")
     if not 0 <= rank < world_size:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config precedence, exit codes."""
 
+import json
 import os
 import select
 import socket
@@ -15,8 +16,8 @@ import pytest
 import parsvd.cli
 from conftest import free_port
 from parsvd.cli import MODES, main
-from parsvd.comm import (FRAME_HEADER, GATHER_TAG, MATRIX_HEADER,
-                         encode_matrix, run_simulated)
+from parsvd.comm import (BCAST_TAG, FRAME_HEADER, GATHER_TAG,
+                         MATRIX_HEADER, encode_matrix, run_simulated)
 from parsvd.datagen import (BurgersConfig, burgers_matrix, partition_bounds,
                             synthetic_spectrum_matrix)
 from parsvd.dsvd import ApmosConfig, apmos, gather_modes
@@ -418,6 +419,29 @@ def test_rank_connect_failure_exits_4(monkeypatch, tmp_path):
                  "--mode", "parallel-batch"]) == 4
 
 
+@pytest.mark.parametrize("rank", ["0", "1"])
+@pytest.mark.parametrize("deadline", ["inf", "nan", "-1"])
+def test_rank_refuses_a_bad_deadline_before_any_socket_opens(
+        monkeypatch, capsys, tmp_path, deadline, rank):
+    # inf would overflow select's timeout mid-run, -1 would time out at
+    # once and nan never: each exits 1 before a socket opens
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "create_server", no_socket)
+    monkeypatch.setattr(socket, "create_connection", no_socket)
+    mat = tmp_path / "a.bin"
+    _write_test_matrix(mat)
+    monkeypatch.setenv("PARSVD_WORLD_SIZE", "2")
+    monkeypatch.setenv("PARSVD_RANK", rank)
+    monkeypatch.setenv("PARSVD_ROOT_ADDR", "127.0.0.1:1")
+    monkeypatch.setenv("PARSVD_DEADLINE", deadline)
+    assert main(["rank", "--input", str(mat), "--outdir", str(tmp_path / "o"),
+                 "--mode", "parallel-batch"]) == 1
+    assert (f"PARSVD_DEADLINE must be a finite number of seconds above 0, "
+            f"got '{deadline}'") in capsys.readouterr().err
+
+
 def _root_against_fake_peers(tmp_path, env, misbehave, deadline,
                              world_size=2):
     """Start `parsvd rank` as rank 0 of `world_size` on a small Burgers
@@ -531,6 +555,22 @@ def test_rank_root_refuses_a_tcp_frame_addressed_to_another_rank(
     assert elapsed < 5.0
 
 
+def test_rank_root_refuses_a_foreign_tag(tmp_path, subprocess_env):
+    # rank 1 sends a frame of no known operation where its part of the
+    # stream's first rank sum (the row count) is due: the root exits 2
+    # naming rank 1 and both tags
+    def foreign(sock):
+        sock.sendall(FRAME_HEADER.pack(0x1234, 1, 0)
+                     + encode_matrix(np.zeros((2, 2))))
+
+    code, err, elapsed = _root_against_fake_peers(
+        tmp_path, subprocess_env, foreign, deadline=30.0)
+    assert code == 2, err
+    assert ("rank 1 sent rank 0 a foreign frame (tag 0x1234) where a gather "
+            "frame (tag 0xffff0001) was due") in err
+    assert elapsed < 5.0
+
+
 def test_rank_exits_fast_when_root_exits(tmp_path, subprocess_env):
     # a fake root accepts rank 1's hello and hangs up. The rank's one send
     # before its first receive still succeeds (the kernel buffers it; the
@@ -633,6 +673,46 @@ def test_rank_root_refuses_an_unread_frame_before_writing(monkeypatch,
     assert not out.exists()
 
 
+def test_rank_peer_refuses_an_unread_frame(monkeypatch, capsys, tmp_path):
+    # a raw-socket root sends rank 1 a broadcast frame that rank 1's work
+    # never receives: the ranks diverged, so rank 1 exits 2 naming it
+    mat = tmp_path / "a.bin"
+    _write_test_matrix(mat)
+    frame = FRAME_HEADER.pack(BCAST_TAG, 0, 1) + encode_matrix(np.ones((1, 1)))
+    server = socket.create_server(("127.0.0.1", 0))
+    conns = []
+
+    def root():
+        conn, _ = server.accept()
+        conns.append(conn)
+        assert conn.recv(4) == struct.pack("<I", 1)
+        conn.sendall(frame)
+
+    def work_without_receiving(ctx, cfg):
+        sock = ctx.transport._conns[0]
+        assert select.select([sock], [], [], 5.0)[0] == [sock]
+
+    monkeypatch.setattr(parsvd.cli, "_rank_work", work_without_receiving)
+    monkeypatch.setenv("PARSVD_WORLD_SIZE", "2")
+    monkeypatch.setenv("PARSVD_RANK", "1")
+    monkeypatch.setenv("PARSVD_ROOT_ADDR",
+                       f"127.0.0.1:{server.getsockname()[1]}")
+    thread = threading.Thread(target=root)
+    thread.start()
+    try:
+        code = main(["rank", "--input", str(mat),
+                     "--outdir", str(tmp_path / "out"),
+                     "--mode", "parallel-batch", "--k", "2"])
+    finally:
+        thread.join(timeout=10.0)
+        for conn in conns:
+            conn.close()
+        server.close()
+    assert code == 2
+    assert ("root sent rank 1 a broadcast frame (tag 0xffff0002) that no "
+            "receive took") in capsys.readouterr().err
+
+
 def test_two_rank_tcp_run_matches_simulated(tmp_path, subprocess_env):
     mat = tmp_path / "a.bin"
     _write_test_matrix(mat, rows=16, cols=8)
@@ -692,3 +772,49 @@ def test_help_exits_zero(subprocess_env):
                           env=subprocess_env, capture_output=True, timeout=30)
     assert proc.returncode == 0
     assert b"decompose" in proc.stdout
+
+
+# ---------- package import ----------
+
+# Records OPENBLAS_THREAD_TIMEOUT at the moment numpy is first imported,
+# which is when OpenBLAS reads it, then imports the modules named on the
+# command line and prints [that value, the value at the end].
+_TIMEOUT_PROBE = """
+import json, os, sys
+
+class NumpyImport:
+    def __init__(self):
+        self.seen = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not self.seen:
+            self.seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        return None
+
+probe = NumpyImport()
+sys.meta_path.insert(0, probe)
+for module in sys.argv[1:]:
+    __import__(module)
+print(json.dumps([probe.seen[0], os.environ.get("OPENBLAS_THREAD_TIMEOUT")]))
+"""
+
+
+@pytest.mark.parametrize("preset, modules, expected", [
+    (None, ["parsvd"], ["24", "24"]),
+    ("28", ["parsvd"], ["28", "28"]),
+    (None, ["numpy", "parsvd"], [None, None]),
+], ids=["unset", "preset", "numpy-first"])
+def test_import_caps_openblas_idle_spin_before_numpy_loads(subprocess_env,
+                                                           preset, modules,
+                                                           expected):
+    # importing parsvd sets OPENBLAS_THREAD_TIMEOUT=24 before numpy loads
+    # OpenBLAS; a value the user set is kept, and once numpy is loaded the
+    # environment is left as it is
+    env = dict(subprocess_env)
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    proc = subprocess.run([sys.executable, "-c", _TIMEOUT_PROBE, *modules],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == expected

@@ -2,6 +2,7 @@
 wired through in-process socket pairs in simulated worlds and through TCP
 sockets between rank threads or processes."""
 
+import math
 import os
 import select
 import socket
@@ -335,8 +336,9 @@ def test_rank_context_validation():
         RankContext(2, 2, transport)
     with pytest.raises(ValueError):
         RankContext(-1, 2, transport)
-    with pytest.raises(ValueError):
-        RankContext(0, 2, transport, deadline=0.0)
+    for deadline in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            RankContext(0, 2, transport, deadline=deadline)
     with pytest.raises(ValueError, match="needs a transport"):
         RankContext(0, 2, None)
 
@@ -466,6 +468,20 @@ def test_root_refuses_a_frame_it_never_received():
 
     with pytest.raises(ProtocolError,
                        match=r"^rank 1 sent rank 0 a send frame \(tag "
+                             r"0xffff0000\) that no receive took$"):
+        run_simulated(2, program)
+
+
+def test_peer_refuses_a_frame_it_never_received():
+    # rank 0 sends, rank 1 returns at once: every rank, not only the root,
+    # refuses a frame that no receive took
+    def program(ctx):
+        if ctx.rank == 0:
+            send(ctx, np.ones((2, 2)), 1)
+        return ctx.rank
+
+    with pytest.raises(ProtocolError,
+                       match=r"^root sent rank 1 a send frame \(tag "
                              r"0xffff0000\) that no receive took$"):
         run_simulated(2, program)
 
