@@ -29,16 +29,17 @@ if "numpy" not in sys.modules:
 from .comm import (CommStats, RankContext, TcpTransport, broadcast,
                    decode_matrix, encode_matrix, gather, recv, run_simulated,
                    send, tcp_context_from_env)
-from .datagen import (BurgersConfig, burgers_matrix, burgers_solution,
-                      partition_bounds, synthetic_spectrum_matrix)
+from .datagen import (BurgersConfig, burgers_blocks, burgers_matrix,
+                      burgers_solution, partition_bounds,
+                      synthetic_spectrum_matrix)
 from .dsvd import (ApmosConfig, apmos, gather_modes, generate_right_vectors,
                    parallel_qr)
 from .errors import (CapacityError, CollectiveTimeout, ConfigError,
                      ConvergenceError, DegenerateModeError,
                      MatrixFormatError, ProtocolError)
 from .io import (BatchSource, read_matrix_header, read_submatrix,
-                 write_matrix, write_mode_svg, write_modes_csv,
-                 write_singular_values_csv)
+                 write_matrix, write_matrix_blocks, write_mode_svg,
+                 write_modes_csv, write_singular_values_csv)
 from .linalg import (QrResult, RandomSketchConfig, SvdResult,
                      aligned_mode_difference, low_rank_svd, qr_factor,
                      randomized_range, svd_full)

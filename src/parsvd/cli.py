@@ -25,13 +25,14 @@ from typing import Optional
 import numpy as np
 
 from .comm import run_simulated, tcp_context_from_env
-from .datagen import BurgersConfig, burgers_matrix, partition_bounds
+from .datagen import BurgersConfig, burgers_blocks, partition_bounds
 from .dsvd import ApmosConfig, apmos, gather_modes
 from .errors import CapacityError, CollectiveTimeout, ConfigError, \
     ConvergenceError, DegenerateModeError, MatrixFormatError, ProtocolError
 from .io import BatchSource, read_matrix_header, read_modes_csv, \
-    read_singular_values_csv, read_submatrix, write_history_csv, write_matrix, \
-    write_mode_svg, write_modes_csv, write_singular_values_csv
+    read_singular_values_csv, read_submatrix, write_history_csv, \
+    write_matrix_blocks, write_mode_svg, write_modes_csv, \
+    write_singular_values_csv
 from .linalg import RandomSketchConfig, _available_cpus, \
     _openblas_thread_count, aligned_mode_difference, blas_thread_budget, \
     low_rank_svd, svd_full
@@ -239,7 +240,12 @@ def _cmd_generate(args):
         grid_points=args.grid_points,
         n_snapshots=args.snapshots,
     )
-    write_matrix(args.out, burgers_matrix(config))
+    # each block is written as the pool fills it, so the matrix is never
+    # whole in memory and no size cap applies; closing stops the pool when
+    # the write fails
+    with contextlib.closing(burgers_blocks(config)) as blocks:
+        write_matrix_blocks(args.out, (config.grid_points, config.n_snapshots),
+                            blocks)
     print(f"wrote {args.grid_points}x{args.snapshots} matrix to {args.out}")
     return 0
 

@@ -5,13 +5,16 @@ Burgers equation (a standard test problem whose sharpening front gives a
 slowly decaying singular spectrum), and synthetic matrices with a prescribed
 spectrum for controlled accuracy experiments.
 
-`burgers_matrix` fills a column-major array in place, in blocks of
-BURGERS_BLOCK_COLUMNS columns spread over one thread per available CPU
-(numpy's float ufuncs release the GIL). It evaluates the same formula, in
-the same order of operations, as `burgers_solution`, so the two agree bit
-for bit and `io.write_matrix` writes the array without a transposing copy.
+`burgers_blocks` computes the snapshot matrix in column blocks spread over
+one thread per available CPU (numpy's float ufuncs release the GIL) and
+hands them out left to right, holding only a few at a time, so
+`parsvd generate` writes a matrix of any size through
+`io.write_matrix_blocks`. `burgers_matrix` has the same blocks filled in
+place in one column-major array. Both evaluate the formula in the order of
+operations `burgers_solution` follows, so all three agree bit for bit.
 """
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -20,8 +23,9 @@ import numpy as np
 from .errors import CapacityError
 from .linalg import _available_cpus, qr_factor
 
-# Default allocation cap for generated matrices, in bytes. Large enough for
-# a 16384 x 800 float64 snapshot matrix (about 105 MB) with headroom.
+# Default allocation cap for `burgers_matrix`, in bytes. Large enough for a
+# 16384 x 800 float64 snapshot matrix (about 105 MB) with headroom.
+# `burgers_blocks` holds a few blocks at a time and needs no cap.
 DEFAULT_MATRIX_CAP = 1 << 30
 
 # Columns of the Burgers matrix one worker fills per task. On one thread,
@@ -30,6 +34,12 @@ DEFAULT_MATRIX_CAP = 1 << 30
 # temporaries (16384 x 16 doubles, 2 MB) near the cache and split the
 # columns evenly over the workers.
 BURGERS_BLOCK_COLUMNS = 16
+
+# A block holds at most as many entries as 16 columns of the default
+# 16384-point grid, 2 MiB: on a taller grid blocks are narrower, down to
+# one column, so what `burgers_blocks` holds at once does not grow with
+# the grid.
+BURGERS_BLOCK_ENTRIES = 16 * 16384
 
 
 @dataclass(frozen=True)
@@ -67,10 +77,11 @@ def burgers_solution(x, t, config=BurgersConfig()):
 
         u = (x / (t + 1)) / (1 + sqrt((t + 1) / t0) * exp(Re x^2 / (4t + 4)))
 
-    with t0 = exp(Re / 8). The exponential overflows float64 for Re ~ 1000,
-    so the quotient is computed in log space via logaddexp; the two forms are
-    algebraically identical. x and t broadcast together; scalars in give a
-    scalar out. Points outside the space-time domain raise ValueError.
+    with t0 = exp(Re / 8), as x / (1 + exp(z)) / (t + 1), where z is the
+    log of sqrt((t + 1) / t0) times the exponential. exp(z) overflows
+    float64 near x = 1 for Re ~ 1000; u, below 1e-308 there, then comes out
+    as exactly 0. x and t broadcast together; scalars in give a scalar out.
+    Points outside the space-time domain raise ValueError.
     """
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
@@ -90,20 +101,65 @@ def _burgers_into(out, x, re_x2, log1p_t, t1, re):
     """Write u(x, t) into `out`, given the per-point parts x and Re x^2 and
     the per-time parts log1p(t) and t + 1, all broadcasting to out's shape.
 
-    The one evaluation of the formula: both public generators call it, and
+    The one evaluation of the formula: every generator calls it, and
     every step is an elementwise numpy operation in a fixed order, so a
     block of the snapshot matrix is bit-identical to the same points taken
     one call at a time. Calls numpy only, so worker threads may run it.
     """
-    # log of sqrt((t+1)/t0) * exp(Re x^2 / (4(t+1))), with log(t0) = Re/8
+    # z = log of sqrt((t+1)/t0) * exp(Re x^2 / (4(t+1))), with log(t0) = Re/8
     np.divide(re_x2, 4.0 * t1, out=out)
     out += 0.5 * (log1p_t - re / 8.0)
-    np.logaddexp(0.0, out, out=out)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    # x / (t+1) in out's layout: a C-ordered temporary against a
-    # column-major block made this product 5x slower
-    out *= np.divide(x, t1, out=np.empty_like(out))
+    # errstate is per thread, so it is set here, where pool workers run
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    # x and t + 1 broadcast against out in place: no block-sized temporary
+    np.divide(x, out, out=out)
+    out /= t1
+
+
+def burgers_blocks(config=BurgersConfig(), into=None):
+    """Column blocks of the Burgers snapshot matrix, left to right.
+
+    Each block is a column-major (grid_points, w) array of consecutive
+    columns, w at most BURGERS_BLOCK_COLUMNS and BURGERS_BLOCK_ENTRIES /
+    grid_points (at least 1). `into(lo, hi)`, when given, returns the
+    column-major array that receives columns [lo, hi), such as a slice of
+    the whole matrix; blocks are otherwise new arrays. One thread per
+    available CPU fills them, at most two per thread ahead of the block
+    last handed out, so a few blocks exist at a time whatever the matrix's
+    size. Closing the generator, or an error in a worker, cancels the
+    blocks not yet started and waits for the running ones.
+    """
+    rows, cols = config.grid_points, config.n_snapshots
+    re = config.reynolds
+    x = np.linspace(0.0, config.length, rows)
+    t = np.linspace(0.0, config.t_final, cols)
+    x_col = x[:, None]
+    re_x2 = (re * x * x)[:, None]
+    log1p_t = np.log1p(t)
+    t1 = t + 1.0
+    width = max(1, min(BURGERS_BLOCK_COLUMNS, BURGERS_BLOCK_ENTRIES // rows))
+
+    def fill(lo):
+        hi = min(lo + width, cols)
+        out = np.empty((rows, hi - lo), order="F") if into is None else into(lo, hi)
+        _burgers_into(out, x_col, re_x2, log1p_t[lo:hi], t1[lo:hi], re)
+        return out
+
+    starts = range(0, cols, width)
+    workers = min(_available_cpus(), len(starts))
+    pool = ThreadPoolExecutor(workers)
+    pending = deque()
+    try:
+        for lo in starts:
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fill, lo))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def burgers_matrix(config=BurgersConfig(), max_bytes=DEFAULT_MATRIX_CAP):
@@ -119,22 +175,9 @@ def burgers_matrix(config=BurgersConfig(), max_bytes=DEFAULT_MATRIX_CAP):
         raise CapacityError(
             f"snapshot matrix needs {need} bytes, cap is {max_bytes}"
         )
-    re = config.reynolds
-    x = np.linspace(0.0, config.length, config.grid_points)
-    t = np.linspace(0.0, config.t_final, config.n_snapshots)
-    x_col = x[:, None]
-    re_x2 = (re * x * x)[:, None]
-    log1p_t = np.log1p(t)
-    t1 = t + 1.0
     out = np.empty((config.grid_points, config.n_snapshots), order="F")
-
-    def fill(lo):
-        hi = lo + BURGERS_BLOCK_COLUMNS
-        _burgers_into(out[:, lo:hi], x_col, re_x2, log1p_t[lo:hi], t1[lo:hi], re)
-
-    starts = range(0, config.n_snapshots, BURGERS_BLOCK_COLUMNS)
-    with ThreadPoolExecutor(min(_available_cpus(), len(starts))) as pool:
-        list(pool.map(fill, starts))
+    for _ in burgers_blocks(config, into=lambda lo, hi: out[:, lo:hi]):
+        pass
     return out
 
 

@@ -9,10 +9,10 @@ contiguous span and streaming readers never touch columns they do not need.
 Every reader first checks that the file's size matches its header exactly,
 so a truncated or oversized file is refused before any payload is read.
 Payloads move between the file and numpy memory directly: the writer hands
-the file a view of a column-major array (copying only an input in another
-layout), and the readers `readinto` a column-major result (or the caller's
-column-major array), one call for a full-height window and one per column
-for a row window.
+the file a view of each column-major block (copying only an input in
+another layout), and the readers `readinto` a column-major result (or the
+caller's column-major array), one call for a full-height window and one per
+column for a row window.
 
 CSV emitters print 17 significant digits, enough for float64 round trips;
 re-reading an emitted file reproduces the array bit for bit. The SVG emitter
@@ -35,11 +35,37 @@ FILE_HEADER = struct.Struct("<8sQQ")
 def write_matrix(path, a):
     """Write one matrix to `path` in the binary format above."""
     a = as_matrix(a, "a", allow_empty=True)
-    with open(path, "wb") as fh:
-        fh.write(FILE_HEADER.pack(MAGIC, a.shape[0], a.shape[1]))
-        # the transpose of a column-major array is C-contiguous, the layout
-        # a buffer export needs; a column-major input is not copied
-        fh.write(memoryview(np.asfortranarray(a).T))
+    write_matrix_blocks(path, a.shape, [a])
+
+
+def write_matrix_blocks(path, shape, blocks):
+    """Write the matrix of `shape` to `path` from `blocks`, its column
+    blocks left to right, each taken from the iterable as the file needs
+    it, so the whole matrix need never be in memory. When the blocks or
+    the write fail, the file is removed: a failed write leaves no file."""
+    rows, cols = shape
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(FILE_HEADER.pack(MAGIC, rows, cols))
+            written = 0
+            for block in blocks:
+                # a column-major float64 block is not copied
+                block = np.asfortranarray(block, dtype=np.float64)
+                if block.ndim != 2 or block.shape[0] != rows:
+                    raise ValueError(
+                        f"block of shape {block.shape} in a matrix of "
+                        f"{rows} rows"
+                    )
+                # its transpose is C-contiguous, the layout a buffer
+                # export needs
+                fh.write(memoryview(block.T))
+                written += block.shape[1]
+            if written != cols:
+                raise ValueError(f"blocks hold {written} columns, not {cols}")
+    except BaseException:
+        os.unlink(path)
+        raise
 
 
 def _read_file_header(fh, path):

@@ -155,6 +155,16 @@ def burgers_initial_condition(x, re):
     return x * np.exp(-np.logaddexp(0.0, re * x * x / 4.0 - re / 16.0))
 
 
+def burgers_log_space(x, t, re):
+    """u(x, t) = (x / (t + 1)) / (1 + sqrt((t + 1) / exp(re / 8))
+    * exp(re x^2 / (4t + 4))), evaluated in log space: 1 / (1 + e^z) as
+    exp(-logaddexp(0, z)), which never overflows. x and t broadcast."""
+    x = np.asarray(x, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    z = 0.5 * (np.log1p(t) - re / 8.0) + re * x * x / (4.0 * (t + 1.0))
+    return (x / (t + 1.0)) * np.exp(-np.logaddexp(0.0, z))
+
+
 def fd_burgers(n_grid, t_end, re, length=1.0, cfl=0.4):
     """Explicit finite-difference solution of u_t + u u_x = (1/re) u_xx.
 

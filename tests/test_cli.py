@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config precedence, exit codes."""
 
+import itertools
 import json
 import os
 import select
@@ -9,11 +10,13 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import parsvd.cli
+import parsvd.datagen
 from conftest import free_port
 from parsvd.cli import MODES, main
 from parsvd.comm import (BCAST_TAG, FRAME_HEADER, GATHER_TAG,
@@ -44,14 +47,63 @@ def _summary(outdir):
 
 # ---------- generate ----------
 
-def test_generate_writes_burgers_matrix(tmp_path):
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("shape", [(2049, 1), (2049, 17), (2049, 33), (64, 800)],
+                         ids=lambda shape: "%dx%d" % shape)
+def test_generate_writes_burgers_matrix(tmp_path, monkeypatch, shape, workers):
+    # the streamed file, one 16-column block at a time from one or several
+    # threads, against the one-block writer given the whole matrix
+    monkeypatch.setattr(parsvd.datagen, "_available_cpus", lambda: workers)
+    rows, cols = shape
     out = tmp_path / "burgers.bin"
     code = main(["generate", "--out", str(out),
-                 "--grid-points", "64", "--snapshots", "10"])
+                 "--grid-points", str(rows), "--snapshots", str(cols)])
     assert code == 0
-    expected = burgers_matrix(BurgersConfig(grid_points=64, n_snapshots=10))
-    assert read_matrix_header(out) == (64, 10)
-    assert np.array_equal(read_submatrix(out, 0, 64, 0, 10), expected)
+    expected = tmp_path / "expected.bin"
+    write_matrix(expected, burgers_matrix(BurgersConfig(grid_points=rows,
+                                                        n_snapshots=cols)))
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_generate_holds_a_few_blocks_not_the_matrix(tmp_path, monkeypatch):
+    # 8192 x 400 is 26 MB in 25 blocks of 1 MB; two workers keep at most
+    # four blocks in flight and the writer one, well under a quarter of the
+    # matrix (tracemalloc sees numpy's allocations)
+    monkeypatch.setattr(parsvd.datagen, "_available_cpus", lambda: 2)
+    out = tmp_path / "burgers.bin"
+    tracemalloc.start()
+    try:
+        code = main(["generate", "--out", str(out),
+                     "--grid-points", "8192", "--snapshots", "400"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert read_matrix_header(out) == (8192, 400)
+    assert peak < 8 * 8192 * 400 / 4
+
+
+def test_generate_failure_leaves_no_file(tmp_path, monkeypatch, capsys):
+    # the file is open when the third block fails: it is removed, and the
+    # pool has stopped by the time generate returns
+    real = parsvd.datagen._burgers_into
+    calls = itertools.count()
+
+    def fail_third(out, *args):
+        if next(calls) == 2:
+            raise ValueError("injected failure")
+        real(out, *args)
+
+    monkeypatch.setattr(parsvd.datagen, "_burgers_into", fail_third)
+    monkeypatch.setattr(parsvd.datagen, "_available_cpus", lambda: 3)
+    before = set(threading.enumerate())
+    out = tmp_path / "burgers.bin"
+    code = main(["generate", "--out", str(out),
+                 "--grid-points", "2049", "--snapshots", "800"])
+    assert code == 1
+    assert "injected failure" in capsys.readouterr().err
+    assert not out.exists()
+    assert set(threading.enumerate()) == before
 
 
 def test_generate_unwritable_path(tmp_path, capsys):

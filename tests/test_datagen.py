@@ -5,8 +5,9 @@ import pytest
 
 import oracles
 import parsvd.datagen
-from parsvd.datagen import (BurgersConfig, burgers_matrix, burgers_solution,
-                            partition_bounds, synthetic_spectrum_matrix)
+from parsvd.datagen import (BurgersConfig, burgers_blocks, burgers_matrix,
+                            burgers_solution, partition_bounds,
+                            synthetic_spectrum_matrix)
 from parsvd.errors import CapacityError
 from parsvd.linalg import svd_full
 
@@ -25,13 +26,31 @@ def test_burgers_scalar_in_scalar_out():
 
 
 def test_burgers_positive_and_finite_at_sharp_reynolds():
-    # the naive formula overflows at re=1000 near x=1, t=0; the log-space
-    # evaluation must stay finite and non-negative everywhere
+    # exp overflows at re=1000 near x=1, t=0; u must stay finite and
+    # non-negative everywhere
     x = np.linspace(0.0, 1.0, 2001)
     for t in (0.0, 1e-6, 0.5, 2.0):
         u = burgers_solution(x, t)
         assert np.all(np.isfinite(u))
         assert np.all(u >= 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("reynolds", [1.0, 999.3, 1000.0, 1000.7, 1e4, 1e5])
+def test_burgers_matches_the_log_space_reference(reynolds):
+    # the quotient against exp(-logaddexp(0, z)), which never overflows:
+    # the overflow of exp(z) must neither warn nor leave inf or nan, and
+    # every value must agree to a few units in the last place (3.9e-15
+    # relative at worst on this grid)
+    config = BurgersConfig(reynolds=reynolds, grid_points=4097, n_snapshots=257)
+    u = burgers_matrix(config)
+    x = np.linspace(0.0, 1.0, 4097)[:, None]
+    t = np.linspace(0.0, 2.0, 257)[None, :]
+    u_ref = oracles.burgers_log_space(x, t, reynolds)
+    assert np.all(np.isfinite(u))
+    assert np.all(u >= 0.0)
+    assert np.all(np.abs(u - u_ref)
+                  <= 1e-14 * np.abs(u_ref) + np.finfo(np.float64).tiny)
 
 
 def test_burgers_initial_condition_closed_form():
@@ -94,8 +113,9 @@ def test_burgers_matrix_columns_are_time_samples():
 def _burgers_expression(x, t, re):
     """The Burgers formula as one broadcast expression, in the order of
     operations the generators follow."""
-    log_term = 0.5 * (np.log1p(t) - re / 8.0) + re * x * x / (4.0 * (t + 1.0))
-    return (x / (t + 1.0)) * np.exp(-np.logaddexp(0.0, log_term))
+    z = re * x * x / (4.0 * (t + 1.0)) + 0.5 * (np.log1p(t) - re / 8.0)
+    with np.errstate(over="ignore"):
+        return x / (np.exp(z) + 1.0) / (t + 1.0)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -116,6 +136,17 @@ def test_burgers_matrix_equals_the_formula_bit_for_bit(monkeypatch, workers,
         t = np.linspace(0.0, 2.0, n_snapshots)[None, :]
         assert np.array_equal(a, _burgers_expression(x, t, reynolds))
         assert np.array_equal(a, burgers_solution(x, t, config))
+
+
+def test_burgers_blocks_narrow_on_tall_grids():
+    # a block holds at most 16 columns of the default 16384-point grid, so
+    # 4 columns at four times its height and 1 past sixteen times
+    for rows, widths in ((4 * 16384, [4, 4, 1]), (16 * 16384 + 1, [1] * 3)):
+        config = BurgersConfig(grid_points=rows, n_snapshots=sum(widths))
+        blocks = list(burgers_blocks(config))
+        assert [b.shape for b in blocks] == [(rows, w) for w in widths]
+        assert all(b.flags.f_contiguous for b in blocks)
+        assert np.array_equal(np.hstack(blocks), burgers_matrix(config))
 
 
 def test_burgers_matrix_capacity_cap():

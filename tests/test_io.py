@@ -10,8 +10,8 @@ import parsvd.io
 from parsvd.errors import MatrixFormatError
 from parsvd.io import (BatchSource, read_matrix_header, read_modes_csv,
                        read_singular_values_csv, read_submatrix, write_matrix,
-                       write_history_csv, write_mode_svg, write_modes_csv,
-                       write_singular_values_csv)
+                       write_history_csv, write_matrix_blocks, write_mode_svg,
+                       write_modes_csv, write_singular_values_csv)
 
 # Every reader checks the file's size against its header before it reads.
 READERS = (read_matrix_header,
@@ -44,6 +44,29 @@ def test_matrix_file_round_trip_and_exact_bytes(tmp_path):
         b[4, 2] = bad
         with pytest.raises(ValueError, match="non-finite"):
             write_matrix(path, b)
+
+
+def test_matrix_file_from_column_blocks(tmp_path):
+    rng = np.random.Generator(np.random.Philox(74))
+    a = rng.standard_normal((7, 9))
+    path = tmp_path / "a.bin"
+    # blocks of any width and layout, taken one at a time, write the bytes
+    # of the whole matrix
+    write_matrix_blocks(path, a.shape, iter([a[:, :4], a[:, 4:5].copy(),
+                                             a[:, 5:]]))
+    assert path.read_bytes() == oracles.matrix_file_reference(a)
+
+    def failing_source():
+        yield a[:, :4]
+        raise RuntimeError("source failed")
+
+    # too few or too many columns, a wrong height, or a failing source
+    # leave no file, not a truncated one
+    for blocks, error in (([a[:, :4]], ValueError), ([a, a[:, :1]], ValueError),
+                          ([a[:6]], ValueError), (failing_source(), RuntimeError)):
+        with pytest.raises(error):
+            write_matrix_blocks(path, a.shape, blocks)
+        assert not path.exists()
 
 
 def test_matrix_file_empty(tmp_path):
