@@ -35,7 +35,7 @@ from .io import BatchSource, read_matrix_header, read_modes_csv, \
     write_singular_values_csv
 from .linalg import RandomSketchConfig, _available_cpus, \
     _openblas_thread_count, aligned_mode_difference, blas_thread_budget, \
-    low_rank_svd, svd_full
+    low_rank_svd
 from .streaming import StreamConfig, stream_all
 
 MODES = ("serial-batch", "serial-stream", "parallel-batch", "parallel-stream")
@@ -252,28 +252,27 @@ def _cmd_generate(args):
 
 def _rank_work(ctx, cfg):
     """The per-rank body of every mode. serial-batch is a world of one
-    that factors its block, the whole matrix; serial-stream is
+    that streams one batch of all columns (Chan's R-SVD: QR, SVD of R,
+    lift), or runs low_rank_svd when randomized. serial-stream is
     parallel-stream at the world size `_serial_stream_world` picks. A rank
     reads its block of rows, and the APMOS exchange or the streaming
-    update's TSQR and rank sum join the blocks. Identical in a simulated
-    world and over TCP: the transport beneath ctx is the same TcpTransport,
-    wired through in-process socket pairs or TCP sockets."""
+    update's TSQR and rank sum join the blocks; a k above min(rows, cols)
+    is refused first. Identical in a simulated world and over TCP: the
+    transport beneath ctx is the same TcpTransport, wired through
+    in-process socket pairs or TCP sockets."""
     rows, cols = read_matrix_header(cfg.input)
     if rows == 0 or cols == 0:
         raise ConfigError(f"{cfg.input} holds a {rows}x{cols} matrix, "
                           f"nothing to factor")
+    if cfg.k > min(rows, cols):
+        raise ConfigError(
+            f"k {cfg.k} exceeds min(rows, cols) = {min(rows, cols)}"
+        )
     lo, hi = partition_bounds(rows, ctx.world_size)[ctx.rank]
     history = None
-    if cfg.mode == "serial-batch":
-        if cfg.k > min(rows, cols):
-            raise ConfigError(
-                f"k {cfg.k} exceeds min(rows, cols) = {min(rows, cols)}"
-            )
+    if cfg.mode == "serial-batch" and cfg.randomized:
         block = read_submatrix(cfg.input, lo, hi, 0, cols)
-        if cfg.randomized:
-            res = low_rank_svd(block, _sketch_config(cfg, cfg.k))
-        else:
-            res = svd_full(block, want_vt=False)
+        res = low_rank_svd(block, _sketch_config(cfg, cfg.k))
         modes, values = res.u[:, :cfg.k], res.s[:cfg.k]
     elif cfg.mode == "parallel-batch":
         block = read_submatrix(cfg.input, lo, hi, 0, cols)
@@ -283,9 +282,11 @@ def _rank_work(ctx, cfg):
         modes, values, _ = apmos(ctx, block, acfg)
     else:
         scfg = StreamConfig(k_modes=cfg.k, forget_factor=cfg.ff)
-        source = BatchSource(cfg.input, cfg.batch, rows=(lo, hi))
+        batch = cols if cfg.mode == "serial-batch" else cfg.batch
+        source = BatchSource(cfg.input, batch, rows=(lo, hi))
         state, history = stream_all(ctx, source, scfg)
         modes, values = state.modes, state.singular_values
+        history = None if cfg.mode == "serial-batch" else history
     stacked = gather_modes(ctx, modes)
     if ctx.rank != 0:
         return None
@@ -348,11 +349,12 @@ def _serial_stream_world(rows):
 
 def _cmd_decompose(args):
     """Run one decomposition in this process: `_rank_work` on simulated
-    ranks, in every mode. serial-batch is a world of one, which keeps all
-    BLAS threads; parallel modes run on the world size asked for (APMOS
-    results depend on it); serial-stream on `_serial_stream_world` ranks
-    of one BLAS thread each. The matrix file is checked before any rank
-    starts. summary.txt records the world size that ran."""
+    ranks, in every mode. serial-batch streams one batch in a world of
+    one, which keeps all BLAS threads; parallel modes run on the world
+    size asked for (APMOS results depend on it); serial-stream on
+    `_serial_stream_world` ranks of one BLAS thread each. The matrix file
+    is checked before any rank starts. summary.txt records the world size
+    that ran."""
     cfg = _resolve_run_config(args)
     rows, _ = read_matrix_header(cfg.input)
     world_size, budget = cfg.world_size, contextlib.nullcontext()

@@ -28,7 +28,8 @@ from parsvd.io import (read_matrix_header, read_modes_csv,
                        read_singular_values_csv, read_submatrix, write_matrix,
                        write_modes_csv, write_singular_values_csv)
 from parsvd.linalg import (RandomSketchConfig, _available_cpus,
-                           blas_thread_budget, svd_full)
+                           aligned_mode_difference, blas_thread_budget,
+                           svd_full)
 
 RESULT_FILES = ("singular_values.csv", "modes.csv", "modes.svg", "summary.txt")
 
@@ -119,25 +120,44 @@ def test_generate_rejects_bad_grid(capsys):
 
 # ---------- decompose ----------
 
-def test_decompose_serial_batch(tmp_path, capsys):
-    mat = tmp_path / "a.bin"
-    a = _write_test_matrix(mat)
-    outdir = tmp_path / "serial"
-    code = main(["decompose", "--input", str(mat), "--outdir", str(outdir),
-                 "--mode", "serial-batch", "--k", "4"])
-    assert code == 0
-    for name in RESULT_FILES:
-        assert (outdir / name).exists()
-    res = svd_full(a, want_vt=False)
-    assert np.array_equal(read_singular_values_csv(outdir / "singular_values.csv"),
-                          res.s[:4])
-    grid, modes = read_modes_csv(outdir / "modes.csv")
-    assert np.array_equal(grid, np.arange(16.0))
-    assert np.array_equal(modes, res.u[:, :4])
-    summary = _summary(outdir)
-    assert summary["mode"] == "serial-batch"
-    assert summary["k"] == "4"
-    assert not (outdir / "singular_value_history.csv").exists()
+def test_decompose_serial_batch(tmp_path):
+    # serial-batch is the streaming update over one batch of all columns,
+    # so its files are parallel-stream's at one rank and that batch width;
+    # the values and modes are the dense SVD's to rounding. At rank 2 the
+    # k = 4 modes go past the numerical rank and must still be orthonormal.
+    for rank in (6, 2):
+        mat = tmp_path / f"a{rank}.bin"
+        a = _write_test_matrix(mat, rank=rank)
+        outdir = tmp_path / f"serial{rank}"
+        stream = tmp_path / f"stream{rank}"
+        args = ["--input", str(mat), "--k", "4"]
+        code = main(["decompose", "--outdir", str(outdir),
+                     "--mode", "serial-batch"] + args)
+        assert code == 0
+        for name in RESULT_FILES:
+            assert (outdir / name).exists()
+        assert main(["decompose", "--outdir", str(stream), "--mode",
+                     "parallel-stream", "--world-size", "1", "--batch", "8",
+                     "--ff", "1.0"] + args) == 0
+        for name in RESULT_FILES[:3]:
+            assert (outdir / name).read_bytes() == \
+                (stream / name).read_bytes(), name
+        values = read_singular_values_csv(outdir / "singular_values.csv")
+        grid, modes = read_modes_csv(outdir / "modes.csv")
+        assert np.array_equal(grid, np.arange(16.0))
+        assert modes.shape == (16, 4)
+        assert np.max(np.abs(modes.T @ modes - np.eye(4))) <= 1e-14
+        lead = min(rank, 4)
+        res = svd_full(a, want_vt=False)
+        assert np.max(np.abs(values[:lead] - res.s[:lead])) \
+            <= 1e-13 * res.s[0]
+        assert np.max(aligned_mode_difference(modes[:, :lead],
+                                              res.u[:, :lead])) <= 1e-13
+        summary = _summary(outdir)
+        assert summary == dict(_summary(stream), mode="serial-batch")
+        assert summary["k"] == "4"
+        assert summary["iterations"] == "1"
+        assert not (outdir / "singular_value_history.csv").exists()
 
 
 def test_decompose_serial_stream_history(tmp_path):
@@ -336,12 +356,26 @@ def test_every_mode_refuses_a_bad_file_size_before_any_rank_starts(
     assert not (tmp_path / "o").exists()
 
 
-def test_decompose_k_exceeds_shape(tmp_path, capsys):
-    mat = tmp_path / "a.bin"
-    _write_test_matrix(mat, rows=6, cols=4, rank=4)
-    assert main(["decompose", "--input", str(mat), "--outdir", str(tmp_path / "o"),
-                 "--mode", "serial-batch", "--k", "5"]) == 1
-    assert "k 5" in capsys.readouterr().err
+def test_decompose_k_exceeds_shape(tmp_path, monkeypatch, capsys):
+    # every mode, and every rank process, refuses k above min(rows, cols)
+    # before it reads data; the streaming modes would otherwise return
+    # fewer than k modes
+    monkeypatch.setenv("PARSVD_WORLD_SIZE", "1")
+    monkeypatch.setenv("PARSVD_RANK", "0")
+    message = "k 5 exceeds min(rows, cols) = 3"
+    for (rows, cols), mode in itertools.product([(3, 10), (10, 3)], MODES):
+        mat = tmp_path / f"{rows}x{cols}.bin"
+        _write_test_matrix(mat, rows=rows, cols=cols, rank=3)
+        args = ["--mode", mode, "--input", str(mat), "--outdir",
+                str(tmp_path / "o"), "--k", "5", "--batch", "10"]
+        world = [] if mode.startswith("serial") else ["--world-size", "2"]
+        assert main(["decompose"] + args + world) == 1, (mode, rows, cols)
+        assert message in capsys.readouterr().err
+        if mode.startswith("parallel"):
+            monkeypatch.setenv("PARSVD_ROOT_ADDR", f"127.0.0.1:{free_port()}")
+            assert main(["rank"] + args) == 1, (mode, rows, cols)
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_unknown_flag_is_config_error(capsys):
