@@ -20,9 +20,9 @@ def run(grid_points=2048, n_snapshots=800, k=5, batch=100, ff=1.0,
     a = burgers_matrix(config)
     print(f"snapshot matrix: {a.shape[0]} x {a.shape[1]}")
 
-    # one rank, no transport: the serial stream, over column slices of a
+    # one rank, no connections: the serial stream, over column slices of a
     state, history = stream_all(
-        RankContext(0, 1, None),
+        RankContext(0, 1),
         [a[:, i:i + batch] for i in range(0, a.shape[1], batch)],
         StreamConfig(k_modes=k, forget_factor=ff, buffer_columns=buffer),
     )

@@ -5,7 +5,7 @@ vectors (modes) of a matrix too large or too spread out to factor directly:
 
 * streaming: fold column batches into a fixed-size state (`streaming`),
   each rank holding its rows of them; a serial stream is a world of one,
-  RankContext(0, 1, None)
+  RankContext(0, 1)
 * distributed: row-partitioned one-shot assembly (APMOS) and a tall-skinny
   QR across ranks that talk through a small message layer (`dsvd`, `comm`)
 * randomized: Gaussian-sketch low-rank SVD as a drop-in kernel (`linalg`)
@@ -26,9 +26,9 @@ import sys
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "24")
 
-from .comm import (CommStats, RankContext, TcpTransport, broadcast,
-                   decode_matrix, encode_matrix, gather, recv, run_simulated,
-                   send, tcp_context_from_env)
+from .comm import (CommStats, RankContext, broadcast, decode_matrix,
+                   encode_matrix, gather, recv, run_simulated, send,
+                   tcp_context_from_env)
 from .datagen import (BurgersConfig, burgers_blocks, burgers_matrix,
                       burgers_solution, partition_bounds,
                       synthetic_spectrum_matrix)

@@ -257,9 +257,9 @@ def _rank_work(ctx, cfg):
     parallel-stream at the world size `_serial_stream_world` picks. A rank
     reads its block of rows, and the APMOS exchange or the streaming
     update's TSQR and rank sum join the blocks; a k above min(rows, cols)
-    is refused first. Identical in a simulated world and over TCP: the
-    transport beneath ctx is the same TcpTransport, wired through
-    in-process socket pairs or TCP sockets."""
+    is refused first. Identical in a simulated world and over TCP: ctx is
+    the same RankContext, wired through in-process socket pairs or TCP
+    sockets."""
     rows, cols = read_matrix_header(cfg.input)
     if rows == 0 or cols == 0:
         raise ConfigError(f"{cfg.input} holds a {rows}x{cols} matrix, "
@@ -385,12 +385,12 @@ def _cmd_rank(args):
         # The ranks are taken to share this host, as simulated ranks do.
         with blas_thread_budget(ctx.world_size):
             result = _rank_work(ctx, cfg)
-            ctx.transport.refuse_unread()
+            ctx.refuse_unread()
             if ctx.rank == 0:
                 _write_outputs(cfg, result)
                 print(f"wrote results for {cfg.mode} to {cfg.outdir}")
     finally:
-        ctx.transport.close()
+        ctx.close()
     return 0
 
 

@@ -1,7 +1,7 @@
-"""Rank-addressed matrix exchange over one transport wired two ways.
+"""Rank-addressed matrix exchange over one rank class wired two ways.
 
-TcpTransport is a star around rank 0. `parsvd rank` processes wire it
-with TCP sockets: rank 0 listens and every other rank connects. A
+RankContext is one rank of a star around rank 0. `parsvd rank` processes
+wire it with TCP sockets: rank 0 listens and every other rank connects. A
 simulated world (run_simulated) wires it with one in-process socket pair
 between rank 0 and each other rank. Both wirings run the same frames,
 buffer, deadlines and errors, so a program produces bit-identical results
@@ -27,7 +27,7 @@ other rank does when rank 0 closes. That is also how a failure spreads: a
 rank that raises closes its connections, and the ranks waiting on it raise
 ProtocolError, over TCP and in a simulated world alike. A rank whose
 program has finished cleanly refuses a frame that was sent to it and that
-no receive took (TcpTransport.refuse_unread).
+no receive took (RankContext.refuse_unread).
 
 No thread runs behind a rank: every rank reads its own sockets in one
 receive loop, so a root and a peer that at the same time send each other a
@@ -52,7 +52,7 @@ import struct
 import threading
 import time
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +69,6 @@ BCAST_TAG = 0xFFFF0002
 _TAG_NAMES = {SEND_TAG: "send", GATHER_TAG: "gather", BCAST_TAG: "broadcast"}
 
 DEFAULT_DEADLINE = 30.0
-_POLL = 0.02
 
 # Largest matrix payload a TCP frame may announce. The biggest frames the
 # package sends are a rank's rows of the modes (gather_modes): 8192 x 5, or
@@ -145,11 +144,9 @@ def _recv_exact(sock, n, deadline, peer="peer"):
     error), and CollectiveTimeout past the deadline, each naming `peer`."""
     buf = bytearray()
     while len(buf) < n:
-        if time.monotonic() > deadline:
+        wait = deadline - time.monotonic()
+        if wait <= 0 or not select.select([sock], [], [], wait)[0]:
             raise CollectiveTimeout(f"timed out reading {n} bytes from {peer}")
-        ready, _, _ = select.select([sock], [], [], _POLL)
-        if not ready:
-            continue
         try:
             chunk = sock.recv(min(n - len(buf), _RECV_CHUNK))
         except OSError as exc:
@@ -224,25 +221,31 @@ def _peer_name(rank):
     return "root" if rank == 0 else f"rank {rank}"
 
 
-class TcpTransport:
-    """The one transport, a star: rank 0 holds a connection to every other
-    rank, which holds its one connection to rank 0. The star carries only
-    rank-0 traffic: RankContext refuses a transfer between two other ranks
-    with ValueError, and a frame addressed to a rank other than its reader,
-    or from a rank other than the one at the far end of its connection,
-    raises ProtocolError. Each rank reads its own sockets inside its own
-    receives and queues frames that arrive ahead of their receive in one
-    FIFO per peer. A receive takes its peer's oldest frame, which must
-    carry the tag of the operation it expects.
+class RankContext:
+    """One rank of the star: its id, the world size, the collective
+    deadline in seconds, traffic counters (`stats`, which count a received
+    frame when a receive consumes it) and its connections. Rank 0 holds one
+    to every other rank, each other rank one to rank 0, a world of one
+    none. Each rank reads its own sockets inside its own receives and
+    queues frames that arrive ahead of their receive in one FIFO per peer.
 
-    Construct through `listen` (rank 0, which owns the listening socket)
-    or `connect` (other ranks) for TCP; run_simulated wires in-process
-    socket pairs into transports built with the bare constructor.
+    Connect over TCP through `listen` (rank 0, which owns the listening
+    socket) or `connect` (other ranks); run_simulated wires in-process
+    socket pairs into contexts built with the bare constructor.
     """
 
-    def __init__(self, rank, world_size):
+    def __init__(self, rank, world_size, deadline=DEFAULT_DEADLINE):
+        if world_size < 1:
+            raise ValueError(f"world_size must be >= 1, got {world_size}")
+        if not 0 <= rank < world_size:
+            raise ValueError(f"rank must be in [0, {world_size}), got {rank}")
+        if not (math.isfinite(deadline) and deadline > 0):
+            raise ValueError(f"deadline must be finite and positive, got "
+                             f"{deadline}")
         self.rank = rank
         self.world_size = world_size
+        self.deadline = deadline
+        self.stats = CommStats()
         self._conns = {}            # rank -> socket: all peers', or the root's
         self._ended = set()         # ranks whose connection reached its end
         self._queues = defaultdict(deque)   # rank -> deque[(tag, bytes)]
@@ -253,20 +256,18 @@ class TcpTransport:
         """Rank 0 entry point: accept world_size - 1 peers, each announcing
         its rank in a 4-byte hello, within the deadline."""
         host, port = _parse_address(address)
-        self = cls(0, world_size)
+        self = cls(0, world_size, deadline)
         server = socket.create_server((host, port))
         self._server = server
         limit = time.monotonic() + deadline
         try:
             while len(self._conns) < world_size - 1:
-                if time.monotonic() > limit:
+                wait = limit - time.monotonic()
+                if wait <= 0 or not select.select([server], [], [], wait)[0]:
                     raise CollectiveTimeout(
                         f"only {len(self._conns)} of {world_size - 1} ranks "
                         f"connected within {deadline:.1f}s"
                     )
-                ready, _, _ = select.select([server], [], [], _POLL)
-                if not ready:
-                    continue
                 conn, addr = server.accept()
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 who = f"connecting peer {addr[0]}:{addr[1]}"
@@ -291,7 +292,7 @@ class TcpTransport:
         if not 1 <= rank < world_size:
             raise ValueError(f"connect is for ranks 1..{world_size - 1}, got {rank}")
         host, port = _parse_address(address)
-        self = cls(rank, world_size)
+        self = cls(rank, world_size, deadline)
         limit = time.monotonic() + deadline
         pause, longest = _CONNECT_RETRY
         while True:
@@ -315,43 +316,59 @@ class TcpTransport:
         self._conns[0] = sock
         return self
 
-    def _link(self, rank):
-        """The rank at the other end of the connection that frames to or
-        from `rank` travel: `rank` itself at the root, the root elsewhere."""
-        return rank if self.rank == 0 else 0
+    def _link(self, rank, verb):
+        """The connection that carries a transfer between this rank and
+        `rank`, the one addressing check of every transfer: ValueError for
+        this rank itself, a rank outside the world or a pair without rank
+        0, ProtocolError when the connection is missing."""
+        if not 0 <= rank < self.world_size:
+            raise ValueError(f"rank {self.rank} cannot {verb} rank {rank}: "
+                             f"out of range for world {self.world_size}")
+        if rank == self.rank:
+            raise ValueError(f"rank {rank} cannot {verb} itself; "
+                             f"self-transfer is not allowed")
+        if self.rank != 0 and rank != 0:
+            raise ValueError(f"rank {self.rank} cannot {verb} rank {rank}: "
+                             f"rank 0 is one end of every transfer")
+        if rank not in self._conns:
+            raise ProtocolError(f"rank {self.rank} has no connection to "
+                                f"rank {rank}")
+        return self._conns[rank]
 
-    def send_frame(self, source, dest, tag, payload, deadline):
-        link = self._link(dest)
-        if link not in self._conns:
-            raise ProtocolError(f"no connection to rank {link}")
-        _send_exact(self._conns[link],
-                    FRAME_HEADER.pack(tag, source, dest) + payload,
-                    deadline, _peer_name(link))
+    def _send_raw(self, dest, tag, payload):
+        sock = self._link(dest, "send to")
+        _send_exact(sock, FRAME_HEADER.pack(tag, self.rank, dest) + payload,
+                    time.monotonic() + self.deadline, _peer_name(dest))
+        self.stats.frames_sent += 1
+        self.stats.bytes_sent += FRAME_HEADER.size + len(payload)
 
-    def recv_frame(self, source, tag, deadline):
+    def _recv_raw(self, source, tag):
         """Return the payload of the oldest frame from `source`, reading
         this rank's connections until one arrives. A frame whose tag is not
         `tag` was sent by another operation: the two programs have
         diverged, and ProtocolError names the peer and both tags."""
-        link = self._link(source)
-        queue = self._queues[link]
+        self._link(source, "receive from")
+        limit = time.monotonic() + self.deadline
+        queue = self._queues[source]
         while not queue:
-            if link in self._ended:
+            if source in self._ended:
                 raise ProtocolError(
-                    f"{_peer_name(link)} closed the connection"
+                    f"{_peer_name(source)} closed the connection"
                 )
-            if time.monotonic() > deadline:
+            if time.monotonic() > limit:
                 raise CollectiveTimeout(
                     f"recv at rank {self.rank} from rank {source} timed out"
                 )
-            self._pump(deadline)
+            self._pump(limit)
         got, payload = queue.popleft()
         if got != tag:
             raise ProtocolError(
-                f"{_peer_name(link)} sent rank {self.rank} a "
+                f"{_peer_name(source)} sent rank {self.rank} a "
                 f"{_TAG_NAMES.get(got, 'foreign')} frame (tag {got:#x}) where "
                 f"a {_TAG_NAMES[tag]} frame (tag {tag:#x}) was due"
             )
+        self.stats.frames_received += 1
+        self.stats.bytes_received += FRAME_HEADER.size + len(payload)
         return payload
 
     def _pump(self, deadline):
@@ -426,66 +443,8 @@ class TcpTransport:
             self._server = None
 
 
-@dataclass
-class RankContext:
-    """One rank's view of the world: its id, the world size, a
-    TcpTransport (None in a world of one, whose collectives never touch
-    it), the collective deadline in seconds, and traffic counters, which
-    count a received frame when a receive consumes it."""
-
-    rank: int
-    world_size: int
-    transport: object
-    deadline: float = DEFAULT_DEADLINE
-    stats: CommStats = field(default_factory=CommStats)
-
-    def __post_init__(self):
-        if self.world_size < 1:
-            raise ValueError(f"world_size must be >= 1, got {self.world_size}")
-        if not 0 <= self.rank < self.world_size:
-            raise ValueError(
-                f"rank must be in [0, {self.world_size}), got {self.rank}"
-            )
-        if not (math.isfinite(self.deadline) and self.deadline > 0):
-            raise ValueError(f"deadline must be finite and positive, got "
-                             f"{self.deadline}")
-        if self.transport is None and self.world_size > 1:
-            raise ValueError(
-                f"a world of {self.world_size} ranks needs a transport"
-            )
-
-    # Every transfer passes through _send_raw or _recv_raw, and each refuses
-    # one between two ranks other than 0, so both wirings refuse alike.
-    def _send_raw(self, dest, tag, payload):
-        if self.rank != 0 and dest != 0:
-            raise ValueError(f"rank {self.rank} cannot send to rank {dest}: "
-                             f"rank 0 is one end of every transfer")
-        limit = time.monotonic() + self.deadline
-        self.transport.send_frame(self.rank, dest, tag, payload, limit)
-        self.stats.frames_sent += 1
-        self.stats.bytes_sent += FRAME_HEADER.size + len(payload)
-
-    def _recv_raw(self, source, tag):
-        if self.rank != 0 and source != 0:
-            raise ValueError(f"rank {self.rank} cannot receive from rank "
-                             f"{source}: rank 0 is one end of every transfer")
-        limit = time.monotonic() + self.deadline
-        payload = self.transport.recv_frame(source, tag, limit)
-        self.stats.frames_received += 1
-        self.stats.bytes_received += FRAME_HEADER.size + len(payload)
-        return payload
-
-
-def _check_peer(ctx, peer, who):
-    if not 0 <= peer < ctx.world_size:
-        raise ValueError(f"{who} {peer} out of range for world {ctx.world_size}")
-    if peer == ctx.rank:
-        raise ValueError(f"{who} {peer} is this rank; self-transfer is not allowed")
-
-
 def send(ctx, value, dest):
     """Point-to-point send of one matrix."""
-    _check_peer(ctx, dest, "dest")
     value = as_matrix(value, "value", allow_empty=True)
     ctx._send_raw(dest, SEND_TAG, encode_matrix(value))
 
@@ -494,7 +453,6 @@ def recv(ctx, source):
     """Blocking receive of the next frame from `source`, which must come
     from its matching send: frames between two ranks arrive in program
     order, and one from another operation raises ProtocolError."""
-    _check_peer(ctx, source, "source")
     return decode_matrix(ctx._recv_raw(source, SEND_TAG))
 
 
@@ -504,8 +462,6 @@ def gather(ctx, local, root=0):
     Returns the list of matrices (the root's own entry is a copy, never an
     alias) at the root and None elsewhere. Entries may differ in shape.
     """
-    if not 0 <= root < ctx.world_size:
-        raise ValueError(f"root {root} out of range for world {ctx.world_size}")
     local = as_matrix(local, "local", allow_empty=True)
     if ctx.rank != root:
         ctx._send_raw(root, GATHER_TAG, encode_matrix(local))
@@ -525,8 +481,6 @@ def broadcast(ctx, value, root=0):
     Other ranks pass None. The root gets back a copy of its own value, and
     encodes it only when another rank exists.
     """
-    if not 0 <= root < ctx.world_size:
-        raise ValueError(f"root {root} out of range for world {ctx.world_size}")
     if ctx.rank != root:
         return decode_matrix(ctx._recv_raw(root, BCAST_TAG))
     value = as_matrix(value, "value", allow_empty=True)
@@ -540,13 +494,13 @@ def broadcast(ctx, value, root=0):
 
 def run_simulated(world_size, fn, *, deadline=DEFAULT_DEADLINE):
     """Run fn(ctx) on `world_size` simulated ranks: rank 0 on the calling
-    thread, as a caller's own RankContext(0, 1, None) would run, and every
-    other rank on a new thread.
+    thread, as a caller's own RankContext(0, 1) would run, and every other
+    rank on a new thread.
 
-    The ranks talk through the TCP star's own TcpTransport, wired with one
-    in-process socket pair between rank 0 and each other rank, so frames,
-    buffering, deadlines and errors are those of `parsvd rank` processes.
-    A world of one has no transport.
+    The ranks talk through one in-process socket pair between rank 0 and
+    each other rank, read and written by the same RankContext code as the
+    TCP sockets of `parsvd rank` processes, so frames, buffering, deadlines
+    and errors are theirs. A world of one has no connections.
 
     Returns the per-rank results in rank order. A rank that raises records
     its exception and closes its connections, so a rank waiting on it reads
@@ -555,7 +509,7 @@ def run_simulated(world_size, fn, *, deadline=DEFAULT_DEADLINE):
     connections open until every rank has finished, so a receive from it
     still waits out its deadline. When every rank returns, a frame that a
     rank was sent and never received raises ProtocolError
-    (TcpTransport.refuse_unread). Every socket is closed when this returns
+    (RankContext.refuse_unread). Every socket is closed when this returns
     or raises.
 
     While the ranks run, OpenBLAS gets the per-rank share of the CPUs that
@@ -565,10 +519,8 @@ def run_simulated(world_size, fn, *, deadline=DEFAULT_DEADLINE):
     """
     if world_size < 1:
         raise ValueError(f"world_size must be >= 1, got {world_size}")
-    transports = [None]
-    if world_size > 1:
-        transports = [TcpTransport(rank, world_size)
-                      for rank in range(world_size)]
+    contexts = [RankContext(rank, world_size, deadline)
+                for rank in range(world_size)]
     results = [None] * world_size
     failures = []
 
@@ -577,17 +529,12 @@ def run_simulated(world_size, fn, *, deadline=DEFAULT_DEADLINE):
             results[rank] = fn(contexts[rank])
         except BaseException as exc:
             failures.append(exc)
-            if transports[rank] is not None:
-                transports[rank].close()
+            contexts[rank].close()
 
     try:
         for rank in range(1, world_size):
-            transports[0]._conns[rank], transports[rank]._conns[0] = \
+            contexts[0]._conns[rank], contexts[rank]._conns[0] = \
                 socket.socketpair()
-        contexts = [
-            RankContext(rank, world_size, transports[rank], deadline)
-            for rank in range(world_size)
-        ]
         threads = [
             threading.Thread(target=runner, args=(rank,), daemon=True)
             for rank in range(1, world_size)
@@ -598,13 +545,12 @@ def run_simulated(world_size, fn, *, deadline=DEFAULT_DEADLINE):
             runner(0)
             for thread in threads:
                 thread.join()
-        if not failures and world_size > 1:
-            for transport in transports:
-                transport.refuse_unread()
+        if not failures:
+            for ctx in contexts:
+                ctx.refuse_unread()
     finally:
-        for transport in transports:
-            if transport is not None:
-                transport.close()
+        for ctx in contexts:
+            ctx.close()
     if failures:
         raise failures[0]
     return results
@@ -650,7 +596,5 @@ def tcp_context_from_env(environ=None):
         )
     address = values["PARSVD_ROOT_ADDR"]
     if rank == 0:
-        transport = TcpTransport.listen(world_size, address, deadline)
-    else:
-        transport = TcpTransport.connect(rank, world_size, address, deadline)
-    return RankContext(rank, world_size, transport, deadline)
+        return RankContext.listen(world_size, address, deadline)
+    return RankContext.connect(rank, world_size, address, deadline)

@@ -35,7 +35,7 @@ A forget factor below one exponentially downweights history, which tracks
 left singular vectors that drift over time.
 
 Ranks. Every function here runs on one rank of a RankContext, with that
-rank's rows of each batch; a serial caller passes RankContext(0, 1, None).
+rank's rows of each batch; a serial caller passes RankContext(0, 1).
 The update reaches across ranks in two places only: sums of small matrices,
 which rank 0 gathers and broadcasts (dsvd._rank_sum), and the tall-skinny
 QR of the residual (dsvd.parallel_qr). At world size 1 the sum is its input

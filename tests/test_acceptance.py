@@ -61,7 +61,7 @@ def test_streaming_equivalence(acceptance, burgers_snapshots,
     start = time.perf_counter()
     config = StreamConfig(k_modes=5, forget_factor=1.0)
     batches = [burgers_snapshots[:, i:i + 100] for i in range(0, 800, 100)]
-    state, _ = stream_all(RankContext(0, 1, None), batches, config)
+    state, _ = stream_all(RankContext(0, 1), batches, config)
     exact = burgers_direct_svd.s[:5]
     value_err = float(np.max(np.abs(state.singular_values - exact) / exact))
     mode_err = float(np.max(aligned_mode_difference(

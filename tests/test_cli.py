@@ -736,7 +736,7 @@ def test_rank_root_refuses_an_unread_frame_before_writing(monkeypatch,
         sock.sendall(struct.pack("<I", 1) + frame)
 
     def work_without_receiving(ctx, cfg):
-        sock = ctx.transport._conns[1]
+        sock = ctx._conns[1]
         assert select.select([sock], [], [], 5.0)[0] == [sock]
 
     monkeypatch.setattr(parsvd.cli, "_rank_work", work_without_receiving)
@@ -775,7 +775,7 @@ def test_rank_peer_refuses_an_unread_frame(monkeypatch, capsys, tmp_path):
         conn.sendall(frame)
 
     def work_without_receiving(ctx, cfg):
-        sock = ctx.transport._conns[0]
+        sock = ctx._conns[0]
         assert select.select([sock], [], [], 5.0)[0] == [sock]
 
     monkeypatch.setattr(parsvd.cli, "_rank_work", work_without_receiving)

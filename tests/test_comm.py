@@ -1,4 +1,4 @@
-"""Wire codec, collective semantics, and the one transport: the TCP star,
+"""Wire codec, collective semantics, and the one rank class: the TCP star,
 wired through in-process socket pairs in simulated worlds and through TCP
 sockets between rank threads or processes."""
 
@@ -20,9 +20,9 @@ from conftest import free_port
 from parsvd import comm
 from parsvd.comm import (FRAME_HEADER, GATHER_TAG, MATRIX_HEADER,
                          MAX_PAYLOAD_BYTES, SEND_TAG, RankContext,
-                         TcpTransport, _read_frame, _recv_exact, broadcast,
-                         decode_matrix, encode_matrix, gather, recv,
-                         run_simulated, send, tcp_context_from_env)
+                         _read_frame, _recv_exact, broadcast, decode_matrix,
+                         encode_matrix, gather, recv, run_simulated, send,
+                         tcp_context_from_env)
 from parsvd.errors import CollectiveTimeout, ConfigError, ProtocolError
 from parsvd.linalg import _openblas_threads, blas_thread_budget
 
@@ -155,6 +155,10 @@ def test_send_recv_validation():
             send(ctx, np.ones((1, 1)), 5)          # out of range
         with pytest.raises(ValueError):
             recv(ctx, ctx.rank)
+        with pytest.raises(ValueError):
+            gather(ctx, np.ones((1, 1)), root=5)
+        with pytest.raises(ValueError):
+            broadcast(ctx, np.ones((1, 1)), root=5)
         return True
 
     assert run_simulated(2, program) == [True, True]
@@ -247,7 +251,7 @@ def test_run_simulated_closes_every_socket_pair(monkeypatch):
 
 def test_world_of_one_has_no_transport(monkeypatch):
     made = _record_socketpairs(monkeypatch)
-    assert run_simulated(1, lambda ctx: ctx.transport) == [None]
+    assert run_simulated(1, lambda ctx: ctx._conns) == [{}]
     assert made == []
 
 
@@ -331,19 +335,16 @@ def test_stats_count_framed_bytes():
 
 
 def test_rank_context_validation():
-    transport = TcpTransport(0, 2)
     with pytest.raises(ValueError):
-        RankContext(2, 2, transport)
+        RankContext(2, 2)
     with pytest.raises(ValueError):
-        RankContext(-1, 2, transport)
+        RankContext(-1, 2)
     for deadline in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="finite and positive"):
-            RankContext(0, 2, transport, deadline=deadline)
-    with pytest.raises(ValueError, match="needs a transport"):
-        RankContext(0, 2, None)
+            RankContext(0, 2, deadline=deadline)
 
 
-# ---------- TCP transport ----------
+# ---------- TCP ----------
 
 def run_tcp(world_size, fn, deadline=15.0):
     """Drive a TCP world with one thread per rank on localhost, under the
@@ -353,20 +354,18 @@ def run_tcp(world_size, fn, deadline=15.0):
     errors = [None] * world_size
 
     def runner(rank):
-        transport = None
+        ctx = None
         try:
             if rank == 0:
-                transport = TcpTransport.listen(world_size, address, deadline)
+                ctx = RankContext.listen(world_size, address, deadline)
             else:
-                transport = TcpTransport.connect(rank, world_size, address,
-                                                 deadline)
-            ctx = RankContext(rank, world_size, transport, deadline)
+                ctx = RankContext.connect(rank, world_size, address, deadline)
             results[rank] = fn(ctx)
         except BaseException as exc:  # re-raised below
             errors[rank] = exc
         finally:
-            if transport is not None:
-                transport.close()
+            if ctx is not None:
+                ctx.close()
 
     threads = [threading.Thread(target=runner, args=(rank,))
                for rank in range(world_size)]
@@ -513,13 +512,13 @@ def test_tcp_connect_refused_raises_connection_error():
     port = free_port()  # nothing listens here
     start = time.monotonic()
     with pytest.raises(ConnectionError):
-        TcpTransport.connect(1, 2, f"127.0.0.1:{port}", deadline=0.5)
+        RankContext.connect(1, 2, f"127.0.0.1:{port}", deadline=0.5)
     assert time.monotonic() - start < 10.0
 
 
 def test_tcp_listen_times_out_without_peers():
     with pytest.raises(CollectiveTimeout):
-        TcpTransport.listen(2, f"127.0.0.1:{free_port()}", deadline=0.3)
+        RankContext.listen(2, f"127.0.0.1:{free_port()}", deadline=0.3)
 
 
 def test_tcp_late_client_is_fine():
@@ -528,18 +527,16 @@ def test_tcp_late_client_is_fine():
 
     def late_client():
         time.sleep(0.4)  # root is already listening; retry loop covers this
-        transport = TcpTransport.connect(1, 2, address, deadline=5.0)
-        ctx = RankContext(1, 2, transport, deadline=5.0)
+        ctx = RankContext.connect(1, 2, address, deadline=5.0)
         got["client"] = broadcast(ctx, None)
-        transport.close()
+        ctx.close()
 
     thread = threading.Thread(target=late_client)
     thread.start()
-    transport = TcpTransport.listen(2, address, deadline=5.0)
-    ctx = RankContext(0, 2, transport, deadline=5.0)
+    ctx = RankContext.listen(2, address, deadline=5.0)
     broadcast(ctx, np.array([[8.0]]))
     thread.join(timeout=20.0)
-    transport.close()
+    ctx.close()
     assert np.array_equal(got["client"], [[8.0]])
 
 
@@ -556,7 +553,7 @@ def test_tcp_connect_retries_after_short_growing_pauses(monkeypatch):
     monkeypatch.setattr(time, "sleep", record)
     start = time.monotonic()
     with pytest.raises(ConnectionError):
-        TcpTransport.connect(1, 2, f"127.0.0.1:{free_port()}", deadline=0.3)
+        RankContext.connect(1, 2, f"127.0.0.1:{free_port()}", deadline=0.3)
     assert pauses[:6] == [0.001, 0.002, 0.004, 0.008, 0.016, 0.032]
     assert all(0.0 < p <= 0.05 for p in pauses)
     assert time.monotonic() - start < 2.0
@@ -588,11 +585,11 @@ def test_tcp_send_longer_than_a_second_keeps_the_deadline():
                                 args=(server, 2.5, got))
         root.start()
         host, port = server.getsockname()
-        transport = TcpTransport.connect(1, 2, f"{host}:{port}", deadline=30.0)
+        ctx = RankContext.connect(1, 2, f"{host}:{port}", deadline=30.0)
         try:
-            send(RankContext(1, 2, transport, deadline=30.0), value, 0)
+            send(ctx, value, 0)
         finally:
-            transport.close()
+            ctx.close()
             root.join(timeout=30.0)
     assert got == [FRAME_HEADER.size + MATRIX_HEADER.size + value.nbytes]
 
@@ -600,16 +597,16 @@ def test_tcp_send_longer_than_a_second_keeps_the_deadline():
 def test_tcp_rank_send_to_a_root_that_never_reads_times_out():
     with socket.create_server(("127.0.0.1", 0)) as server:
         host, port = server.getsockname()
-        transport = TcpTransport.connect(1, 2, f"{host}:{port}", deadline=5.0)
+        ctx = RankContext.connect(1, 2, f"{host}:{port}", deadline=5.0)
         conn, _ = server.accept()
         try:
-            ctx = RankContext(1, 2, transport, deadline=0.5)
+            ctx.deadline = 0.5
             start = time.monotonic()
             with pytest.raises(CollectiveTimeout, match="to root"):
                 send(ctx, np.ones(_BIG), 0)
             assert time.monotonic() - start < 5.0
         finally:
-            transport.close()
+            ctx.close()
             conn.close()
 
 
@@ -626,16 +623,16 @@ def test_tcp_rank_send_to_a_root_that_hangs_up_names_the_root():
         thread = threading.Thread(target=root)
         thread.start()
         host, port = server.getsockname()
-        transport = TcpTransport.connect(1, 2, f"{host}:{port}", deadline=5.0)
+        ctx = RankContext.connect(1, 2, f"{host}:{port}", deadline=5.0)
         try:
-            ctx = RankContext(1, 2, transport, deadline=30.0)
+            ctx.deadline = 30.0
             start = time.monotonic()
             with pytest.raises(ProtocolError,
                                match="connection to root failed mid-send"):
                 send(ctx, np.ones(_BIG), 0)
             assert time.monotonic() - start < 5.0
         finally:
-            transport.close()
+            ctx.close()
             thread.join(timeout=10.0)
 
 
@@ -666,16 +663,16 @@ def test_tcp_root_send_to_a_rank_that_never_reads_times_out():
 
     thread = threading.Thread(target=silent_rank)
     thread.start()
-    transport = TcpTransport.listen(2, address, deadline=5.0)
+    ctx = RankContext.listen(2, address, deadline=5.0)
     try:
-        ctx = RankContext(0, 2, transport, deadline=0.5)
+        ctx.deadline = 0.5
         start = time.monotonic()
         with pytest.raises(CollectiveTimeout, match="to rank 1"):
             send(ctx, np.ones(_BIG), 1)
         assert time.monotonic() - start < 5.0
     finally:
         release.set()
-        transport.close()
+        ctx.close()
         thread.join(timeout=10.0)
 
 
@@ -692,17 +689,17 @@ def _root_refuses(sender, frame, refusal):
 
     thread = threading.Thread(target=dial)
     thread.start()
-    transport = TcpTransport.listen(3, address, deadline=5.0)
+    ctx = RankContext.listen(3, address, deadline=5.0)
     thread.join(timeout=10.0)
     try:
         fakes[sender].sendall(frame)
-        ctx = RankContext(0, 3, transport, deadline=20.0)
+        ctx.deadline = 20.0
         start = time.monotonic()
         with pytest.raises(ProtocolError, match=refusal):
             recv(ctx, 1)
         assert time.monotonic() - start < 2.0
     finally:
-        transport.close()
+        ctx.close()
         for sock in fakes.values():
             sock.close()
 
@@ -719,36 +716,36 @@ def test_tcp_root_refuses_unread_frames_but_not_a_hang_up():
             fakes[rank] = _fake_rank(address, rank)
 
     def readable(rank):
-        sock = transport._conns[rank]
+        sock = ctx._conns[rank]
         assert select.select([sock], [], [], 5.0)[0] == [sock]
 
     thread = threading.Thread(target=dial)
     thread.start()
-    transport = TcpTransport.listen(3, address, deadline=5.0)
+    ctx = RankContext.listen(3, address, deadline=5.0)
     thread.join(timeout=10.0)
     payload = encode_matrix(np.ones((2, 2)))
     refusal = (r"rank 1 sent rank 0 a gather frame \(tag 0xffff0001\) that "
                r"no receive took")
     try:
-        transport.refuse_unread()
+        ctx.refuse_unread()
         fakes[1].sendall(FRAME_HEADER.pack(GATHER_TAG, 1, 0) + payload)
         readable(1)
         with pytest.raises(ProtocolError, match=refusal):
-            transport.refuse_unread()
+            ctx.refuse_unread()
         # the receive from rank 2 reads every readable socket, so rank 1's
         # frame moves to its queue
         fakes[2].sendall(FRAME_HEADER.pack(SEND_TAG, 2, 0) + payload)
         readable(2)
-        recv(RankContext(0, 3, transport, deadline=5.0), 2)
+        recv(ctx, 2)
         with pytest.raises(ProtocolError, match=refusal):
-            transport.refuse_unread()
-        transport.recv_frame(1, GATHER_TAG, time.monotonic() + 5.0)
+            ctx.refuse_unread()
+        ctx._recv_raw(1, GATHER_TAG)
         for rank in (1, 2):
             fakes[rank].close()
             readable(rank)
-        transport.refuse_unread()
+        ctx.refuse_unread()
     finally:
-        transport.close()
+        ctx.close()
         for sock in fakes.values():
             sock.close()
 
@@ -778,19 +775,18 @@ def test_tcp_root_refuses_a_frame_from_a_spoofed_source():
 
 def test_tcp_rank_refuses_a_frame_from_a_spoofed_source():
     # at a peer, every frame comes from the root
-    transport = TcpTransport(1, 3)
-    transport._conns[0], root = socket.socketpair()
+    ctx = RankContext(1, 3, deadline=20.0)
+    ctx._conns[0], root = socket.socketpair()
     with root:
         root.sendall(FRAME_HEADER.pack(SEND_TAG, 2, 1)
                      + encode_matrix(np.ones((1, 1))))
-        ctx = RankContext(1, 3, transport, deadline=20.0)
         start = time.monotonic()
         try:
             with pytest.raises(ProtocolError,
                                match="root sent rank 1 a frame from rank 2"):
                 recv(ctx, 0)
         finally:
-            transport.close()
+            ctx.close()
         assert time.monotonic() - start < 2.0
 
 
@@ -800,21 +796,21 @@ def test_tcp_listen_starts_no_thread():
     before = set(threading.enumerate())
 
     def peer():
-        transport = TcpTransport.connect(1, 2, address, deadline=5.0)
+        ctx = RankContext.connect(1, 2, address, deadline=5.0)
         try:
             release.wait(timeout=30.0)
         finally:
-            transport.close()
+            ctx.close()
 
     thread = threading.Thread(target=peer)
     thread.start()
-    transport = TcpTransport.listen(2, address, deadline=5.0)
+    ctx = RankContext.listen(2, address, deadline=5.0)
     try:
         assert set(threading.enumerate()) <= before | {thread}
     finally:
         release.set()
         thread.join(timeout=10.0)
-        transport.close()
+        ctx.close()
 
 
 def test_tcp_rejects_bad_hello():
@@ -833,7 +829,7 @@ def test_tcp_rejects_bad_hello():
     thread = threading.Thread(target=impostor)
     thread.start()
     with pytest.raises(ProtocolError):
-        TcpTransport.listen(2, address, deadline=5.0)
+        RankContext.listen(2, address, deadline=5.0)
     thread.join(timeout=10.0)
 
 
@@ -849,9 +845,9 @@ def test_root_recv_fails_fast_after_peer_hangs_up():
 
     thread = threading.Thread(target=peer)
     thread.start()
-    transport = TcpTransport.listen(2, address, deadline=5.0)
+    ctx = RankContext.listen(2, address, deadline=5.0)
     try:
-        ctx = RankContext(0, 2, transport, deadline=20.0)
+        ctx.deadline = 20.0
         assert np.array_equal(recv(ctx, 1), a)
         start = time.monotonic()
         with pytest.raises(ProtocolError, match="rank 1 closed"):
@@ -859,7 +855,7 @@ def test_root_recv_fails_fast_after_peer_hangs_up():
         assert time.monotonic() - start < 2.0
     finally:
         thread.join(timeout=10.0)
-        transport.close()
+        ctx.close()
 
 
 def test_oversized_frame_header_fails_fast():
@@ -945,9 +941,9 @@ def test_read_timeout_names_the_peer():
 
 def test_address_parsing_errors():
     with pytest.raises(ConfigError):
-        TcpTransport.connect(1, 2, "no-port-here", deadline=0.1)
+        RankContext.connect(1, 2, "no-port-here", deadline=0.1)
     with pytest.raises(ConfigError):
-        TcpTransport.connect(1, 2, "host:notanumber", deadline=0.1)
+        RankContext.connect(1, 2, "host:notanumber", deadline=0.1)
 
 
 # ---------- environment wiring ----------
@@ -980,4 +976,4 @@ def test_env_context_world_size_one(monkeypatch):
         parts = gather(ctx, np.ones((2, 2)))
         assert len(parts) == 1
     finally:
-        ctx.transport.close()
+        ctx.close()

@@ -225,7 +225,7 @@ def test_apmos_refuses_a_non_finite_slab(rows, bad):
     a = _random(rows, 6, seed=67)
     a[2, 3] = bad
     with pytest.raises(ValueError, match="a_local contains non-finite"):
-        apmos(RankContext(0, 1, None), a, ApmosConfig(3, 2, 2))
+        apmos(RankContext(0, 1), a, ApmosConfig(3, 2, 2))
 
 
 def test_apmos_degenerate_mode_error_names_index():
@@ -346,8 +346,8 @@ def test_parallel_qr_apply_matches_formed_q(world_size, shape):
 
 # ---------- streaming across ranks ----------
 
-# The serial references below: one rank with no transport.
-ONE = RankContext(0, 1, None)
+# The serial references below: one rank with no connections.
+ONE = RankContext(0, 1)
 
 
 def test_stream_steps_in_a_world_of_one_match_a_simulated_rank_bitwise():

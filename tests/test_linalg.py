@@ -166,7 +166,7 @@ def test_qr_first_burgers_streaming_residual(burgers_snapshots):
     # last place, or when its rows are reversed. What R determines here is
     # R^T R = A^T A and the singular values, which are compared instead,
     # along with the leading rows, whose diagonal stays far above rounding.
-    state = stream_initialize(RankContext(0, 1, None),
+    state = stream_initialize(RankContext(0, 1),
                               burgers_snapshots[:, :100], StreamConfig(5))
     u = state.carried_modes
     batch = burgers_snapshots[:, 100:200]

@@ -14,8 +14,8 @@ from parsvd.linalg import aligned_mode_difference, qr_factor, svd_full
 from parsvd.streaming import StreamConfig, StreamState, Workspace, \
     stream_all, stream_incorporate, stream_initialize
 
-# Every stream here runs serially: one rank with no transport.
-ONE = RankContext(0, 1, None)
+# Every stream here runs serially: one rank with no connections.
+ONE = RankContext(0, 1)
 
 def _slices(a, width):
     """a's column batches of the given width, the last one narrower."""
