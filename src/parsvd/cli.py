@@ -240,12 +240,10 @@ def _cmd_generate(args):
         grid_points=args.grid_points,
         n_snapshots=args.snapshots,
     )
-    # each block is written as the pool fills it, so the matrix is never
-    # whole in memory and no size cap applies; closing stops the pool when
-    # the write fails
-    with contextlib.closing(burgers_blocks(config)) as blocks:
-        write_matrix_blocks(args.out, (config.grid_points, config.n_snapshots),
-                            blocks)
+    # each block is written as it is filled, so the matrix is never whole
+    # in memory and no size cap applies
+    write_matrix_blocks(args.out, (config.grid_points, config.n_snapshots),
+                        burgers_blocks(config))
     print(f"wrote {args.grid_points}x{args.snapshots} matrix to {args.out}")
     return 0
 

@@ -5,34 +5,30 @@ Burgers equation (a standard test problem whose sharpening front gives a
 slowly decaying singular spectrum), and synthetic matrices with a prescribed
 spectrum for controlled accuracy experiments.
 
-`burgers_blocks` computes the snapshot matrix in column blocks spread over
-one thread per available CPU (numpy's float ufuncs release the GIL) and
-hands them out left to right, holding only a few at a time, so
-`parsvd generate` writes a matrix of any size through
-`io.write_matrix_blocks`. `burgers_matrix` has the same blocks filled in
-place in one column-major array. Both evaluate the formula in the order of
-operations `burgers_solution` follows, so all three agree bit for bit.
+`burgers_blocks` computes the snapshot matrix in column blocks, left to
+right on the calling thread, holding one at a time, so `parsvd generate`
+writes a matrix of any size through `io.write_matrix_blocks`.
+`burgers_matrix` has the same blocks filled in place in one column-major
+array. Both evaluate the formula in the order of operations
+`burgers_solution` follows, so all three agree bit for bit.
 """
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError
-from .linalg import _available_cpus, qr_factor
+from .linalg import qr_factor
 
 # Default allocation cap for `burgers_matrix`, in bytes. Large enough for a
 # 16384 x 800 float64 snapshot matrix (about 105 MB) with headroom.
-# `burgers_blocks` holds a few blocks at a time and needs no cap.
+# `burgers_blocks` holds one block at a time and needs no cap.
 DEFAULT_MATRIX_CAP = 1 << 30
 
-# Columns of the Burgers matrix one worker fills per task. On one thread,
-# blocks 4, 16, 64 and 800 columns wide of the 16384 x 800 matrix timed
-# within 5 % of each other (2 cores); small blocks keep each task's
-# temporaries (16384 x 16 doubles, 2 MB) near the cache and split the
-# columns evenly over the workers.
+# Columns of the Burgers matrix per block. Blocks 4, 16, 64 and 800
+# columns wide of the 16384 x 800 matrix timed within 5 % of each other
+# (2 cores); small blocks keep each block's temporaries (16384 x 16
+# doubles, 2 MB) near the cache.
 BURGERS_BLOCK_COLUMNS = 16
 
 # A block holds at most as many entries as 16 columns of the default
@@ -104,12 +100,12 @@ def _burgers_into(out, x, re_x2, log1p_t, t1, re):
     The one evaluation of the formula: every generator calls it, and
     every step is an elementwise numpy operation in a fixed order, so a
     block of the snapshot matrix is bit-identical to the same points taken
-    one call at a time. Calls numpy only, so worker threads may run it.
+    one call at a time.
     """
     # z = log of sqrt((t+1)/t0) * exp(Re x^2 / (4(t+1))), with log(t0) = Re/8
     np.divide(re_x2, 4.0 * t1, out=out)
     out += 0.5 * (log1p_t - re / 8.0)
-    # errstate is per thread, so it is set here, where pool workers run
+    # exp overflows to inf near x = 1 at Re ~ 1000, and u comes out as 0
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
     out += 1.0
@@ -125,11 +121,9 @@ def burgers_blocks(config=BurgersConfig(), into=None):
     columns, w at most BURGERS_BLOCK_COLUMNS and BURGERS_BLOCK_ENTRIES /
     grid_points (at least 1). `into(lo, hi)`, when given, returns the
     column-major array that receives columns [lo, hi), such as a slice of
-    the whole matrix; blocks are otherwise new arrays. One thread per
-    available CPU fills them, at most two per thread ahead of the block
-    last handed out, so a few blocks exist at a time whatever the matrix's
-    size. Closing the generator, or an error in a worker, cancels the
-    blocks not yet started and waits for the running ones.
+    the whole matrix; blocks are otherwise new arrays. Each block is
+    filled on the calling thread when it is asked for, so the generator
+    holds only the block it last handed out, whatever the matrix's size.
     """
     rows, cols = config.grid_points, config.n_snapshots
     re = config.reynolds
@@ -140,26 +134,11 @@ def burgers_blocks(config=BurgersConfig(), into=None):
     log1p_t = np.log1p(t)
     t1 = t + 1.0
     width = max(1, min(BURGERS_BLOCK_COLUMNS, BURGERS_BLOCK_ENTRIES // rows))
-
-    def fill(lo):
+    for lo in range(0, cols, width):
         hi = min(lo + width, cols)
         out = np.empty((rows, hi - lo), order="F") if into is None else into(lo, hi)
         _burgers_into(out, x_col, re_x2, log1p_t[lo:hi], t1[lo:hi], re)
-        return out
-
-    starts = range(0, cols, width)
-    workers = min(_available_cpus(), len(starts))
-    pool = ThreadPoolExecutor(workers)
-    pending = deque()
-    try:
-        for lo in starts:
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-            pending.append(pool.submit(fill, lo))
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+        yield out
 
 
 def burgers_matrix(config=BurgersConfig(), max_bytes=DEFAULT_MATRIX_CAP):

@@ -240,10 +240,28 @@ def write_history_csv(path, history):
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
+def _m4(cols, ys):
+    """Indices, in order, of the first, last, lowest and highest point of
+    each run of points that share a pixel column `cols`: the M4 reduction
+    (Jugel, Jerzak, Hackenbroich & Markl 2014, PVLDB 7(10)), which draws
+    the same line as all the points. Ties keep the first point."""
+    first = np.append(True, cols[1:] != cols[:-1])
+    starts = np.flatnonzero(first)
+    run = np.cumsum(first) - 1
+    keep = first | np.append(first[1:], True)
+    for reduce in (np.minimum, np.maximum):
+        # every point at its run's extreme, then the first of them per run
+        hit = np.flatnonzero(ys == reduce.reduceat(ys, starts)[run])
+        keep[hit[np.append(True, np.diff(run[hit]) != 0)]] = True
+    return np.flatnonzero(keep)
+
+
 def write_mode_svg(path, grid, modes, width=720, height=420):
     """Plot mode columns against the grid as one SVG polyline each.
 
-    No plotting dependency, no timestamps, no randomness: the output bytes
+    Each polyline holds the M4 points of its mode over the plot's pixel
+    columns (`_m4`), at most four per column when the grid is sorted. No
+    plotting dependency, no timestamps, no randomness: the output bytes
     depend only on the inputs. Axis extents are labelled with %.6g.
     """
     grid = np.asarray(grid, dtype=np.float64)
@@ -258,9 +276,7 @@ def write_mode_svg(path, grid, modes, width=720, height=420):
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
     xs = margin + (grid - x_lo) / x_span * (width - 2 * margin)
-    # The x coordinates are shared: format them once, leaving a %.2f slot
-    # after each for the y value of every mode.
-    x_part = " ".join(["%.2f,%%.2f"] * xs.size) % tuple(xs.tolist())
+    cols = np.minimum((xs - margin).astype(np.int64), width - 2 * margin - 1)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -282,7 +298,9 @@ def write_mode_svg(path, grid, modes, width=720, height=420):
     for j in range(modes.shape[1]):
         color = _SVG_COLORS[j % len(_SVG_COLORS)]
         ys = (height - margin) - (modes[:, j] - y_lo) / y_span * (height - 2 * margin)
-        points = x_part % tuple(ys.tolist())
+        keep = _m4(cols, ys)
+        points = " ".join(["%.2f,%.2f"] * keep.size) % tuple(
+            np.column_stack([xs[keep], ys[keep]]).ravel().tolist())
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
             f'points="{points}"/>'

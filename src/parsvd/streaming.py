@@ -63,9 +63,6 @@ modified. Either way a batch is scanned for non-finite entries once,
 where it enters the workspace, and nowhere after.
 """
 
-import ctypes
-import functools
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,54 +136,17 @@ class StreamState:
     total_rows: int
 
 
-# glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, and
-# the highest mmap threshold its own dynamic rule reaches on 64-bit hosts.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD_MAX = 32 << 20
-# Environment variables through which a user tunes glibc's malloc.
-_MALLOC_ENV = ("GLIBC_TUNABLES", "MALLOC_MMAP_THRESHOLD_",
-               "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_")
-
-
-@functools.cache
-def _keep_freed_memory():
-    """Have glibc keep freed blocks under 32 MB for reuse, instead of
-    handing them back to the system to fault in again. Runs once per
-    process, when the first workspace is made.
-
-    glibc maps blocks above a threshold that starts at 128 KB, and gives
-    the free top of a heap back to the system above a trim threshold; it
-    raises both (the trim threshold to twice the other) only when it frees
-    a mapped block larger than the map threshold. A workspace lives as long
-    as its stream, so no such block is freed, and the temporaries of the
-    LAPACK calls in every update took fresh pages each time: about 600
-    page faults per update at 10-column batches. This sets the thresholds
-    where glibc's own rule tops out (32 MB, and 64 MB to trim). Nothing is
-    changed where the environment tunes malloc, or where the C library has
-    no mallopt.
-    """
-    if any(name in os.environ for name in _MALLOC_ENV):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
-    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
-
-
 class Workspace:
     """The two column-major buffers of a stream (module docstring).
 
     `spare` is the number of columns kept beyond each batch: K + p for a
     whole stream, so the buffers stop growing once the carried block is
-    full, and 0 for a single update.
+    full, and 0 for a single update. An update writes its tall arrays into
+    the buffers, so a stream needs no change to malloc's settings to reuse
+    its memory (README, "Numerical notes").
     """
 
     def __init__(self, spare=0):
-        _keep_freed_memory()
         self.spare = spare
         self.front = self.back = np.empty((0, 0), order="F")
         self._carried = None

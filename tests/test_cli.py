@@ -48,13 +48,11 @@ def _summary(outdir):
 
 # ---------- generate ----------
 
-@pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("shape", [(2049, 1), (2049, 17), (2049, 33), (64, 800)],
                          ids=lambda shape: "%dx%d" % shape)
-def test_generate_writes_burgers_matrix(tmp_path, monkeypatch, shape, workers):
-    # the streamed file, one 16-column block at a time from one or several
-    # threads, against the one-block writer given the whole matrix
-    monkeypatch.setattr(parsvd.datagen, "_available_cpus", lambda: workers)
+def test_generate_writes_burgers_matrix(tmp_path, shape):
+    # the streamed file, one 16-column block at a time, against the
+    # one-block writer given the whole matrix
     rows, cols = shape
     out = tmp_path / "burgers.bin"
     code = main(["generate", "--out", str(out),
@@ -67,10 +65,18 @@ def test_generate_writes_burgers_matrix(tmp_path, monkeypatch, shape, workers):
 
 
 def test_generate_holds_a_few_blocks_not_the_matrix(tmp_path, monkeypatch):
-    # 8192 x 400 is 26 MB in 25 blocks of 1 MB; two workers keep at most
-    # four blocks in flight and the writer one, well under a quarter of the
-    # matrix (tracemalloc sees numpy's allocations)
-    monkeypatch.setattr(parsvd.datagen, "_available_cpus", lambda: 2)
+    # 8192 x 400 is 26 MB in 25 blocks of 1 MB, filled one at a time on the
+    # calling thread: the generator holds one block and the writer one, so
+    # the peak stays under three blocks (tracemalloc sees numpy's
+    # allocations), and generate starts no thread
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
     out = tmp_path / "burgers.bin"
     tracemalloc.start()
     try:
@@ -81,12 +87,12 @@ def test_generate_holds_a_few_blocks_not_the_matrix(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert code == 0
     assert read_matrix_header(out) == (8192, 400)
-    assert peak < 8 * 8192 * 400 / 4
+    assert peak < 3 * 8 * 8192 * 16
+    assert started == []
 
 
 def test_generate_failure_leaves_no_file(tmp_path, monkeypatch, capsys):
-    # the file is open when the third block fails: it is removed, and the
-    # pool has stopped by the time generate returns
+    # the file is open when the third block fails: it is removed
     real = parsvd.datagen._burgers_into
     calls = itertools.count()
 
@@ -96,15 +102,12 @@ def test_generate_failure_leaves_no_file(tmp_path, monkeypatch, capsys):
         real(out, *args)
 
     monkeypatch.setattr(parsvd.datagen, "_burgers_into", fail_third)
-    monkeypatch.setattr(parsvd.datagen, "_available_cpus", lambda: 3)
-    before = set(threading.enumerate())
     out = tmp_path / "burgers.bin"
     code = main(["generate", "--out", str(out),
                  "--grid-points", "2049", "--snapshots", "800"])
     assert code == 1
     assert "injected failure" in capsys.readouterr().err
     assert not out.exists()
-    assert set(threading.enumerate()) == before
 
 
 def test_generate_unwritable_path(tmp_path, capsys):

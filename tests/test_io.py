@@ -1,6 +1,7 @@
 """Binary matrix files, batch readers, and CSV/SVG emitters."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -266,23 +267,53 @@ def test_svg_point_text(tmp_path):
     assert points in path.read_text()
 
 
-def test_svg_polylines_format_every_point(tmp_path):
-    # the x text is formatted once and shared by the modes; each polyline
-    # must read as if every point were formatted on its own
+def _svg_polylines(path):
+    return re.findall(r'points="([^"]*)"', path.read_text())
+
+
+def _svg_coordinates(grid, modes, margin=56, width=720, height=420):
+    xs = margin + (grid - grid.min()) / np.ptp(grid) * (width - 2 * margin)
+    ys = (height - margin) - (modes - modes.min()) / np.ptp(modes) * (height - 2 * margin)
+    return xs, ys
+
+
+def test_svg_polylines_hold_the_m4_points(tmp_path):
+    # per pixel column of the 608-pixel plot area, the first, last, lowest
+    # and highest point of each mode (the first of ties), in x order, each
+    # formatted on its own
     rng = np.random.Generator(np.random.Philox(75))
-    grid = np.sort(rng.uniform(-1.0, 3.0, 1000))
-    modes = rng.standard_normal((1000, 3))
+    grid = np.sort(rng.uniform(-1.0, 3.0, 16384))
+    modes = np.cumsum(rng.standard_normal((16384, 3)), axis=0)
     path = tmp_path / "many.svg"
     write_mode_svg(path, grid, modes)
-    margin, width, height = 56, 720, 420
-    xs = margin + (grid - grid.min()) / np.ptp(grid) * (width - 2 * margin)
-    lo, span = modes.min(), np.ptp(modes)
-    body = path.read_text()
-    for j in range(3):
-        ys = (height - margin) - (modes[:, j] - lo) / span * (height - 2 * margin)
-        points = " ".join("%.2f,%.2f" % (x, y) for x, y in zip(xs, ys))
-        assert f'points="{points}"' in body, j
-    assert body.count("<polyline") == 3
+    xs, ys = _svg_coordinates(grid, modes)
+    pixel = np.minimum(np.floor(xs - 56).astype(int), 607)
+    polylines = _svg_polylines(path)
+    assert len(polylines) == 3
+    for j, points in enumerate(polylines):
+        keep = set()
+        for column in np.unique(pixel):
+            idx = np.flatnonzero(pixel == column)
+            keep |= {idx[0], idx[-1], idx[np.argmin(ys[idx, j])],
+                     idx[np.argmax(ys[idx, j])]}
+        keep = sorted(keep)
+        assert points == " ".join("%.2f,%.2f" % (xs[i], ys[i, j]) for i in keep)
+        assert keep[0] == 0 and keep[-1] == grid.size - 1
+        assert len(keep) <= 4 * 608
+
+
+def test_svg_keeps_every_point_below_one_per_pixel_column(tmp_path):
+    # 600 points over 608 pixel columns fall in a column each, so the
+    # reduction drops none of them
+    rng = np.random.Generator(np.random.Philox(76))
+    grid = np.linspace(0.0, 1.0, 600)
+    modes = rng.standard_normal((600, 2))
+    path = tmp_path / "sparse.svg"
+    write_mode_svg(path, grid, modes)
+    xs, ys = _svg_coordinates(grid, modes)
+    for j, points in enumerate(_svg_polylines(path)):
+        assert points == " ".join("%.2f,%.2f" % (x, y)
+                                  for x, y in zip(xs, ys[:, j]))
 
 
 def test_svg_flat_data(tmp_path):

@@ -1,11 +1,8 @@
 """Streaming SVD update rule: exactness, invariances, forget factor."""
 
-import types
-
 import numpy as np
 import pytest
 
-import parsvd.streaming
 from parsvd.comm import RankContext
 from parsvd.datagen import synthetic_spectrum_matrix
 from parsvd.io import BatchSource, write_matrix
@@ -379,23 +376,3 @@ def test_non_finite_later_batch_is_refused(bad, tmp_path):
     with pytest.raises(ValueError, match="non-finite"):
         stream_all(ONE, BatchSource(path, 4), config)
 
-
-def test_workspace_keeps_freed_memory_unless_malloc_is_tuned(monkeypatch):
-    calls = []
-
-    def mallopt(param, value):
-        calls.append((param, value))
-        return 1
-
-    monkeypatch.setattr(parsvd.streaming.ctypes, "CDLL",
-                        lambda name: types.SimpleNamespace(mallopt=mallopt))
-    tune = parsvd.streaming._keep_freed_memory.__wrapped__
-    for name in parsvd.streaming._MALLOC_ENV:
-        monkeypatch.delenv(name, raising=False)
-    monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "131072")
-    tune()
-    assert calls == []
-    monkeypatch.delenv("MALLOC_TRIM_THRESHOLD_")
-    tune()
-    # M_MMAP_THRESHOLD at glibc's 64-bit ceiling, M_TRIM_THRESHOLD twice it
-    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
