@@ -48,19 +48,23 @@ def _summary(outdir):
 
 # ---------- generate ----------
 
+@pytest.mark.parametrize("block_columns", [1, 3, 16])
 @pytest.mark.parametrize("shape", [(2049, 1), (2049, 17), (2049, 33), (64, 800)],
                          ids=lambda shape: "%dx%d" % shape)
-def test_generate_writes_burgers_matrix(tmp_path, shape):
-    # the streamed file, one 16-column block at a time, against the
-    # one-block writer given the whole matrix
+def test_generate_writes_burgers_matrix(tmp_path, monkeypatch, shape,
+                                        block_columns):
+    # the file streamed in blocks of 1, 3 or the default 16 columns (exact
+    # and ragged last blocks) against the one-block writer given the whole
+    # matrix, built at the default block width
     rows, cols = shape
+    expected = tmp_path / "expected.bin"
+    write_matrix(expected, burgers_matrix(BurgersConfig(grid_points=rows,
+                                                        n_snapshots=cols)))
+    monkeypatch.setattr(parsvd.datagen, "BURGERS_BLOCK_COLUMNS", block_columns)
     out = tmp_path / "burgers.bin"
     code = main(["generate", "--out", str(out),
                  "--grid-points", str(rows), "--snapshots", str(cols)])
     assert code == 0
-    expected = tmp_path / "expected.bin"
-    write_matrix(expected, burgers_matrix(BurgersConfig(grid_points=rows,
-                                                        n_snapshots=cols)))
     assert out.read_bytes() == expected.read_bytes()
 
 

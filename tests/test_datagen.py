@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+import parsvd.datagen
 from parsvd.datagen import (BurgersConfig, burgers_blocks, burgers_matrix,
                             burgers_solution, partition_bounds,
                             synthetic_spectrum_matrix)
@@ -117,10 +118,13 @@ def _burgers_expression(x, t, re):
         return x / (np.exp(z) + 1.0) / (t + 1.0)
 
 
+@pytest.mark.parametrize("block_columns", [1, 3, 16])
 @pytest.mark.parametrize("reynolds", [999.3, 1000.0, 1000.7])
-def test_burgers_matrix_equals_the_formula_bit_for_bit(reynolds):
-    # column blocks of 16: single-block, exact-block and ragged column
-    # counts, and an odd row count
+def test_burgers_matrix_equals_the_formula_bit_for_bit(monkeypatch, reynolds,
+                                                       block_columns):
+    # column blocks of 1, 3 or the default 16: single-block, exact-block
+    # and ragged column counts, and an odd row count
+    monkeypatch.setattr(parsvd.datagen, "BURGERS_BLOCK_COLUMNS", block_columns)
     for grid_points, n_snapshots in [(2049, 1), (2049, 15), (2049, 16),
                                      (2049, 17), (2049, 33), (64, 800)]:
         config = BurgersConfig(reynolds=reynolds, grid_points=grid_points,
