@@ -7,9 +7,10 @@ Subcommands:
     rank        run one TCP rank of a parallel decomposition
     compare     check two result directories for equivalence
 
-Settings resolve with the precedence flags > environment > config file >
-built-in defaults; the config file uses key=value lines with '#' comments
-and flag names (dashes or underscores).
+Each field of `RunConfig` is a setting of `decompose` and `rank`: a flag
+and a config-file key of its name (dashes or underscores; a key that names
+no field is refused). Precedence: flag > PARSVD_WORLD_SIZE (the parallel
+modes' world size only) > config file > the field's default.
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 collective
 timeout, 4 connection failure.
@@ -19,7 +20,7 @@ import argparse
 import contextlib
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -27,8 +28,8 @@ import numpy as np
 from .comm import run_simulated, tcp_context_from_env
 from .datagen import BurgersConfig, burgers_blocks, partition_bounds
 from .dsvd import ApmosConfig, apmos, gather_modes
-from .errors import CapacityError, CollectiveTimeout, ConfigError, \
-    ConvergenceError, DegenerateModeError, MatrixFormatError, ProtocolError
+from .errors import CollectiveTimeout, ConfigError, ConvergenceError, \
+    DegenerateModeError, MatrixFormatError, ProtocolError
 from .io import BatchSource, read_matrix_header, read_modes_csv, \
     read_singular_values_csv, read_submatrix, write_history_csv, \
     write_matrix_blocks, write_mode_svg, write_modes_csv, \
@@ -43,11 +44,12 @@ MODES = ("serial-batch", "serial-stream", "parallel-batch", "parallel-stream")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved settings for one decomposition run."""
+    """Fully resolved settings for one decomposition run. Each field is a
+    flag and a config-file key (`_build_parser`, `_resolve_run_config`)."""
 
+    input: str = field(metadata={"help": "matrix file to factor"})
+    outdir: str = field(metadata={"help": "directory for result files"})
     mode: str
-    input: str
-    outdir: str
     k: int = 5
     ff: float = 0.95
     batch: int = 100
@@ -100,29 +102,24 @@ def _build_parser():
 
     gen = sub.add_parser("generate", help="write a Burgers snapshot matrix file")
     gen.add_argument("--out", required=True, help="output matrix file")
-    gen.add_argument("--grid-points", type=int, default=16384)
-    gen.add_argument("--snapshots", type=int, default=800)
-    gen.add_argument("--reynolds", type=float, default=1000.0)
-    gen.add_argument("--length", type=float, default=1.0)
-    gen.add_argument("--t-final", type=float, default=2.0)
+    # no defaults here: _cmd_generate leaves a flag not given to BurgersConfig
+    gen.add_argument("--grid-points", type=int)
+    gen.add_argument("--snapshots", type=int, dest="n_snapshots", metavar="SNAPSHOTS")
+    gen.add_argument("--reynolds", type=float)
+    gen.add_argument("--length", type=float)
+    gen.add_argument("--t-final", type=float)
     gen.set_defaults(func=_cmd_generate)
 
     for name, func in (("decompose", _cmd_decompose), ("rank", _cmd_rank)):
         cmd = sub.add_parser(name)
-        cmd.add_argument("--input", help="matrix file to factor")
-        cmd.add_argument("--outdir", help="directory for result files")
-        cmd.add_argument("--mode", choices=MODES)
-        cmd.add_argument("--k", type=int)
-        cmd.add_argument("--ff", type=float)
-        cmd.add_argument("--batch", type=int)
-        cmd.add_argument("--r1", type=int)
-        cmd.add_argument("--r2", type=int)
-        cmd.add_argument("--randomized", action="store_const", const=True)
-        cmd.add_argument("--sketch-rank", type=int)
-        cmd.add_argument("--oversampling", type=int)
-        cmd.add_argument("--power-iters", type=int)
-        cmd.add_argument("--seed", type=int)
-        cmd.add_argument("--world-size", type=int)
+        for f in fields(RunConfig):
+            flag = "--" + f.name.replace("_", "-")
+            if f.type is bool:
+                cmd.add_argument(flag, action="store_const", const=True)
+            else:
+                cmd.add_argument(flag, type=_PARSERS.get(f.type, f.type),
+                                 choices=MODES if f.name == "mode" else None,
+                                 help=f.metadata.get("help"))
         cmd.add_argument("--config", help="key=value settings file")
         cmd.set_defaults(func=func)
 
@@ -135,6 +132,7 @@ def _build_parser():
 
 
 def _parse_config_file(path):
+    names = {f.name for f in fields(RunConfig)}
     values = {}
     try:
         with open(path) as fh:
@@ -147,75 +145,54 @@ def _parse_config_file(path):
                     raise ConfigError(
                         f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}"
                     )
-                values[key.strip().replace("-", "_")] = value.strip()
+                name = key.strip().replace("-", "_")
+                if name not in names:
+                    raise ConfigError(f"{path}:{lineno}: {key.strip()!r} names no setting")
+                values[name] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 
 
-def _parse_bool(raw, name):
-    low = str(raw).strip().lower()
+def _parse_bool(raw):
+    low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"{name} must be a boolean, got {raw!r}")
+    raise ValueError(raw)
+
+
+# how a field's type parses a flag, variable or config value (others: the type)
+_PARSERS = {bool: _parse_bool, Optional[int]: int}
 
 
 def _resolve_run_config(args):
-    """Merge flags, environment and config file into a RunConfig."""
+    """Fill each RunConfig field from its flag, else PARSVD_WORLD_SIZE (the
+    world size of a parallel mode only, since the serial modes pick their
+    own), else its config-file key, else its default."""
     file_values = _parse_config_file(args.config) if args.config else {}
-
-    def pick(name, env_name, parse, default):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if env_name:
-            raw = os.environ.get(env_name)
-            if raw not in (None, ""):
-                try:
-                    return parse(raw)
-                except ConfigError:
-                    raise
-                except ValueError:
-                    raise ConfigError(f"{env_name} has invalid value {raw!r}") from None
-        if name in file_values:
-            raw = file_values[name]
-            try:
-                return parse(raw)
-            except ConfigError:
-                raise
-            except ValueError:
-                raise ConfigError(f"config key {name} has invalid value {raw!r}") from None
-        return default
-
-    mode = pick("mode", None, str, None)
-    if mode is None:
-        raise ConfigError("mode is required (flag --mode or config file)")
-    input_path = pick("input", None, str, None)
-    if input_path is None:
-        raise ConfigError("input is required (flag --input or config file)")
-    outdir = pick("outdir", None, str, None)
-    if outdir is None:
-        raise ConfigError("outdir is required (flag --outdir or config file)")
-    return RunConfig(
-        mode=mode,
-        input=input_path,
-        outdir=outdir,
-        k=pick("k", None, int, RunConfig.k),
-        ff=pick("ff", None, float, RunConfig.ff),
-        batch=pick("batch", None, int, RunConfig.batch),
-        r1=pick("r1", None, int, RunConfig.r1),
-        r2=pick("r2", None, int, RunConfig.r2),
-        randomized=pick("randomized", None,
-                        lambda raw: _parse_bool(raw, "randomized"),
-                        RunConfig.randomized),
-        sketch_rank=pick("sketch_rank", None, int, RunConfig.sketch_rank),
-        oversampling=pick("oversampling", None, int, RunConfig.oversampling),
-        power_iters=pick("power_iters", None, int, RunConfig.power_iters),
-        seed=pick("seed", None, int, RunConfig.seed),
-        world_size=pick("world_size", "PARSVD_WORLD_SIZE", int, RunConfig.world_size),
-    )
+    env_world = os.environ.get("PARSVD_WORLD_SIZE")
+    values = {}
+    for f in fields(RunConfig):  # mode before world_size, which reads it
+        if getattr(args, f.name) is not None:
+            values[f.name] = getattr(args, f.name)
+            continue
+        if (f.name == "world_size" and env_world
+                and values["mode"].startswith("parallel")):
+            raw, source = env_world, "PARSVD_WORLD_SIZE"
+        elif f.name in file_values:
+            raw, source = file_values[f.name], f"config key {f.name}"
+        elif f.default is not MISSING:
+            values[f.name] = f.default
+            continue
+        else:
+            raise ConfigError(f"{f.name} is required (flag --{f.name} or config file)")
+        try:
+            values[f.name] = _PARSERS.get(f.type, f.type)(raw)
+        except ValueError:
+            raise ConfigError(f"{source} has invalid value {raw!r}") from None
+    return RunConfig(**values)
 
 
 def _sketch_config(cfg, target_default):
@@ -233,18 +210,14 @@ def _sketch_config(cfg, target_default):
 
 
 def _cmd_generate(args):
-    config = BurgersConfig(
-        length=args.length,
-        t_final=args.t_final,
-        reynolds=args.reynolds,
-        grid_points=args.grid_points,
-        n_snapshots=args.snapshots,
-    )
+    config = BurgersConfig(**{f.name: getattr(args, f.name)
+                              for f in fields(BurgersConfig)
+                              if getattr(args, f.name) is not None})
     # each block is written as it is filled, so the matrix is never whole
     # in memory and no size cap applies
     write_matrix_blocks(args.out, (config.grid_points, config.n_snapshots),
                         burgers_blocks(config))
-    print(f"wrote {args.grid_points}x{args.snapshots} matrix to {args.out}")
+    print(f"wrote {config.grid_points}x{config.n_snapshots} matrix to {args.out}")
     return 0
 
 
@@ -442,7 +415,7 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CapacityError, DegenerateModeError, ConvergenceError, ValueError) as exc:
+    except (DegenerateModeError, ConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ import pytest
 import parsvd.cli
 import parsvd.datagen
 from conftest import free_port
-from parsvd.cli import MODES, main
+from parsvd.cli import MODES, RunConfig, main
 from parsvd.comm import (BCAST_TAG, FRAME_HEADER, GATHER_TAG,
                          MATRIX_HEADER, encode_matrix, run_simulated)
 from parsvd.datagen import (BurgersConfig, burgers_matrix, partition_bounds,
@@ -431,6 +432,111 @@ def test_env_beats_file_and_flag_beats_env(tmp_path, monkeypatch):
     assert _summary(from_flag)["world_size"] == "2"
 
 
+# For each setting, a flag value and a config-file value, neither its
+# default (a bool flag can only set True), valid in a parallel-batch run
+SETTING_VALUES = {
+    "input": ("flag.bin", "key.bin"),
+    "outdir": ("flag-out", "key-out"),
+    "mode": ("parallel-stream", "serial-batch"),
+    "k": (2, 3),
+    "ff": (0.5, 0.25),
+    "batch": (7, 9),
+    "r1": (6, 8),
+    "r2": (6, 7),
+    "randomized": (True, True),
+    "sketch_rank": (6, 8),
+    "oversampling": (2, 3),
+    "power_iters": (2, 3),
+    "seed": (7, 9),
+    "world_size": (2, 3),
+}
+
+
+@pytest.mark.parametrize("setting", fields(RunConfig), ids=lambda f: f.name)
+def test_every_setting_resolves_from_flag_key_or_default(tmp_path, monkeypatch,
+                                                         capsys, setting):
+    # a new RunConfig field is a new case here: its flag beats its config
+    # key, the key reads with dashes or underscores, the default applies
+    # when neither is given, and a bad key value names the key
+    monkeypatch.delenv("PARSVD_WORLD_SIZE", raising=False)
+    resolved = []
+    monkeypatch.setattr(parsvd.cli, "_cmd_decompose", lambda args: resolved.append(
+        parsvd.cli._resolve_run_config(args)) or 0)
+    name = setting.name
+    flag_value, key_value = SETTING_VALUES[name]
+    flag = "--" + name.replace("_", "-")
+    base = {"input": "a.bin", "outdir": "out", "mode": "parallel-batch"}
+    args = [arg for other, value in base.items() if other != name
+            for arg in (f"--{other}", value)]
+    cfg = tmp_path / "run.cfg"
+
+    def resolve(extra=(), key_line=""):
+        cfg.write_text(key_line)
+        resolved.clear()
+        code = main(["decompose", "--config", str(cfg)] + args + list(extra))
+        return code, getattr(resolved[0], name) if resolved else None
+
+    if setting.default is MISSING:
+        assert resolve()[0] == 1
+        assert (f"{name} is required (flag {flag} or config file)"
+                in capsys.readouterr().err)
+    else:
+        assert resolve() == (0, setting.default)
+    for key in (name, flag[2:]):
+        assert resolve(key_line=f"{key} = {key_value}\n") == (0, key_value)
+    if setting.type is bool:
+        assert resolve([flag], f"{name} = false\n") == (0, True)
+    else:
+        assert resolve([flag, str(flag_value)],
+                       f"{name} = {key_value}\n") == (0, flag_value)
+    if setting.type is not str:
+        assert resolve(key_line=f"{flag[2:]} = x\n")[0] == 1
+        assert (f"config key {name} has invalid value 'x'"
+                in capsys.readouterr().err)
+
+
+def test_config_file_refuses_a_key_that_names_no_setting(tmp_path, capsys):
+    # a misspelled key would otherwise run at the setting's default
+    mat = tmp_path / "a.bin"
+    _write_test_matrix(mat)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = serial-stream\nbatchh = 7\nk = 3\n")
+    assert main(["decompose", "--config", str(cfg), "--input", str(mat),
+                 "--outdir", str(tmp_path / "o")]) == 1
+    assert f"{cfg}:2: 'batchh' names no setting" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_serial_modes_ignore_an_exported_world_size(tmp_path, monkeypatch,
+                                                    capsys):
+    # PARSVD_WORLD_SIZE is the world size of the parallel modes only: the
+    # serial modes run at their own
+    mat = tmp_path / "a.bin"
+    _write_test_matrix(mat)
+    monkeypatch.setenv("PARSVD_WORLD_SIZE", "2")
+    for mode in ("serial-batch", "serial-stream"):
+        outdir = tmp_path / mode
+        assert main(["decompose", "--input", str(mat), "--outdir", str(outdir),
+                     "--mode", mode, "--k", "2", "--batch", "3"]) == 0
+        assert _summary(outdir)["mode"] == mode
+    assert _summary(tmp_path / "serial-batch")["world_size"] == "1"
+
+
+@pytest.mark.parametrize("mode", ["serial-batch", "serial-stream"])
+def test_serial_modes_refuse_a_world_size_asked_for(tmp_path, capsys, mode):
+    mat = tmp_path / "a.bin"
+    _write_test_matrix(mat)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("world-size = 2\n")
+    base = ["decompose", "--input", str(mat), "--outdir", str(tmp_path / "o"),
+            "--mode", mode]
+    for extra in (["--world-size", "2"], ["--config", str(cfg)]):
+        assert main(base + extra) == 1
+        assert (f"{mode} picks its own world size, got 2"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_env_value_reported(tmp_path, monkeypatch, capsys):
     mat = tmp_path / "a.bin"
     _write_test_matrix(mat)
@@ -495,10 +601,19 @@ def test_rank_missing_env_names_variable(monkeypatch, capsys, tmp_path):
 
 
 def test_rank_rejects_serial_mode(monkeypatch, capsys, tmp_path):
-    assert main(["rank", "--input", str(tmp_path / "a.bin"),
-                 "--outdir", str(tmp_path / "o"),
-                 "--mode", "serial-batch"]) == 1
-    assert "parallel" in capsys.readouterr().err
+    # the refusal names the mode, also under the rank variables, whose
+    # PARSVD_WORLD_SIZE sets the world size of the parallel modes only
+    args = ["rank", "--input", str(tmp_path / "a.bin"),
+            "--outdir", str(tmp_path / "o"), "--mode", "serial-batch"]
+    assert main(args) == 1
+    assert ("rank runs parallel modes only, got serial-batch"
+            in capsys.readouterr().err)
+    monkeypatch.setenv("PARSVD_WORLD_SIZE", "2")
+    monkeypatch.setenv("PARSVD_RANK", "0")
+    monkeypatch.setenv("PARSVD_ROOT_ADDR", f"127.0.0.1:{free_port()}")
+    assert main(args) == 1
+    assert ("rank runs parallel modes only, got serial-batch"
+            in capsys.readouterr().err)
 
 
 def test_rank_connect_failure_exits_4(monkeypatch, tmp_path):
