@@ -9,11 +9,13 @@ Subcommands:
 
 Each field of `RunConfig` is a setting of `decompose` and `rank`: a flag
 and a config-file key of its name (dashes or underscores; a key that names
-no field is refused). Precedence: flag > PARSVD_WORLD_SIZE (the parallel
-modes' world size only) > config file > the field's default.
+no field is refused). A bool field's flag comes with a `--no-` form.
+Precedence: flag > PARSVD_WORLD_SIZE (the parallel modes' world size only)
+> config file > the field's default.
 
 Exit codes: 0 success, 1 configuration error, 2 I/O error, 3 collective
-timeout, 4 connection failure.
+timeout, 4 connection failure, 5 out of memory (one line naming the mode
+and the matrix shape).
 """
 
 import argparse
@@ -115,7 +117,7 @@ def _build_parser():
         for f in fields(RunConfig):
             flag = "--" + f.name.replace("_", "-")
             if f.type is bool:
-                cmd.add_argument(flag, action="store_const", const=True)
+                cmd.add_argument(flag, action=argparse.BooleanOptionalAction)
             else:
                 cmd.add_argument(flag, type=_PARSERS.get(f.type, f.type),
                                  choices=MODES if f.name == "mode" else None,
@@ -239,6 +241,14 @@ def _rank_work(ctx, cfg):
         raise ConfigError(
             f"k {cfg.k} exceeds min(rows, cols) = {min(rows, cols)}"
         )
+    try:
+        return _factor(ctx, cfg, rows, cols)
+    except MemoryError:
+        raise MemoryError(f"{cfg.mode} ran out of memory on the {rows}x{cols} "
+                          f"matrix in {cfg.input}") from None
+
+
+def _factor(ctx, cfg, rows, cols):
     lo, hi = partition_bounds(rows, ctx.world_size)[ctx.rank]
     history = None
     if cfg.mode == "serial-batch" and cfg.randomized:
@@ -392,32 +402,22 @@ def _cmd_compare(args):
     return 1
 
 
+# The exit code of each error family, the first that matches
+_EXIT_CODES = ((ConfigError, 1), (MatrixFormatError, 2), (CollectiveTimeout, 3),
+               (ConnectionError, 4), (ProtocolError, 2), (OSError, 2),
+               (DegenerateModeError, 1), (ConvergenceError, 1),
+               (ValueError, 1), (MemoryError, 5))
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(family for family, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MatrixFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CollectiveTimeout as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ConnectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ProtocolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DegenerateModeError, ConvergenceError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for family, code in _EXIT_CODES
+                    if isinstance(exc, family))
 
 
 if __name__ == "__main__":

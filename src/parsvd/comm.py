@@ -11,7 +11,10 @@ between two other ranks raises ValueError.
 Wire layout, little endian throughout:
 
     matrix = [u64 rows][u64 cols][rows * cols float64, column-major]
-    frame  = [u32 tag][u32 source][u32 dest][matrix]
+    frame  = [u32 tag][matrix]
+
+Each connection joins rank 0 to one known peer, so a frame carries no
+address: the link it arrives on names its sender.
 
 The tag names the operation that sent the frame (SEND_TAG, GATHER_TAG or
 BCAST_TAG). Every rank runs the same program over FIFO connections, so the
@@ -34,9 +37,7 @@ receive loop, so a root and a peer that at the same time send each other a
 frame larger than the socket buffers both wait until the deadline. No
 collective in the package does that. Any receive at rank 0 reads every
 peer, so a bad frame from any peer raises from that receive under its own
-message, and a hang-up is recorded for the next receive from that peer. A
-frame addressed to a rank other than its reader, or naming a source other
-than the rank at the far end of its connection, is a bad frame.
+message, and a hang-up is recorded for the next receive from that peer.
 
 Collectives are built from point-to-point sends with rank-ordered assembly,
 so gather results do not depend on arrival order. Every blocking operation
@@ -59,7 +60,7 @@ import numpy as np
 from .errors import CollectiveTimeout, ConfigError, ProtocolError
 from .linalg import as_matrix, blas_thread_budget
 
-FRAME_HEADER = struct.Struct("<III")
+FRAME_HEADER = struct.Struct("<I")
 MATRIX_HEADER = struct.Struct("<QQ")
 
 # The operation that sent a frame, checked by the receive that takes it.
@@ -116,7 +117,7 @@ def decode_matrix(buf):
 
 @dataclass
 class CommStats:
-    """Wire traffic counters for one rank. Bytes include the 12-byte frame
+    """Wire traffic counters for one rank. Bytes include the 4-byte frame
     header and the 16-byte matrix header, i.e. what TCP actually writes."""
 
     frames_sent: int = 0
@@ -189,19 +190,16 @@ def _send_exact(sock, data, deadline, peer="peer"):
 
 
 def _read_frame(sock, deadline, peer="peer"):
-    """Read one full frame from `peer`; returns (tag, source, dest,
-    payload) or None on clean EOF between frames. A matrix header
-    announcing more than MAX_PAYLOAD_BYTES raises ProtocolError before the
-    payload is read; every error names `peer`."""
-    head = _recv_exact(sock, FRAME_HEADER.size, deadline, peer)
+    """Read one full frame from `peer`; returns (tag, payload) or None on
+    clean EOF between frames. A matrix header announcing more than
+    MAX_PAYLOAD_BYTES raises ProtocolError before the payload is read;
+    every error names `peer`."""
+    head = _recv_exact(sock, FRAME_HEADER.size + MATRIX_HEADER.size,
+                       deadline, peer)
     if head is None:
         return None
-    tag, source, dest = FRAME_HEADER.unpack(head)
-    mhead = _recv_exact(sock, MATRIX_HEADER.size, deadline, peer)
-    if mhead is None:
-        raise ProtocolError(f"connection to {peer} closed between frame "
-                            f"and matrix header")
-    rows, cols = MATRIX_HEADER.unpack(mhead)
+    (tag,) = FRAME_HEADER.unpack_from(head)
+    rows, cols = MATRIX_HEADER.unpack_from(head, FRAME_HEADER.size)
     size = 8 * rows * cols
     if size > MAX_PAYLOAD_BYTES:
         raise ProtocolError(
@@ -214,7 +212,7 @@ def _read_frame(sock, deadline, peer="peer"):
         if body is None:
             raise ProtocolError(f"connection to {peer} closed before "
                                 f"matrix payload")
-    return tag, source, dest, mhead + body
+    return tag, head[FRAME_HEADER.size:] + body
 
 
 def _peer_name(rank):
@@ -337,7 +335,7 @@ class RankContext:
 
     def _send_raw(self, dest, tag, payload):
         sock = self._link(dest, "send to")
-        _send_exact(sock, FRAME_HEADER.pack(tag, self.rank, dest) + payload,
+        _send_exact(sock, FRAME_HEADER.pack(tag) + payload,
                     time.monotonic() + self.deadline, _peer_name(dest))
         self.stats.frames_sent += 1
         self.stats.bytes_sent += FRAME_HEADER.size + len(payload)
@@ -374,9 +372,8 @@ class RankContext:
     def _pump(self, deadline):
         """Wait until one of this rank's live connections is readable or
         the deadline passes, then read one frame, within the deadline, from
-        each readable connection: queue a frame from the rank at the other
-        end, addressed to this rank, behind that rank's earlier frames;
-        refuse any other; and mark a connection that reached its end."""
+        each readable connection: queue it behind the earlier frames of the
+        rank at the other end, or mark a connection that reached its end."""
         live = {sock: rank for rank, sock in self._conns.items()
                 if rank not in self._ended}
         wait = max(0.0, deadline - time.monotonic())
@@ -387,18 +384,7 @@ class RankContext:
             if frame is None:
                 self._ended.add(rank)
                 continue
-            tag, source, dest, payload = frame
-            if source != rank:
-                raise ProtocolError(
-                    f"{_peer_name(rank)} sent rank {self.rank} a frame "
-                    f"from rank {source}"
-                )
-            if dest != self.rank:
-                raise ProtocolError(
-                    f"{_peer_name(rank)} sent rank {self.rank} a frame "
-                    f"addressed to rank {dest}"
-                )
-            self._queues[rank].append((tag, payload))
+            self._queues[rank].append(frame)
 
     def refuse_unread(self):
         """Raise ProtocolError, naming the peer and the frame's tag, when a

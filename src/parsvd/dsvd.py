@@ -102,6 +102,11 @@ def generate_right_vectors(a_local, local_rank):
     each left vector is positive. Other slices take a thin SVD directly.
     Slab products are taken column-major (linalg._product).
 
+    Accuracy floor: fl(a^T a) errs near eps sigma_1^2, so V0 loses any
+    direction below about sqrt(eps) sigma_1 (1.5e-8 sigma_1), which the
+    one subspace iteration recovers only below a steep drop. serial-batch's
+    R route (QR, then the SVD of R) never squares the matrix: no floor.
+
     Returns (v, s) with v of shape (n_cols, local_rank) and s of length
     local_rank. When the slice has fewer than local_rank nonzero directions
     (short blocks, min(rows, cols) < r1), both are zero-padded to exactly

@@ -15,7 +15,8 @@ import numpy as np
 from conftest import free_port
 from oracles import subspace_angles
 from parsvd.cli import main
-from parsvd.comm import RankContext, run_simulated
+from parsvd.comm import (FRAME_HEADER, MATRIX_HEADER, RankContext,
+                         run_simulated)
 from parsvd.datagen import partition_bounds, synthetic_spectrum_matrix
 from parsvd.dsvd import ApmosConfig, apmos, gather_modes
 from parsvd.io import write_matrix
@@ -191,12 +192,12 @@ def test_transport_equivalence(acceptance, burgers_snapshots, tmp_path,
 
 def test_gather_payload_scaling(acceptance):
     # Each non-root rank ships exactly one N x r1 matrix to the root during
-    # assembly: 28 header bytes + 8*N*r1 payload, no matter how many rows
+    # assembly: 20 header bytes + 8*N*r1 payload, no matter how many rows
     # the rank holds. This is the property that keeps communication flat as
     # the spatial grid grows.
     start = time.perf_counter()
     n_cols, r1, world = 100, 10, 4
-    expected = 28 + 8 * n_cols * r1
+    expected = FRAME_HEADER.size + MATRIX_HEADER.size + 8 * n_cols * r1
     config = ApmosConfig(local_rank=r1, global_rank=r1, k_modes=5)
     sent_by_case = []
     root_received = []

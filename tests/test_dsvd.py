@@ -478,7 +478,7 @@ def test_parallel_stream_refuses_a_non_finite_later_batch(bad):
 
 # Rank 0's (frames sent, bytes sent, frames received, bytes received) over
 # a stream of four batches, by world size.
-STREAM_TRAFFIC = {2: (9, 8660, 9, 5460), 3: (18, 17320, 18, 10920)}
+STREAM_TRAFFIC = {2: (9, 8588, 9, 5388), 3: (18, 17176, 18, 10776)}
 
 
 @pytest.mark.parametrize("world_size", [2, 3])
