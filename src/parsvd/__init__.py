@@ -26,9 +26,8 @@ import sys
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "24")
 
-from .comm import (CommStats, RankContext, broadcast, decode_matrix,
-                   encode_matrix, gather, recv, run_simulated, send,
-                   tcp_context_from_env)
+from .comm import (CommStats, RankContext, broadcast, gather, recv,
+                   run_simulated, send, tcp_context_from_env)
 from .datagen import (BurgersConfig, burgers_blocks, burgers_matrix,
                       burgers_solution, partition_bounds,
                       synthetic_spectrum_matrix)
@@ -38,8 +37,8 @@ from .errors import (CapacityError, CollectiveTimeout, ConfigError,
                      ConvergenceError, DegenerateModeError,
                      MatrixFormatError, ProtocolError)
 from .io import (BatchSource, read_matrix_header, read_submatrix,
-                 write_matrix, write_matrix_blocks, write_mode_svg,
-                 write_modes_csv, write_singular_values_csv)
+                 write_matrix_blocks, write_mode_svg, write_modes_csv,
+                 write_singular_values_csv)
 from .linalg import (QrResult, RandomSketchConfig, SvdResult,
                      aligned_mode_difference, low_rank_svd, qr_factor,
                      randomized_range, svd_full)

@@ -23,7 +23,8 @@ A receive takes its peer's oldest frame; one sent by another operation
 means the ranks diverged, and raises ProtocolError naming both tags.
 
 A frame whose matrix header announces more than MAX_PAYLOAD_BYTES is
-refused with ProtocolError before its payload is read. Rank 0 records a
+refused with ProtocolError before its matrix is allocated. A frame is
+written from one buffer and read straight into its matrix. Rank 0 records a
 peer's hang-up: once the frames that peer sent before closing are consumed,
 the next receive from it raises ProtocolError at once, as a receive at any
 other rank does when rank 0 closes. That is also how a failure spreads: a
@@ -75,12 +76,13 @@ DEFAULT_DEADLINE = 30.0
 # package sends are a rank's rows of the modes (gather_modes): 8192 x 5, or
 # 320 KB, in the benchmark; 4 GiB leaves room for 10 million rows of 50
 # modes. A header above this is corrupt and raises ProtocolError before any
-# of its payload is read.
+# of its payload is read. A header within it allocates the whole matrix
+# before its payload arrives, which recv_into then fills in place: the
+# receive reserves the announced size at once, and the OS commits its pages
+# only as data lands. A read takes as much as the socket holds: recv_into
+# allocates nothing, unlike recv, which allocates the whole size asked of
+# it, so no chunk cap is needed.
 MAX_PAYLOAD_BYTES = 1 << 32
-# Most bytes asked of one recv call. CPython allocates the whole requested
-# size before data arrives, so a wire-supplied length is never passed on
-# whole.
-_RECV_CHUNK = 1 << 20
 # A rank that finds the root not yet listening retries after this many
 # seconds, doubling the wait up to the second value: rank processes start
 # together, and a fixed nap of the longer length cost a fresh world about
@@ -88,31 +90,17 @@ _RECV_CHUNK = 1 << 20
 _CONNECT_RETRY = (0.001, 0.05)
 
 
-def encode_matrix(a):
-    """Serialize a 2-D float64 array to wire bytes (header + column-major
-    payload). Empty matrices are legal and encode to just the header."""
-    a = as_matrix(a, "a", allow_empty=True)
-    return MATRIX_HEADER.pack(a.shape[0], a.shape[1]) + a.tobytes(order="F")
-
-
-def decode_matrix(buf):
-    """Inverse of encode_matrix. The buffer must be exactly one matrix;
-    anything shorter or longer raises ProtocolError."""
-    if len(buf) < MATRIX_HEADER.size:
-        raise ProtocolError(
-            f"matrix buffer is {len(buf)} bytes, header alone needs "
-            f"{MATRIX_HEADER.size}"
-        )
-    rows, cols = MATRIX_HEADER.unpack_from(buf)
-    expected = MATRIX_HEADER.size + 8 * rows * cols
-    if len(buf) != expected:
-        raise ProtocolError(
-            f"matrix buffer is {len(buf)} bytes, expected {expected} "
-            f"for shape ({rows}, {cols})"
-        )
-    flat = np.frombuffer(buf, dtype="<f8", offset=MATRIX_HEADER.size,
-                         count=rows * cols)
-    return flat.reshape((rows, cols), order="F").copy(order="F")
+def _frame(tag, a):
+    """The wire bytes of one frame carrying the 2-D float64 array `a`: its
+    tag, its matrix header and its column-major payload, laid out in one
+    buffer with one copy of the matrix."""
+    head = FRAME_HEADER.size + MATRIX_HEADER.size
+    frame = bytearray(head + a.nbytes)
+    FRAME_HEADER.pack_into(frame, 0, tag)
+    MATRIX_HEADER.pack_into(frame, FRAME_HEADER.size, *a.shape)
+    np.ndarray(a.shape, dtype="<f8", buffer=frame, offset=head,
+               order="F")[...] = a
+    return frame
 
 
 @dataclass
@@ -139,29 +127,33 @@ def _parse_address(address):
         raise ConfigError(f"address has a non-numeric port: {address!r}") from None
 
 
-def _recv_exact(sock, n, deadline, peer="peer"):
-    """Read exactly n bytes. Returns None on a clean EOF at offset zero;
-    raises ProtocolError on EOF mid-read or a failed read (with the OS
-    error), and CollectiveTimeout past the deadline, each naming `peer`."""
-    buf = bytearray()
-    while len(buf) < n:
+def _recv_into(sock, buf, deadline, peer="peer"):
+    """Fill the writable buffer `buf` from `sock`. Returns True once it is
+    full and False on a clean EOF before its first byte; raises
+    ProtocolError on EOF mid-read or a failed read (with the OS error), and
+    CollectiveTimeout past the deadline, each naming `peer`."""
+    view = memoryview(buf).cast("B")
+    got = 0
+    while got < len(view):
         wait = deadline - time.monotonic()
         if wait <= 0 or not select.select([sock], [], [], wait)[0]:
-            raise CollectiveTimeout(f"timed out reading {n} bytes from {peer}")
+            raise CollectiveTimeout(
+                f"timed out reading {len(view)} bytes from {peer}")
         try:
-            chunk = sock.recv(min(n - len(buf), _RECV_CHUNK))
+            n = sock.recv_into(view[got:])
         except OSError as exc:
             raise ProtocolError(
                 f"connection to {peer} failed mid-read: {exc}"
             ) from None
-        if not chunk:
-            if not buf:
-                return None
+        if not n:
+            if not got:
+                return False
             raise ProtocolError(
-                f"connection to {peer} closed after {len(buf)} of {n} bytes"
+                f"connection to {peer} closed after {got} of {len(view)} "
+                f"bytes"
             )
-        buf += chunk
-    return bytes(buf)
+        got += n
+    return True
 
 
 def _send_exact(sock, data, deadline, peer="peer"):
@@ -190,13 +182,12 @@ def _send_exact(sock, data, deadline, peer="peer"):
 
 
 def _read_frame(sock, deadline, peer="peer"):
-    """Read one full frame from `peer`; returns (tag, payload) or None on
+    """Read one full frame from `peer`; returns (tag, matrix) or None on
     clean EOF between frames. A matrix header announcing more than
-    MAX_PAYLOAD_BYTES raises ProtocolError before the payload is read;
-    every error names `peer`."""
-    head = _recv_exact(sock, FRAME_HEADER.size + MATRIX_HEADER.size,
-                       deadline, peer)
-    if head is None:
+    MAX_PAYLOAD_BYTES raises ProtocolError before the matrix is allocated
+    or its payload read; every error names `peer`."""
+    head = bytearray(FRAME_HEADER.size + MATRIX_HEADER.size)
+    if not _recv_into(sock, head, deadline, peer):
         return None
     (tag,) = FRAME_HEADER.unpack_from(head)
     rows, cols = MATRIX_HEADER.unpack_from(head, FRAME_HEADER.size)
@@ -206,13 +197,12 @@ def _read_frame(sock, deadline, peer="peer"):
             f"frame announces a {rows}x{cols} matrix ({size} bytes), above "
             f"the {MAX_PAYLOAD_BYTES}-byte limit"
         )
-    body = b""
-    if size:
-        body = _recv_exact(sock, size, deadline, peer)
-        if body is None:
-            raise ProtocolError(f"connection to {peer} closed before "
-                                f"matrix payload")
-    return tag, head[FRAME_HEADER.size:] + body
+    matrix = np.empty((rows, cols), order="F")
+    # the transpose is C-contiguous, the layout a buffer export needs
+    if size and not _recv_into(sock, matrix.T, deadline, peer):
+        raise ProtocolError(f"connection to {peer} closed before "
+                            f"matrix payload")
+    return tag, matrix
 
 
 def _peer_name(rank):
@@ -246,7 +236,7 @@ class RankContext:
         self.stats = CommStats()
         self._conns = {}            # rank -> socket: all peers', or the root's
         self._ended = set()         # ranks whose connection reached its end
-        self._queues = defaultdict(deque)   # rank -> deque[(tag, bytes)]
+        self._queues = defaultdict(deque)   # rank -> deque[(tag, matrix)]
         self._server = None         # root only: the listening socket
 
     @classmethod
@@ -269,8 +259,8 @@ class RankContext:
                 conn, addr = server.accept()
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 who = f"connecting peer {addr[0]}:{addr[1]}"
-                hello = _recv_exact(conn, 4, limit, peer=who)
-                if hello is None:
+                hello = bytearray(4)
+                if not _recv_into(conn, hello, limit, peer=who):
                     conn.close()
                     continue
                 peer = struct.unpack("<I", hello)[0]
@@ -333,15 +323,15 @@ class RankContext:
                                 f"rank {rank}")
         return self._conns[rank]
 
-    def _send_raw(self, dest, tag, payload):
+    def _send_raw(self, dest, frame):
         sock = self._link(dest, "send to")
-        _send_exact(sock, FRAME_HEADER.pack(tag) + payload,
-                    time.monotonic() + self.deadline, _peer_name(dest))
+        _send_exact(sock, frame, time.monotonic() + self.deadline,
+                    _peer_name(dest))
         self.stats.frames_sent += 1
-        self.stats.bytes_sent += FRAME_HEADER.size + len(payload)
+        self.stats.bytes_sent += len(frame)
 
     def _recv_raw(self, source, tag):
-        """Return the payload of the oldest frame from `source`, reading
+        """Return the matrix of the oldest frame from `source`, reading
         this rank's connections until one arrives. A frame whose tag is not
         `tag` was sent by another operation: the two programs have
         diverged, and ProtocolError names the peer and both tags."""
@@ -358,7 +348,7 @@ class RankContext:
                     f"recv at rank {self.rank} from rank {source} timed out"
                 )
             self._pump(limit)
-        got, payload = queue.popleft()
+        got, matrix = queue.popleft()
         if got != tag:
             raise ProtocolError(
                 f"{_peer_name(source)} sent rank {self.rank} a "
@@ -366,8 +356,9 @@ class RankContext:
                 f"a {_TAG_NAMES[tag]} frame (tag {tag:#x}) was due"
             )
         self.stats.frames_received += 1
-        self.stats.bytes_received += FRAME_HEADER.size + len(payload)
-        return payload
+        self.stats.bytes_received += (FRAME_HEADER.size + MATRIX_HEADER.size
+                                      + matrix.nbytes)
+        return matrix
 
     def _pump(self, deadline):
         """Wait until one of this rank's live connections is readable or
@@ -432,14 +423,14 @@ class RankContext:
 def send(ctx, value, dest):
     """Point-to-point send of one matrix."""
     value = as_matrix(value, "value", allow_empty=True)
-    ctx._send_raw(dest, SEND_TAG, encode_matrix(value))
+    ctx._send_raw(dest, _frame(SEND_TAG, value))
 
 
 def recv(ctx, source):
     """Blocking receive of the next frame from `source`, which must come
     from its matching send: frames between two ranks arrive in program
     order, and one from another operation raises ProtocolError."""
-    return decode_matrix(ctx._recv_raw(source, SEND_TAG))
+    return ctx._recv_raw(source, SEND_TAG)
 
 
 def gather(ctx, local, root=0):
@@ -450,14 +441,14 @@ def gather(ctx, local, root=0):
     """
     local = as_matrix(local, "local", allow_empty=True)
     if ctx.rank != root:
-        ctx._send_raw(root, GATHER_TAG, encode_matrix(local))
+        ctx._send_raw(root, _frame(GATHER_TAG, local))
         return None
     parts = []
     for rank in range(ctx.world_size):
         if rank == root:
             parts.append(local.copy())
         else:
-            parts.append(decode_matrix(ctx._recv_raw(rank, GATHER_TAG)))
+            parts.append(ctx._recv_raw(rank, GATHER_TAG))
     return parts
 
 
@@ -465,16 +456,16 @@ def broadcast(ctx, value, root=0):
     """Send the root's matrix to every rank; returns it on all ranks.
 
     Other ranks pass None. The root gets back a copy of its own value, and
-    encodes it only when another rank exists.
+    builds its frame once, only when another rank exists.
     """
     if ctx.rank != root:
-        return decode_matrix(ctx._recv_raw(root, BCAST_TAG))
+        return ctx._recv_raw(root, BCAST_TAG)
     value = as_matrix(value, "value", allow_empty=True)
     if ctx.world_size > 1:
-        payload = encode_matrix(value)
+        frame = _frame(BCAST_TAG, value)
         for rank in range(ctx.world_size):
             if rank != root:
-                ctx._send_raw(rank, BCAST_TAG, payload)
+                ctx._send_raw(rank, frame)
     return value.copy()
 
 

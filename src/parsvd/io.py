@@ -32,12 +32,6 @@ MAGIC = b"PARSVD01"
 FILE_HEADER = struct.Struct("<8sQQ")
 
 
-def write_matrix(path, a):
-    """Write one matrix to `path` in the binary format above."""
-    a = as_matrix(a, "a", allow_empty=True)
-    write_matrix_blocks(path, a.shape, [a])
-
-
 def write_matrix_blocks(path, shape, blocks):
     """Write the matrix of `shape` to `path` from `blocks`, its column
     blocks left to right, each taken from the iterable as the file needs

@@ -139,9 +139,10 @@ def decode_matrix_reference(buf):
     return out
 
 
-def frame_reference(tag, source, dest, a):
-    """Full point-to-point frame bytes as TCP would carry them."""
-    return struct.pack("<III", tag, source, dest) + encode_matrix_reference(a)
+def frame_reference(tag, a):
+    """Full frame bytes as TCP would carry them: the u32 tag, then the
+    matrix."""
+    return struct.pack("<I", tag) + encode_matrix_reference(a)
 
 
 def matrix_file_reference(a):

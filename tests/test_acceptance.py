@@ -19,7 +19,7 @@ from parsvd.comm import (FRAME_HEADER, MATRIX_HEADER, RankContext,
                          run_simulated)
 from parsvd.datagen import partition_bounds, synthetic_spectrum_matrix
 from parsvd.dsvd import ApmosConfig, apmos, gather_modes
-from parsvd.io import write_matrix
+from parsvd.io import write_matrix_blocks
 from parsvd.linalg import (RandomSketchConfig, aligned_mode_difference,
                            low_rank_svd, qr_factor, svd_full)
 from parsvd.streaming import StreamConfig, stream_all
@@ -154,7 +154,7 @@ def test_transport_equivalence(acceptance, burgers_snapshots, tmp_path,
     # in-process simulator must emit byte-identical result files.
     start = time.perf_counter()
     mat = tmp_path / "burgers.bin"
-    write_matrix(mat, burgers_snapshots)
+    write_matrix_blocks(mat, burgers_snapshots.shape, [burgers_snapshots])
     args = ["--input", str(mat), "--mode", "parallel-batch",
             "--r1", "50", "--r2", "5", "--k", "2", "--seed", "0"]
     sim = tmp_path / "sim"

@@ -16,18 +16,20 @@ from dataclasses import MISSING, fields
 import numpy as np
 import pytest
 
+import oracles
 import parsvd.cli
 import parsvd.datagen
 from conftest import free_port
 from parsvd.cli import MODES, RunConfig, main
 from parsvd.comm import (BCAST_TAG, FRAME_HEADER, GATHER_TAG,
-                         MATRIX_HEADER, encode_matrix, run_simulated)
+                         MATRIX_HEADER, run_simulated)
 from parsvd.datagen import (BurgersConfig, burgers_matrix, partition_bounds,
                             synthetic_spectrum_matrix)
 from parsvd.dsvd import ApmosConfig, apmos, gather_modes
 from parsvd.io import (FILE_HEADER, MAGIC, read_matrix_header, read_modes_csv,
-                       read_singular_values_csv, read_submatrix, write_matrix,
-                       write_modes_csv, write_singular_values_csv)
+                       read_singular_values_csv, read_submatrix,
+                       write_matrix_blocks, write_modes_csv,
+                       write_singular_values_csv)
 from parsvd.linalg import (RandomSketchConfig, _available_cpus,
                            aligned_mode_difference, blas_thread_budget,
                            svd_full)
@@ -38,7 +40,7 @@ RESULT_FILES = ("singular_values.csv", "modes.csv", "modes.svg", "summary.txt")
 def _write_test_matrix(path, rows=16, cols=8, rank=6, seed=80):
     sv = 2.0 ** -np.arange(rank)
     a = synthetic_spectrum_matrix(rows, cols, sv, seed=seed)
-    write_matrix(path, a)
+    write_matrix_blocks(path, a.shape, [a])
     return a
 
 
@@ -59,8 +61,8 @@ def test_generate_writes_burgers_matrix(tmp_path, monkeypatch, shape,
     # matrix, built at the default block width
     rows, cols = shape
     expected = tmp_path / "expected.bin"
-    write_matrix(expected, burgers_matrix(BurgersConfig(grid_points=rows,
-                                                        n_snapshots=cols)))
+    write_matrix_blocks(expected, shape, [burgers_matrix(
+        BurgersConfig(grid_points=rows, n_snapshots=cols))])
     monkeypatch.setattr(parsvd.datagen, "BURGERS_BLOCK_COLUMNS", block_columns)
     out = tmp_path / "burgers.bin"
     code = main(["generate", "--out", str(out),
@@ -247,8 +249,8 @@ def test_serial_stream_is_parallel_stream_at_its_world_size(tmp_path,
     monkeypatch.setattr(parsvd.cli, "_openblas_thread_count", lambda: threads)
     monkeypatch.setattr(parsvd.cli, "_available_cpus", lambda: threads)
     mat = tmp_path / "a.bin"
-    write_matrix(mat, burgers_matrix(BurgersConfig(grid_points=512,
-                                                   n_snapshots=120)))
+    write_matrix_blocks(mat, (512, 120), [burgers_matrix(
+        BurgersConfig(grid_points=512, n_snapshots=120))])
     args = ["--input", str(mat), "--k", "5", "--batch", "10", "--ff", "1.0"]
     serial = tmp_path / "serial"
     para = tmp_path / "para"
@@ -288,7 +290,7 @@ def test_decompose_rejects_an_empty_matrix(tmp_path, capsys, mode, shape):
     # one check names the file and its shape in every mode, before any
     # mode's own checks (world size against rows, k against columns)
     mat = tmp_path / "empty.bin"
-    write_matrix(mat, np.zeros(shape))
+    write_matrix_blocks(mat, shape, [np.zeros(shape)])
     assert main(["decompose", "--input", str(mat), "--outdir",
                  str(tmp_path / "o"), "--mode", mode]) == 1
     rows, cols = shape
@@ -658,8 +660,8 @@ def _root_against_fake_peers(tmp_path, env, misbehave, deadline,
     then hand the sockets, in rank order, to `misbehave`. Returns (exit
     code, stderr, seconds from the misbehaviour to the root's exit)."""
     mat = tmp_path / "a.bin"
-    write_matrix(mat, burgers_matrix(BurgersConfig(grid_points=64,
-                                                   n_snapshots=20)))
+    write_matrix_blocks(mat, (64, 20), [burgers_matrix(
+        BurgersConfig(grid_points=64, n_snapshots=20))])
     port = free_port()
     env = dict(env, PARSVD_WORLD_SIZE=str(world_size), PARSVD_RANK="0",
                PARSVD_ROOT_ADDR=f"127.0.0.1:{port}",
@@ -737,8 +739,7 @@ def test_rank_root_fails_fast_when_peer_exits_mid_gather(tmp_path,
     # rank 1 sends its part of the first gather and waits, as a live rank
     # would; rank 2 hangs up before sending its part
     def one_sends_two_exits(peer1, peer2):
-        peer1.sendall(FRAME_HEADER.pack(GATHER_TAG)
-                      + encode_matrix(np.zeros((2, 2))))
+        peer1.sendall(oracles.frame_reference(GATHER_TAG, np.zeros((2, 2))))
         peer2.close()
 
     code, err, elapsed = _root_against_fake_peers(
@@ -754,8 +755,7 @@ def test_rank_root_refuses_a_foreign_tag(tmp_path, subprocess_env):
     # stream's first rank sum (the row count) is due: the root exits 2
     # naming rank 1 and both tags
     def foreign(sock):
-        sock.sendall(FRAME_HEADER.pack(0x1234)
-                     + encode_matrix(np.zeros((2, 2))))
+        sock.sendall(oracles.frame_reference(0x1234, np.zeros((2, 2))))
 
     code, err, elapsed = _root_against_fake_peers(
         tmp_path, subprocess_env, foreign, deadline=30.0)
@@ -772,8 +772,8 @@ def test_rank_exits_fast_when_root_exits(tmp_path, subprocess_env):
     # root's end of stream or the reset. Both raise ProtocolError naming
     # the root, exit 2; exit 4 is left for a root that never answered
     mat = tmp_path / "a.bin"
-    write_matrix(mat, burgers_matrix(BurgersConfig(grid_points=64,
-                                                   n_snapshots=20)))
+    write_matrix_blocks(mat, (64, 20), [burgers_matrix(
+        BurgersConfig(grid_points=64, n_snapshots=20))])
     with socket.create_server(("127.0.0.1", 0)) as server:
         port = server.getsockname()[1]
         env = dict(subprocess_env, PARSVD_WORLD_SIZE="2", PARSVD_RANK="1",
@@ -828,7 +828,7 @@ def test_rank_root_refuses_an_unread_frame_before_writing(monkeypatch,
     mat = tmp_path / "a.bin"
     _write_test_matrix(mat)
     port = free_port()
-    frame = FRAME_HEADER.pack(GATHER_TAG) + encode_matrix(np.ones((1, 1)))
+    frame = oracles.frame_reference(GATHER_TAG, np.ones((1, 1)))
     peer = []
 
     def rank_one():
@@ -872,7 +872,7 @@ def test_rank_peer_refuses_an_unread_frame(monkeypatch, capsys, tmp_path):
     # never receives: the ranks diverged, so rank 1 exits 2 naming it
     mat = tmp_path / "a.bin"
     _write_test_matrix(mat)
-    frame = FRAME_HEADER.pack(BCAST_TAG) + encode_matrix(np.ones((1, 1)))
+    frame = oracles.frame_reference(BCAST_TAG, np.ones((1, 1)))
     server = socket.create_server(("127.0.0.1", 0))
     conns = []
 

@@ -1,4 +1,4 @@
-"""Wire codec, collective semantics, and the one rank class: the TCP star,
+"""Frame layout, collective semantics, and the one rank class: the TCP star,
 wired through in-process socket pairs in simulated worlds and through TCP
 sockets between rank threads or processes."""
 
@@ -18,53 +18,154 @@ import pytest
 import oracles
 from conftest import free_port
 from parsvd import comm
-from parsvd.comm import (FRAME_HEADER, GATHER_TAG, MATRIX_HEADER,
-                         MAX_PAYLOAD_BYTES, SEND_TAG, RankContext,
-                         _read_frame, _recv_exact, broadcast, decode_matrix,
-                         encode_matrix, gather, recv, run_simulated, send,
+from parsvd.comm import (BCAST_TAG, FRAME_HEADER, GATHER_TAG,
+                         MATRIX_HEADER, MAX_PAYLOAD_BYTES, SEND_TAG,
+                         RankContext, _frame, _read_frame, _recv_into,
+                         broadcast, gather, recv, run_simulated, send,
                          tcp_context_from_env)
 from parsvd.errors import CollectiveTimeout, ConfigError, ProtocolError
 from parsvd.linalg import _openblas_threads, blas_thread_budget
 
 
-# ---------- codec ----------
+# ---------- frame layout ----------
+
+def _read_sent(data, peer="peer"):
+    """_read_frame over a socket pair whose other end sent `data` and hung
+    up."""
+    reader, writer = socket.socketpair()
+    with reader:
+        with writer:
+            writer.sendall(data)
+        return _read_frame(reader, time.monotonic() + 10.0, peer)
+
 
 def test_codec_round_trip_and_exact_bytes():
     rng = np.random.Generator(np.random.Philox(50))
     for shape in [(3, 5), (1, 1), (7, 2)]:
         a = rng.standard_normal(shape)
-        buf = encode_matrix(a)
-        assert buf == oracles.encode_matrix_reference(a)
-        back = decode_matrix(buf)
+        frame = _frame(GATHER_TAG, a)
+        assert frame == oracles.frame_reference(GATHER_TAG, a)
+        tag, back = _read_sent(frame)
+        assert tag == GATHER_TAG
         assert np.array_equal(back, a)
-        assert back.flags.writeable
+        assert back.flags.writeable and back.flags.f_contiguous
 
 
 def test_codec_empty_matrix():
-    buf = encode_matrix(np.zeros((0, 0)))
-    assert len(buf) == 16
-    assert decode_matrix(buf).shape == (0, 0)
-    wide = encode_matrix(np.zeros((4, 0)))
-    assert decode_matrix(wide).shape == (4, 0)
+    for shape in [(0, 0), (4, 0), (0, 3)]:
+        empty = np.zeros(shape)
+        frame = _frame(BCAST_TAG, empty)
+        assert len(frame) == 20
+        assert frame == oracles.frame_reference(BCAST_TAG, empty)
+        tag, back = _read_sent(frame)
+        assert tag == BCAST_TAG and back.shape == shape
 
 
 def test_codec_rejects_malformed():
-    with pytest.raises(ProtocolError):
-        decode_matrix(b"\x00" * 10)
-    good = encode_matrix(np.ones((2, 2)))
-    with pytest.raises(ProtocolError):
-        decode_matrix(good[:-1])
-    with pytest.raises(ProtocolError):
-        decode_matrix(good + b"\x00")
-    with pytest.raises(ValueError):
-        encode_matrix(np.ones(3))
+    # 1-D input is refused before any frame is written
+    with pytest.raises(ValueError, match="2-D"):
+        send(RankContext(1, 2), np.ones(3), 0)
+    with pytest.raises(ValueError, match="2-D"):
+        gather(RankContext(1, 2), np.ones(3))
+    with pytest.raises(ValueError, match="2-D"):
+        broadcast(RankContext(0, 2), np.ones(3))
+    # a truncated header or payload, and a header announcing more than the
+    # limit, are refused
+    good = oracles.frame_reference(SEND_TAG, np.ones((2, 2)))
+    with pytest.raises(ProtocolError, match="closed after 10 of 20 bytes"):
+        _read_sent(good[:10])
+    with pytest.raises(ProtocolError, match="closed after 31 of 32 bytes"):
+        _read_sent(good[:-1])
+    with pytest.raises(ProtocolError, match="limit"):
+        _read_sent(FRAME_HEADER.pack(SEND_TAG)
+                   + MATRIX_HEADER.pack(1, MAX_PAYLOAD_BYTES // 8 + 1))
+    # bytes past a frame's announced size begin the next frame
+    reader, writer = socket.socketpair()
+    with reader:
+        with writer:
+            writer.sendall(good + b"\x00")
+        tag, back = _read_frame(reader, time.monotonic() + 10.0)
+        assert tag == SEND_TAG and np.array_equal(back, np.ones((2, 2)))
+        with pytest.raises(ProtocolError, match="closed after 1 of 20 bytes"):
+            _read_frame(reader, time.monotonic() + 10.0)
 
 
 def test_codec_column_major_layout():
     a = np.array([[1.0, 3.0], [2.0, 4.0]])
-    payload = encode_matrix(a)[16:]
+    payload = _frame(SEND_TAG, a)[20:]
     assert np.array_equal(np.frombuffer(payload, dtype="<f8"),
                           [1.0, 2.0, 3.0, 4.0])
+    # C-ordered and strided inputs write the bytes of their column-major copy
+    b = np.arange(30.0).reshape(5, 6)
+    for view in (b, b[1::2, ::3], b.T[::-1]):
+        assert _frame(SEND_TAG, view) == oracles.frame_reference(SEND_TAG,
+                                                                 view)
+
+
+# ---------- copies per frame ----------
+
+def _big_frame(tag, seed):
+    """A 32 MiB column-major matrix and its frame bytes, built with numpy
+    (the entry-by-entry oracle is too slow at this size)."""
+    a = np.asfortranarray(np.random.Generator(np.random.Philox(seed))
+                          .standard_normal((1 << 16, 64)))
+    return a, (FRAME_HEADER.pack(tag) + MATRIX_HEADER.pack(*a.shape)
+               + a.tobytes(order="F"))
+
+
+def _traced_peak(fn):
+    """Peak bytes allocated in any thread, as tracemalloc sees them, while
+    fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_received_frame_is_read_into_its_matrix():
+    # a raw peer sends bytes built before tracing starts, so the peak is the
+    # receiver's: the matrix, and no byte copy of it
+    a, frame = _big_frame(SEND_TAG, 51)
+    ctx = RankContext(0, 2)
+    ctx._conns[1], peer = socket.socketpair()
+    writer = threading.Thread(target=peer.sendall, args=(frame,))
+    got = []
+
+    def receive():
+        writer.start()
+        got.append(recv(ctx, 1))
+
+    try:
+        peak = _traced_peak(receive)
+    finally:
+        writer.join(timeout=30.0)
+        peer.close()
+        ctx.close()
+    assert np.array_equal(got[0], a)
+    assert peak <= 1.1 * a.nbytes, f"{peak / a.nbytes:.2f}x the payload"
+
+
+def test_a_sent_frame_is_one_copy_of_its_matrix():
+    # the root drains into a buffer allocated before tracing starts, so the
+    # peak is the sender's: one frame buffer, and no further copy
+    a, frame = _big_frame(GATHER_TAG, 52)
+    ctx = RankContext(1, 2)
+    ctx._conns[0], root = socket.socketpair()
+    sink = bytearray(len(frame))
+    drained = []
+    reader = threading.Thread(target=lambda: drained.append(
+        _recv_into(root, sink, time.monotonic() + 30.0)))
+    reader.start()
+    try:
+        peak = _traced_peak(lambda: gather(ctx, a))
+    finally:
+        reader.join(timeout=30.0)
+        root.close()
+        ctx.close()
+    assert drained == [True] and sink == frame
+    assert peak <= 1.25 * a.nbytes, f"{peak / a.nbytes:.2f}x the payload"
 
 
 # ---------- collectives on simulated worlds (socket pairs) ----------
@@ -320,7 +421,7 @@ def test_overlapping_budgets_restore_the_first_count():
 
 def test_stats_count_framed_bytes():
     a = np.ones((4, 3))
-    frame_bytes = FRAME_HEADER.size + len(encode_matrix(a))
+    frame_bytes = len(oracles.frame_reference(GATHER_TAG, a))
     assert frame_bytes == 4 + 16 + 8 * 12
 
     def program(ctx):
@@ -567,7 +668,7 @@ def _serve_one_rank(server, pause, got):
     until the rank hangs up and record the byte count in `got`."""
     conn, _ = server.accept()
     with conn:
-        _recv_exact(conn, 4, time.monotonic() + 10.0)
+        _recv_into(conn, bytearray(4), time.monotonic() + 10.0)
         time.sleep(pause)
         total = 0
         while chunk := conn.recv(1 << 20):
@@ -617,7 +718,7 @@ def test_tcp_rank_send_to_a_root_that_hangs_up_names_the_root():
         def root():
             conn, _ = server.accept()
             with conn:
-                _recv_exact(conn, 4, time.monotonic() + 10.0)
+                _recv_into(conn, bytearray(4), time.monotonic() + 10.0)
                 time.sleep(0.3)
 
         thread = threading.Thread(target=root)
@@ -723,18 +824,17 @@ def test_tcp_root_refuses_unread_frames_but_not_a_hang_up():
     thread.start()
     ctx = RankContext.listen(3, address, deadline=5.0)
     thread.join(timeout=10.0)
-    payload = encode_matrix(np.ones((2, 2)))
     refusal = (r"rank 1 sent rank 0 a gather frame \(tag 0xffff0001\) that "
                r"no receive took")
     try:
         ctx.refuse_unread()
-        fakes[1].sendall(FRAME_HEADER.pack(GATHER_TAG) + payload)
+        fakes[1].sendall(oracles.frame_reference(GATHER_TAG, np.ones((2, 2))))
         readable(1)
         with pytest.raises(ProtocolError, match=refusal):
             ctx.refuse_unread()
         # the receive from rank 2 reads every readable socket, so rank 1's
         # frame moves to its queue
-        fakes[2].sendall(FRAME_HEADER.pack(SEND_TAG) + payload)
+        fakes[2].sendall(oracles.frame_reference(SEND_TAG, np.ones((2, 2))))
         readable(2)
         recv(ctx, 2)
         with pytest.raises(ProtocolError, match=refusal):
@@ -808,7 +908,7 @@ def test_root_recv_fails_fast_after_peer_hangs_up():
 
     def peer():
         with _fake_rank(address, 1) as sock:
-            sock.sendall(FRAME_HEADER.pack(SEND_TAG) + encode_matrix(a))
+            sock.sendall(oracles.frame_reference(SEND_TAG, a))
 
     thread = threading.Thread(target=peer)
     thread.start()
@@ -845,18 +945,18 @@ def test_oversized_frame_header_fails_fast():
 
 
 def test_frame_larger_than_one_recv_chunk():
-    # a payload of several receive chunks arrives whole; a header just over
-    # the limit is refused
+    # a payload larger than the socket buffers, read in several receives,
+    # arrives whole; a header just over the limit is refused
     a = np.arange(300 * 1000, dtype=np.float64).reshape(300, 1000)
-    frame = FRAME_HEADER.pack(SEND_TAG) + encode_matrix(a)
+    frame = oracles.frame_reference(SEND_TAG, a)
     reader, writer = socket.socketpair()
     with reader, writer:
         thread = threading.Thread(target=writer.sendall, args=(frame,))
         thread.start()
-        tag, payload = _read_frame(reader, time.monotonic() + 10.0)
+        tag, back = _read_frame(reader, time.monotonic() + 10.0)
         thread.join(timeout=10.0)
         assert tag == SEND_TAG
-        assert np.array_equal(decode_matrix(payload), a)
+        assert np.array_equal(back, a)
         cols = MAX_PAYLOAD_BYTES // 8 + 1
         writer.sendall(FRAME_HEADER.pack(SEND_TAG) + MATRIX_HEADER.pack(1, cols))
         with pytest.raises(ProtocolError):
@@ -889,12 +989,8 @@ _HEAD = FRAME_HEADER.pack(SEND_TAG) + MATRIX_HEADER.pack(1, 1)
     (_HEAD, "connection to rank 2 closed before matrix payload"),
 ], ids=["mid-block", "after-tag", "before-payload"])
 def test_every_hang_up_mid_frame_names_the_peer(sent, message):
-    reader, writer = socket.socketpair()
-    with reader:
-        with writer:
-            writer.sendall(sent)
-        with pytest.raises(ProtocolError, match=message):
-            _read_frame(reader, time.monotonic() + 10.0, peer="rank 2")
+    with pytest.raises(ProtocolError, match=message):
+        _read_sent(sent, peer="rank 2")
 
 
 def test_read_timeout_names_the_peer():

@@ -422,12 +422,12 @@ def test_stream_all_in_a_world_of_one_matches_simulated_ranks():
 
 
 def test_a_world_of_one_never_touches_the_codec(monkeypatch):
-    # no other rank exists, so no collective encodes or decodes a matrix
+    # no other rank exists, so no collective writes or reads a frame
     def refuse(*args):
-        raise AssertionError("the codec ran in a world of one")
+        raise AssertionError("a frame was written or read in a world of one")
 
-    monkeypatch.setattr(parsvd.comm, "encode_matrix", refuse)
-    monkeypatch.setattr(parsvd.comm, "decode_matrix", refuse)
+    monkeypatch.setattr(parsvd.comm, "_frame", refuse)
+    monkeypatch.setattr(parsvd.comm, "_read_frame", refuse)
     a = _random(40, 23, seed=70)
     state, history = stream_all(
         ONE, [a[:, i:i + 5] for i in range(0, 23, 5)],

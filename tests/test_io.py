@@ -10,7 +10,7 @@ import oracles
 import parsvd.io
 from parsvd.errors import MatrixFormatError
 from parsvd.io import (BatchSource, read_matrix_header, read_modes_csv,
-                       read_singular_values_csv, read_submatrix, write_matrix,
+                       read_singular_values_csv, read_submatrix,
                        write_history_csv, write_matrix_blocks, write_mode_svg,
                        write_modes_csv, write_singular_values_csv)
 
@@ -34,17 +34,12 @@ def test_matrix_file_round_trip_and_exact_bytes(tmp_path):
     # C-ordered, F-ordered and strided inputs all write the column-major
     # payload, and read back column-major
     for arr in (a, np.asfortranarray(a), a[1::2, ::3], a.T[::-1]):
-        write_matrix(path, arr)
+        write_matrix_blocks(path, arr.shape, [arr])
         assert path.read_bytes() == oracles.matrix_file_reference(arr)
         back = _read_whole(path)
         assert back.flags.f_contiguous
         assert np.array_equal(back, arr)
     assert read_matrix_header(path) == (5, 7)
-    for bad in (np.nan, np.inf, -np.inf):
-        b = a.copy()
-        b[4, 2] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            write_matrix(path, b)
 
 
 def test_matrix_file_from_column_blocks(tmp_path):
@@ -73,7 +68,7 @@ def test_matrix_file_from_column_blocks(tmp_path):
 def test_matrix_file_empty(tmp_path):
     path = tmp_path / "empty.bin"
     for shape in ((0, 0), (3, 0)):
-        write_matrix(path, np.zeros(shape))
+        write_matrix_blocks(path, shape, [np.zeros(shape)])
         assert path.read_bytes() == oracles.matrix_file_reference(np.zeros(shape))
         assert _read_whole(path).shape == shape
 
@@ -108,7 +103,7 @@ def test_matrix_file_truncated_and_oversized(tmp_path):
 def test_read_submatrix_file_shrinks_after_its_header(tmp_path, monkeypatch):
     # 64 KB, more than the file object buffers while reading the header
     path = tmp_path / "a.bin"
-    write_matrix(path, np.ones((128, 64)))
+    write_matrix_blocks(path, (128, 64), [np.ones((128, 64))])
     check = parsvd.io._read_file_header
 
     def check_then_shrink(fh, name):
@@ -125,7 +120,7 @@ def test_read_submatrix_blocks(tmp_path):
     rng = np.random.Generator(np.random.Philox(71))
     a = rng.standard_normal((10, 8))
     path = tmp_path / "a.bin"
-    write_matrix(path, a)
+    write_matrix_blocks(path, a.shape, [a])
     # full-height fast path
     assert np.array_equal(read_submatrix(path, 0, 10, 2, 5), a[:, 2:5])
     # strided row window
@@ -153,7 +148,7 @@ def test_batches_tile_the_matrix(tmp_path):
     rng = np.random.Generator(np.random.Philox(72))
     a = rng.standard_normal((6, 10))
     path = tmp_path / "a.bin"
-    write_matrix(path, a)
+    write_matrix_blocks(path, a.shape, [a])
     for rows in (None, (1, 4)):
         lo, hi = rows or (0, a.shape[0])
         batches = list(BatchSource(path, 4, rows=rows))
@@ -164,7 +159,7 @@ def test_batches_tile_the_matrix(tmp_path):
 
 def test_batch_source_validation(tmp_path):
     path = tmp_path / "a.bin"
-    write_matrix(path, np.ones((2, 2)))
+    write_matrix_blocks(path, (2, 2), [np.ones((2, 2))])
     with pytest.raises(ValueError):
         BatchSource(path, 0)
     with pytest.raises(ValueError):

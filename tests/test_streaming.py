@@ -5,7 +5,7 @@ import pytest
 
 from parsvd.comm import RankContext
 from parsvd.datagen import synthetic_spectrum_matrix
-from parsvd.io import BatchSource, write_matrix
+from parsvd.io import BatchSource, write_matrix_blocks
 from oracles import subspace_angles
 from parsvd.linalg import aligned_mode_difference, qr_factor, svd_full
 from parsvd.streaming import StreamConfig, StreamState, Workspace, \
@@ -324,7 +324,7 @@ def test_stream_all_matches_single_steps_bit_for_bit(widths, tmp_path):
     assert all(np.array_equal(x, y) for x, y in zip(history, ref_history))
     # a file source reads its batches straight into the workspace
     path = tmp_path / "a.bin"
-    write_matrix(path, a)
+    write_matrix_blocks(path, a.shape, [a])
     source = BatchSource(path, widths[0], rows=(10, 50))
     ref, ref_history = _single_steps(list(source), config)
     state, history = stream_all(ONE, source, config)
@@ -369,7 +369,7 @@ def test_non_finite_later_batch_is_refused(bad, tmp_path):
         stream_all(ONE, [a[:, :4], a[:, 4:8], a[:, 8:]], config)
     # the file reader does not scan; the update does, once the batch is in
     path = tmp_path / "a.bin"
-    write_matrix(path, np.nan_to_num(a))
+    write_matrix_blocks(path, a.shape, [np.nan_to_num(a)])
     with open(path, "r+b") as fh:
         fh.seek(24 + 8 * (20 * 9 + 7))
         fh.write(np.float64(bad).tobytes())
