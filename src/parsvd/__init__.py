@@ -43,6 +43,6 @@ from .linalg import (QrResult, RandomSketchConfig, SvdResult,
                      aligned_mode_difference, low_rank_svd, qr_factor,
                      randomized_range, svd_full)
 from .streaming import (StreamConfig, StreamState, stream_all,
-                        stream_incorporate, stream_initialize)
+                        stream_incorporate)
 
 __version__ = "0.1.0"

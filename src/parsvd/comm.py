@@ -22,12 +22,13 @@ frames between rank 0 and a peer arrive in program order, as MPI promises.
 A receive takes its peer's oldest frame; one sent by another operation
 means the ranks diverged, and raises ProtocolError naming both tags.
 
-A frame whose matrix header announces more than MAX_PAYLOAD_BYTES is
-refused with ProtocolError before its matrix is allocated. A frame is
-written from one buffer and read straight into its matrix. Rank 0 records a
-peer's hang-up: once the frames that peer sent before closing are consumed,
-the next receive from it raises ProtocolError at once, as a receive at any
-other rank does when rank 0 closes. That is also how a failure spreads: a
+A frame whose matrix header announces more than MAX_PAYLOAD_BYTES, or a
+dimension above MAX_PAYLOAD_BYTES // 8, is refused with ProtocolError
+before its matrix is allocated. A frame is written from one buffer and
+read straight into its matrix. Rank 0 records a peer's hang-up: once the
+frames that peer sent before closing are consumed, the next receive from
+it raises ProtocolError at once, as a receive at any other rank does when
+rank 0 closes. That is also how a failure spreads: a
 rank that raises closes its connections, and the ranks waiting on it raise
 ProtocolError, over TCP and in a simulated world alike. A rank whose
 program has finished cleanly refuses a frame that was sent to it and that
@@ -115,9 +116,6 @@ class CommStats:
 
 
 def _parse_address(address):
-    if isinstance(address, tuple):
-        host, port = address
-        return host, int(port)
     host, sep, port = str(address).rpartition(":")
     if not sep or not host:
         raise ConfigError(f"address must be host:port, got {address!r}")
@@ -184,8 +182,8 @@ def _send_exact(sock, data, deadline, peer="peer"):
 def _read_frame(sock, deadline, peer="peer"):
     """Read one full frame from `peer`; returns (tag, matrix) or None on
     clean EOF between frames. A matrix header announcing more than
-    MAX_PAYLOAD_BYTES raises ProtocolError before the matrix is allocated
-    or its payload read; every error names `peer`."""
+    MAX_PAYLOAD_BYTES, or a dimension above MAX_PAYLOAD_BYTES // 8, raises
+    ProtocolError before the matrix is allocated or its payload read."""
     head = bytearray(FRAME_HEADER.size + MATRIX_HEADER.size)
     if not _recv_into(sock, head, deadline, peer):
         return None
@@ -196,6 +194,13 @@ def _read_frame(sock, deadline, peer="peer"):
         raise ProtocolError(
             f"frame announces a {rows}x{cols} matrix ({size} bytes), above "
             f"the {MAX_PAYLOAD_BYTES}-byte limit"
+        )
+    # An empty matrix passes the byte limit whatever its dimensions, and
+    # numpy raises ValueError on one above 2^63 - 1.
+    if max(rows, cols) > MAX_PAYLOAD_BYTES // 8:
+        raise ProtocolError(
+            f"{peer} announced a {rows}x{cols} matrix, a dimension above the "
+            f"{MAX_PAYLOAD_BYTES // 8} limit"
         )
     matrix = np.empty((rows, cols), order="F")
     # the transpose is C-contiguous, the layout a buffer export needs

@@ -13,9 +13,9 @@ global matrix. The module provides:
   those eigenvectors as its start, finished by Rayleigh-Ritz on the
   triangular factor of the slice times that basis. Its left singular
   vectors are never formed. Rank 0 stacks the W^i, factors the stack
-  (exactly or with the randomized kernel), keeps r2 columns, and
-  broadcasts them with their values in one matrix [X; lambda^T]; each
-  rank then lifts its local mode rows as U^i_j = A^i X_j / lambda_j. The
+  (exactly or with the randomized kernel) and broadcasts the K leading
+  columns X with their values in one matrix [X; lambda^T]; each rank then
+  lifts its local mode rows as U^i_j = A^i X_j / lambda_j. The
   stack satisfies W W^T = A^T A, which is what makes the assembly exact
   when nothing is truncated. The result is a linalg.SvdResult of the form
   svd_full(want_vt=False) returns, with this rank's rows in u.
@@ -49,8 +49,9 @@ from .linalg import (QrResult, RandomSketchConfig, SvdResult,
 @dataclass(frozen=True)
 class ApmosConfig:
     """local_rank  r1, right vectors kept per rank before the exchange
-    global_rank r2, columns kept from the stacked factorization
-    k_modes     K,  modes actually assembled (K <= r2)
+    global_rank r2, singular values the stacked factorization must yield
+                (r2 <= P r1); only a bound on the dense route
+    k_modes     K,  modes assembled, and columns broadcast (K <= r2)
     sketch      factor the stacked W with the randomized kernel under these
                 settings (target_rank >= r2); None factors it densely."""
 
@@ -176,7 +177,7 @@ def apmos(ctx, a_local, config):
                 f"stacked exchange matrix only has {res.s.size} singular "
                 f"values, global_rank is {r2}"
             )
-        packed = np.vstack([res.u[:, :r2], res.s[None, :r2]])
+        packed = np.vstack([res.u[:, :k], res.s[None, :k]])
     packed = broadcast(ctx, packed)
     x, lam = packed[:-1], packed[-1]
     for j in range(k):
@@ -184,8 +185,8 @@ def apmos(ctx, a_local, config):
             raise DegenerateModeError(
                 f"mode {j} has a zero singular value and cannot be assembled"
             )
-    u_local = _product(a, x[:, :k]) / lam[:k]
-    return SvdResult(u_local, lam[:k].copy(), None)
+    u_local = _product(a, x) / lam
+    return SvdResult(u_local, lam.copy(), None)
 
 
 def parallel_qr(ctx, a_local, overwrite_a=False, check_finite=True):

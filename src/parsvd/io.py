@@ -231,6 +231,7 @@ def write_history_csv(path, history):
                np.column_stack([np.arange(history.shape[0]), history]))
 
 
+_SVG_WIDTH, _SVG_HEIGHT = 720, 420  # pixels
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -250,7 +251,7 @@ def _m4(cols, ys):
     return np.flatnonzero(keep)
 
 
-def write_mode_svg(path, grid, modes, width=720, height=420):
+def write_mode_svg(path, grid, modes):
     """Plot mode columns against the grid as one SVG polyline each.
 
     Each polyline holds the M4 points of its mode over the plot's pixel
@@ -264,7 +265,7 @@ def write_mode_svg(path, grid, modes, width=720, height=420):
         raise ValueError(
             f"grid length {grid.size} does not match {modes.shape[0]} mode rows"
         )
-    margin = 56
+    width, height, margin = _SVG_WIDTH, _SVG_HEIGHT, 56
     x_lo, x_hi = float(np.min(grid)), float(np.max(grid))
     y_lo, y_hi = float(np.min(modes)), float(np.max(modes))
     x_span = (x_hi - x_lo) or 1.0

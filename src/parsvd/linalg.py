@@ -109,10 +109,7 @@ def _positive_column_signs(u, vt):
     idx = np.argmax(np.abs(u), axis=0)
     signs = np.sign(u[idx, np.arange(u.shape[1])])
     signs[signs == 0.0] = 1.0
-    u = u * signs
-    if vt is not None:
-        vt = vt * signs[:, None]
-    return u, vt
+    return u * signs, vt * signs[:, None]
 
 
 def _product(u, c, out=None):

@@ -56,11 +56,11 @@ Who owns what. stream_all owns one workspace for the whole stream, and a
 BatchSource reads each batch straight into the front buffer next to U.
 The states it passes from one update to the next are views of the
 buffers and are overwritten two updates later; the final state is not
-touched again. stream_initialize and stream_incorporate run on a
-workspace of their own unless handed one, so the states they return are
-never overwritten, and the batches passed to them are copied, never
-modified. Either way a batch is scanned for non-finite entries once,
-where it enters the workspace, and nowhere after.
+touched again. stream_incorporate runs on a workspace of its own unless
+handed one, so the states it returns are never overwritten, and the
+batches passed to it are copied, never modified. Either way a batch is
+scanned for non-finite entries once, where it enters the workspace, and
+nowhere after.
 """
 
 from dataclasses import dataclass
@@ -283,43 +283,35 @@ def _update(ctx, u, s, rows, a_new, config, workspace):
     return _state(basis, res.s[:keep], config.k_modes, rows)
 
 
-def stream_initialize(ctx, a0, config, workspace=None):
-    """Build the initial state from this rank's rows of the first batch:
-    the update of a block with no columns.
-
-    a0 needs at least k_modes columns; fewer would leave the mode block
-    rank-deficient from the start. `workspace` is for stream_all, which
-    passes its own; the states of a workspace are overwritten two updates
-    later (module docstring).
-    """
-    a0 = as_matrix(a0, "a0")
-    k = config.k_modes
-    if a0.shape[1] < k:
-        raise ValueError(
-            f"initial batch has {a0.shape[1]} columns, need at least k_modes={k}"
-        )
-    rows = int(_rank_sum(ctx, np.array([[float(a0.shape[0])]]))[0, 0])
-    return _update(ctx, np.empty((a0.shape[0], 0)), np.empty(0), rows, a0,
-                   config, workspace)
-
-
 def stream_incorporate(ctx, state, a_new, config, workspace=None):
-    """Fold this rank's rows of one new batch into the state; returns the
-    updated state.
+    """Fold this rank's rows of one new batch into the state, None before
+    the first batch; returns the updated state.
 
     The projections onto the carried block are summed across ranks, the
     residual goes through one tall-skinny QR, and after a shared small SVD
     each rank holds its rows of the updated block; singular values are
-    identical across ranks. The batch may have any positive column count
-    but must match the row dimension of the existing modes. A state whose
-    carried block has lost orthonormality past ORTHO_DRIFT_TOL is
-    re-orthonormalized first. The block returned is not checked again:
-    where the batch lay in span(modes) up to a small residual it may have
-    drifted, and only the next update or stream_all's final check repairs
-    it. `workspace` is as for stream_initialize.
+    identical across ranks. The first batch is the update of a block with
+    no columns: it needs at least k_modes columns, since fewer would leave
+    the mode block rank-deficient from the start, and its row counts,
+    summed across ranks, are the total_rows of every later state. A later
+    batch may have any positive column count but must match the row
+    dimension of the existing modes. A state whose carried block has lost
+    orthonormality past ORTHO_DRIFT_TOL is re-orthonormalized first. The
+    block returned is not checked again: where the batch lay in
+    span(modes) up to a small residual it may have drifted, and only the
+    next update or stream_all's final check repairs it. `workspace` is for
+    stream_all, which passes its own; the states of a workspace are
+    overwritten two updates later (module docstring).
     """
     a_new = as_matrix(a_new, "a_new")
     k = config.k_modes
+    if state is None:
+        if a_new.shape[1] < k:
+            raise ValueError(f"initial batch has {a_new.shape[1]} columns, "
+                             f"need at least k_modes={k}")
+        rows = int(_rank_sum(ctx, np.array([[float(a_new.shape[0])]]))[0, 0])
+        return _update(ctx, np.empty((a_new.shape[0], 0)), np.empty(0), rows,
+                       a_new, config, workspace)
     if state.modes.shape[1] != k:
         raise ValueError(
             f"state carries {state.modes.shape[1]} modes, config wants {k}"
@@ -334,8 +326,8 @@ def stream_incorporate(ctx, state, a_new, config, workspace=None):
 
 def stream_all(ctx, batches, config):
     """Drive a whole pass over this rank's rows of the batches, in one
-    workspace: initialize on the first batch, incorporate the rest, and
-    check the final block's orthonormality once more. A BatchSource reads
+    workspace: incorporate each batch, the first into no state, and check
+    the final block's orthonormality once more. A BatchSource reads
     each batch into the workspace columns next to the carried block.
     Returns (final_state, history) on every rank, where history lists the
     K singular values after every step, the initial one included."""
@@ -351,10 +343,7 @@ def stream_all(ctx, batches, config):
         else batches
     history = []
     for batch in source:
-        if state is None:
-            state = stream_initialize(ctx, batch, config, workspace)
-        else:
-            state = stream_incorporate(ctx, state, batch, config, workspace)
+        state = stream_incorporate(ctx, state, batch, config, workspace)
         history.append(state.singular_values.copy())
     if state is None:
         raise ValueError("batch stream is empty")

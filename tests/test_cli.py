@@ -699,16 +699,21 @@ def _root_against_fake_peers(tmp_path, env, misbehave, deadline,
 
 
 def test_rank_root_refuses_oversized_frame(tmp_path, subprocess_env):
-    # the peer stays connected, so only the header can end the run
-    def oversized(sock):
-        sock.sendall(FRAME_HEADER.pack(GATHER_TAG)
-                     + MATRIX_HEADER.pack(2 ** 32, 2 ** 32))
+    # the peer stays connected, so only the header can end the run: one
+    # over the byte limit, or an empty matrix with a dimension numpy
+    # cannot hold
+    for shape in ((2 ** 32, 2 ** 32), (2 ** 63, 0)):
+        def oversized(sock):
+            sock.sendall(FRAME_HEADER.pack(GATHER_TAG)
+                         + MATRIX_HEADER.pack(*shape))
 
-    code, err, elapsed = _root_against_fake_peers(
-        tmp_path, subprocess_env, oversized, deadline=30.0)
-    assert code == 2, err
-    assert "limit" in err
-    assert elapsed < 5.0
+        outdir = tmp_path / str(shape[1])
+        outdir.mkdir()
+        code, err, elapsed = _root_against_fake_peers(
+            outdir, subprocess_env, oversized, deadline=30.0)
+        assert code == 2, err
+        assert "limit" in err
+        assert elapsed < 5.0
 
 
 def test_rank_root_fails_fast_on_truncated_frame(tmp_path, subprocess_env):

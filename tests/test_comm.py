@@ -852,9 +852,15 @@ def test_tcp_root_refuses_unread_frames_but_not_a_hang_up():
 
 def test_tcp_root_receive_refuses_a_bad_frame_from_another_rank():
     # the root waits on rank 1, which stays silent; rank 2's oversized
-    # header still ends that receive, with no thread reading behind it
+    # header still ends that receive, with no thread reading behind it.
+    # An empty matrix passes the byte limit whatever its dimensions; one
+    # numpy cannot hold is refused by name, not with numpy's ValueError
     _root_refuses(2, FRAME_HEADER.pack(SEND_TAG)
                   + MATRIX_HEADER.pack(2 ** 32, 2 ** 32), "limit")
+    _root_refuses(2, FRAME_HEADER.pack(SEND_TAG)
+                  + MATRIX_HEADER.pack(2 ** 63, 0),
+                  r"rank 2 announced a 9223372036854775808x0 matrix, a "
+                  r"dimension above the 536870912 limit")
 
 
 def test_tcp_listen_starts_no_thread():
@@ -927,21 +933,24 @@ def test_root_recv_fails_fast_after_peer_hangs_up():
 
 def test_oversized_frame_header_fails_fast():
     # a corrupt header announcing a 2^32 x 2^32 matrix must be refused as a
-    # protocol error, without allocating its payload or waiting it out
-    reader, writer = socket.socketpair()
-    with reader, writer:
-        writer.sendall(FRAME_HEADER.pack(SEND_TAG)
-                       + MATRIX_HEADER.pack(2 ** 32, 2 ** 32))
-        tracemalloc.start()
-        start = time.monotonic()
-        try:
-            with pytest.raises(ProtocolError, match="limit"):
-                _read_frame(reader, start + 10.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert time.monotonic() - start < 1.0
-        assert peak < 1 << 20
+    # protocol error, without allocating its payload or waiting it out; so
+    # must an empty matrix with a dimension numpy cannot hold, whose zero
+    # payload bytes pass the byte limit
+    for shape in ((2 ** 32, 2 ** 32), (2 ** 63, 0), (0, 2 ** 63)):
+        reader, writer = socket.socketpair()
+        with reader, writer:
+            writer.sendall(FRAME_HEADER.pack(SEND_TAG)
+                           + MATRIX_HEADER.pack(*shape))
+            tracemalloc.start()
+            start = time.monotonic()
+            try:
+                with pytest.raises(ProtocolError, match="limit"):
+                    _read_frame(reader, start + 10.0, peer="rank 1")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert time.monotonic() - start < 1.0
+            assert peak < 1 << 20
 
 
 def test_frame_larger_than_one_recv_chunk():

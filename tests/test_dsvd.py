@@ -5,7 +5,8 @@ import pytest
 
 import oracles
 import parsvd.comm
-from parsvd.comm import RankContext, run_simulated
+from parsvd.comm import (FRAME_HEADER, MATRIX_HEADER, RankContext,
+                         run_simulated)
 from test_comm import run_tcp
 from oracles import row_partition
 from parsvd.datagen import partition_bounds, synthetic_spectrum_matrix
@@ -15,7 +16,7 @@ from parsvd.errors import DegenerateModeError, ProtocolError
 from parsvd.linalg import (RandomSketchConfig, aligned_mode_difference,
                            qr_factor, svd_full)
 from parsvd.streaming import StreamConfig, StreamState, stream_all, \
-    stream_incorporate, stream_initialize
+    stream_incorporate
 
 
 def _random(rows, cols, seed):
@@ -181,6 +182,30 @@ def test_apmos_four_ranks_exact_when_untrancated():
         assert np.array_equal(results[rank][1], values)
     assert np.max(np.abs(values - direct.s[:5]) / direct.s[:5]) < 1e-9
     assert np.max(aligned_mode_difference(stacked, direct.u[:, :5])) < 1e-8
+
+
+def test_apmos_broadcasts_only_the_k_columns_it_lifts():
+    # on the dense route r2 only bounds the stacked factorization: r2 = K
+    # and r2 = 2K give the same bits, and rank 0 sends one broadcast frame
+    # of [X_K; lambda_K], (N + 1) x K
+    a = _random(64, 16, seed=70)
+    blocks = row_partition(a, 2)
+    k = 3
+
+    def run(r2):
+        config = ApmosConfig(local_rank=8, global_rank=r2, k_modes=k)
+
+        def program(ctx):
+            local = apmos(ctx, blocks[ctx.rank], config)
+            return local.u, local.s, ctx.stats.bytes_sent
+
+        return run_simulated(2, program)
+
+    narrow, wide = run(k), run(2 * k)
+    for (u, s, _), (wide_u, wide_s, _) in zip(narrow, wide):
+        assert np.array_equal(u, wide_u) and np.array_equal(s, wide_s)
+    frame = FRAME_HEADER.size + MATRIX_HEADER.size + 8 * (16 + 1) * k
+    assert narrow[0][2] == wide[0][2] == frame
 
 
 def test_apmos_rank_count_invariance_with_short_blocks():
@@ -354,15 +379,13 @@ def test_stream_steps_in_a_world_of_one_match_a_simulated_rank_bitwise():
     a = _random(24, 15, seed=68)
     config = StreamConfig(k_modes=4, forget_factor=0.95)
 
-    serial = stream_initialize(ONE, a[:, :5], config)
-    serial = stream_incorporate(ONE, serial, a[:, 5:10], config)
-    serial = stream_incorporate(ONE, serial, a[:, 10:], config)
-
     def program(ctx):
-        state = stream_initialize(ctx, a[:, :5], config)
-        state = stream_incorporate(ctx, state, a[:, 5:10], config)
-        return stream_incorporate(ctx, state, a[:, 10:], config)
+        state = None
+        for batch in (a[:, :5], a[:, 5:10], a[:, 10:]):
+            state = stream_incorporate(ctx, state, batch, config)
+        return state
 
+    serial = program(ONE)
     [parallel] = run_simulated(1, program)
     assert np.array_equal(parallel.modes, serial.modes)
     assert np.array_equal(parallel.singular_values, serial.singular_values)
@@ -447,8 +470,10 @@ def test_parallel_states_survive_later_updates():
 
     def program(ctx):
         lo, hi = partition_bounds(40, ctx.world_size)[ctx.rank]
-        state = stream_initialize(ctx, a[lo:hi, :5], config)
-        first = stream_incorporate(ctx, state, a[lo:hi, 5:10], config)
+        first = None
+        for start in (0, 5):
+            first = stream_incorporate(ctx, first, a[lo:hi, start:start + 5],
+                                       config)
         kept = [first.modes.copy(), first.carried_modes.copy(),
                 first.carried_values.copy()]
         state = first
@@ -551,8 +576,8 @@ def test_parallel_stream_matches_direct_on_gapped_spectrum():
 
     def program(ctx):
         block = blocks[ctx.rank]
-        state = stream_initialize(ctx, block[:, :8], config)
-        for start in (8, 16):
+        state = None
+        for start in (0, 8, 16):
             state = stream_incorporate(ctx, state, block[:, start:start + 8],
                                        config)
         return gather_modes(ctx, state.modes), state.singular_values
@@ -580,8 +605,8 @@ def test_parallel_stream_burgers_truncation_error_profile(burgers_snapshots,
 
         def program(ctx):
             block = blocks[ctx.rank]
-            state = stream_initialize(ctx, block[:, :200], config)
-            for start in range(200, 800, 200):
+            state = None
+            for start in range(0, 800, 200):
                 state = stream_incorporate(
                     ctx, state, block[:, start:start + 200], config)
             return state.singular_values

@@ -252,12 +252,13 @@ def test_svg_deterministic_and_structured(tmp_path):
     assert "NaN" not in body and "nan" not in body
 
 
-def test_svg_point_text(tmp_path):
+def test_svg_point_text(tmp_path, monkeypatch):
     # height 0 flips the y axis through zero, so the middle point lands at
     # -0.00112 and prints as -0.00; the middle x, 56 + 608 / 3, rounds up
+    monkeypatch.setattr(parsvd.io, "_SVG_HEIGHT", 0)
     path = tmp_path / "points.svg"
     write_mode_svg(path, np.array([0.0, 1.0 / 3.0, 1.0]),
-                   np.array([[0.0], [0.49999], [1.0]]), height=0)
+                   np.array([[0.0], [0.49999], [1.0]]))
     points = 'points="56.00,-56.00 258.67,-0.00 664.00,56.00"'
     assert points in path.read_text()
 

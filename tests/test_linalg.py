@@ -12,7 +12,7 @@ from parsvd.linalg import (QrResult, RandomSketchConfig, SvdResult,
 from parsvd.comm import RankContext
 from parsvd.datagen import synthetic_spectrum_matrix
 from parsvd.errors import ConvergenceError
-from parsvd.streaming import StreamConfig, stream_initialize
+from parsvd.streaming import StreamConfig, stream_incorporate
 from test_dsvd import _slab
 
 
@@ -166,8 +166,8 @@ def test_qr_first_burgers_streaming_residual(burgers_snapshots):
     # last place, or when its rows are reversed. What R determines here is
     # R^T R = A^T A and the singular values, which are compared instead,
     # along with the leading rows, whose diagonal stays far above rounding.
-    state = stream_initialize(RankContext(0, 1),
-                              burgers_snapshots[:, :100], StreamConfig(5))
+    state = stream_incorporate(RankContext(0, 1), None,
+                               burgers_snapshots[:, :100], StreamConfig(5))
     u = state.carried_modes
     batch = burgers_snapshots[:, 100:200]
     resid = batch - u @ (u.T @ batch)

@@ -9,7 +9,7 @@ from parsvd.io import BatchSource, write_matrix_blocks
 from oracles import subspace_angles
 from parsvd.linalg import aligned_mode_difference, qr_factor, svd_full
 from parsvd.streaming import StreamConfig, StreamState, Workspace, \
-    stream_all, stream_incorporate, stream_initialize
+    stream_all, stream_incorporate
 
 # Every stream here runs serially: one rank with no connections.
 ONE = RankContext(0, 1)
@@ -45,8 +45,8 @@ def test_config_validation():
 
 
 def test_initialize_diagonal_exact():
-    state = stream_initialize(ONE, np.diag([3.0, 2.0, 1.0]),
-                              StreamConfig(k_modes=3))
+    state = stream_incorporate(ONE, None, np.diag([3.0, 2.0, 1.0]),
+                               StreamConfig(k_modes=3))
     assert np.array_equal(state.singular_values, [3.0, 2.0, 1.0])
     assert np.array_equal(np.abs(state.modes), np.eye(3))
 
@@ -54,7 +54,7 @@ def test_initialize_diagonal_exact():
 def test_initialize_matches_direct_svd():
     rng = np.random.Generator(np.random.Philox(40))
     a0 = rng.standard_normal((30, 8))
-    state = stream_initialize(ONE, a0, StreamConfig(k_modes=8))
+    state = stream_incorporate(ONE, None, a0, StreamConfig(k_modes=8))
     direct = svd_full(a0)
     # same factorization reached through QR + small SVD; equal to roundoff
     assert np.max(np.abs(state.singular_values - direct.s) / direct.s) < 1e-12
@@ -63,7 +63,8 @@ def test_initialize_matches_direct_svd():
 
 def test_initialize_needs_enough_columns():
     with pytest.raises(ValueError):
-        stream_initialize(ONE, np.ones((5, 2)), StreamConfig(k_modes=3))
+        stream_incorporate(ONE, None, np.ones((5, 2)),
+                           StreamConfig(k_modes=3))
 
 
 def test_single_shot_equivalence_constructed_spectrum():
@@ -105,7 +106,7 @@ def test_incorporate_batch_in_current_span():
     rng = np.random.Generator(np.random.Philox(41))
     a0 = rng.standard_normal((25, 6))
     config = StreamConfig(k_modes=4, forget_factor=1.0)
-    state = stream_initialize(ONE, a0, config)
+    state = stream_incorporate(ONE, None, a0, config)
     coeff = rng.standard_normal((4, 3))
     batch = state.modes @ coeff
     new = stream_incorporate(ONE, state, batch, config)
@@ -149,8 +150,8 @@ def test_forget_factor_matches_the_weighted_matrix(burgers_snapshots, ff,
 def test_modes_stay_orthonormal_over_many_updates():
     rng = np.random.Generator(np.random.Philox(42))
     config = StreamConfig(k_modes=6, forget_factor=0.95)
-    state = stream_initialize(ONE, rng.standard_normal((64, 8)), config)
-    for _ in range(50):
+    state = None
+    for _ in range(51):
         state = stream_incorporate(ONE, state, rng.standard_normal((64, 8)),
                                    config)
     gram = state.modes.T @ state.modes
@@ -162,11 +163,10 @@ def test_modes_stay_orthonormal_over_many_updates():
 def test_variable_batch_width_accepted():
     rng = np.random.Generator(np.random.Philox(43))
     config = StreamConfig(k_modes=3, forget_factor=1.0)
-    state = stream_initialize(ONE, rng.standard_normal((20, 5)), config)
-    state = stream_incorporate(ONE, state, rng.standard_normal((20, 1)),
-                               config)
-    state = stream_incorporate(ONE, state, rng.standard_normal((20, 9)),
-                               config)
+    state = None
+    for width in (5, 1, 9):
+        state = stream_incorporate(ONE, state,
+                                   rng.standard_normal((20, width)), config)
     assert state.modes.shape == (20, 3)
     # 15 Gaussian columns span 15 directions, all carried
     assert state.carried_modes.shape == (20, 15)
@@ -174,7 +174,7 @@ def test_variable_batch_width_accepted():
 
 def test_incorporate_validates_shapes():
     config = StreamConfig(k_modes=2)
-    state = stream_initialize(ONE, np.diag([2.0, 1.0, 0.5])[:, :3], config)
+    state = stream_incorporate(ONE, None, np.diag([2.0, 1.0, 0.5]), config)
     with pytest.raises(ValueError):
         stream_incorporate(ONE, state, np.ones((4, 2)), config)  # wrong rows
     with pytest.raises(ValueError):
@@ -245,8 +245,9 @@ def test_stream_all_checks_the_last_block():
     last = a0 @ rng.standard_normal((6, 3)) \
         + 1e-10 * rng.standard_normal((50, 3))
     config = StreamConfig(k_modes=3, forget_factor=1.0)
-    raw = stream_incorporate(ONE, stream_initialize(ONE, a0, config), last,
-                             config)
+    raw = None
+    for batch in (a0, last):
+        raw = stream_incorporate(ONE, raw, batch, config)
     width = raw.carried_modes.shape[1]
     gram = raw.carried_modes.T @ raw.carried_modes
     assert np.max(np.abs(gram - np.eye(width))) > 1e-8
@@ -265,7 +266,7 @@ def test_stream_all_requires_batches():
 
 def test_first_burgers_batch_matches_direct(burgers_snapshots):
     a0 = burgers_snapshots[:, :100]
-    state = stream_initialize(ONE, a0, StreamConfig(k_modes=10))
+    state = stream_incorporate(ONE, None, a0, StreamConfig(k_modes=10))
     direct = svd_full(a0)
     rel = np.abs(state.singular_values - direct.s[:10]) / direct.s[:10]
     assert np.max(rel) < 1e-10
@@ -285,9 +286,8 @@ def _same_state(x, y):
 
 def _single_steps(batches, config):
     """stream_all's steps, one call each and without the final check."""
-    state = stream_initialize(ONE, batches[0], config)
-    history = [state.singular_values]
-    for batch in batches[1:]:
+    state, history = None, []
+    for batch in batches:
         state = stream_incorporate(ONE, state, batch, config)
         history.append(state.singular_values)
     return state, history
@@ -298,9 +298,9 @@ def test_returned_states_survive_later_updates():
     config = StreamConfig(k_modes=3, buffer_columns=4)
     batches = [rng.standard_normal((40, 5)) for _ in range(5)]
     inputs = [b.copy() for b in batches]
-    first = stream_incorporate(ONE,
-                               stream_initialize(ONE, batches[0], config),
-                               batches[1], config)
+    first = None
+    for batch in batches[:2]:
+        first = stream_incorporate(ONE, first, batch, config)
     kept = _arrays(first)
     state = first
     for batch in batches[2:]:
