@@ -13,13 +13,13 @@ from parsvd import (ApmosConfig, BurgersConfig, aligned_mode_difference,
                     run_simulated, svd_full)
 
 WORLD = 4
-R1, R2, K = 50, 5, 2
+R1, K = 50, 2
 
 
 def rank_body(ctx, a):
     lo, hi = partition_bounds(a.shape[0], ctx.world_size)[ctx.rank]
     print(f"rank {ctx.rank}: rows {lo}..{hi} ({hi - lo} of {a.shape[0]})")
-    config = ApmosConfig(local_rank=R1, global_rank=R2, k_modes=K)
+    config = ApmosConfig(local_rank=R1, k_modes=K)
     res = apmos(ctx, a[lo:hi], config)
     stacked = gather_modes(ctx, res.u)
     return {
@@ -34,7 +34,7 @@ def run():
     a = burgers_matrix(BurgersConfig(grid_points=2048, n_snapshots=800))
     outcomes = run_simulated(WORLD, lambda ctx: rank_body(ctx, a))
 
-    direct = svd_full(a, want_vt=False)
+    direct = svd_full(a)
     modes = outcomes[0]["modes"]
     diff = aligned_mode_difference(modes, direct.u[:, :K])
     print(f"\nmode max-abs error vs direct SVD: {np.max(diff):.3e}")

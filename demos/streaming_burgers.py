@@ -26,7 +26,7 @@ def run(grid_points=2048, n_snapshots=800, k=5, batch=100, ff=1.0,
         [a[:, i:i + batch] for i in range(0, a.shape[1], batch)],
         StreamConfig(k_modes=k, forget_factor=ff, buffer_columns=buffer),
     )
-    exact = svd_full(a, want_vt=False)
+    exact = svd_full(a)
 
     print(f"\nleading singular values after each batch (ff={ff}):")
     header = "batch " + " ".join(f"sigma_{i + 1:<9}" for i in range(k))

@@ -229,8 +229,9 @@ def _rank_work(ctx, cfg):
     lift), or runs low_rank_svd when randomized. serial-stream is
     parallel-stream at the world size `_serial_stream_world` picks. A rank
     reads its block of rows, and the APMOS exchange or the streaming
-    update's TSQR and rank sum join the blocks; a k above min(rows, cols)
-    is refused first. Identical in a simulated world and over TCP: ctx is
+    update's TSQR and rank sum join the blocks. A k above min(rows, cols),
+    and in parallel-batch an r2 above min(cols, world size * r1), is
+    refused first. Identical in a simulated world and over TCP: ctx is
     the same RankContext, wired through in-process socket pairs or TCP
     sockets."""
     rows, cols = read_matrix_header(cfg.input)
@@ -240,6 +241,13 @@ def _rank_work(ctx, cfg):
     if cfg.k > min(rows, cols):
         raise ConfigError(
             f"k {cfg.k} exceeds min(rows, cols) = {min(rows, cols)}"
+        )
+    # r2 sets no size on the dense route: it is a bound here and the least
+    # and default sketch-rank under --randomized
+    size = min(cols, ctx.world_size * cfg.r1)
+    if cfg.mode == "parallel-batch" and cfg.r2 > size:
+        raise ConfigError(
+            f"r2 {cfg.r2} exceeds min(cols, world-size * r1) = {size}"
         )
     try:
         return _factor(ctx, cfg, rows, cols)
@@ -258,8 +266,7 @@ def _factor(ctx, cfg, rows, cols):
     elif cfg.mode == "parallel-batch":
         block = read_submatrix(cfg.input, lo, hi, 0, cols)
         sketch = _sketch_config(cfg, cfg.r2) if cfg.randomized else None
-        acfg = ApmosConfig(local_rank=cfg.r1, global_rank=cfg.r2,
-                           k_modes=cfg.k, sketch=sketch)
+        acfg = ApmosConfig(local_rank=cfg.r1, k_modes=cfg.k, sketch=sketch)
         modes, values, _ = apmos(ctx, block, acfg)
     else:
         scfg = StreamConfig(k_modes=cfg.k, forget_factor=cfg.ff)

@@ -17,8 +17,8 @@ global matrix. The module provides:
   columns X with their values in one matrix [X; lambda^T]; each rank then
   lifts its local mode rows as U^i_j = A^i X_j / lambda_j. The
   stack satisfies W W^T = A^T A, which is what makes the assembly exact
-  when nothing is truncated. The result is a linalg.SvdResult of the form
-  svd_full(want_vt=False) returns, with this rank's rows in u.
+  when nothing is truncated. The result is a linalg.SvdResult with this
+  rank's rows in u and no vt.
 
 * gather_modes: stacks every rank's mode block, an apmos result's u or a
   streaming state's modes, at rank 0.
@@ -49,32 +49,27 @@ from .linalg import (QrResult, RandomSketchConfig, SvdResult,
 @dataclass(frozen=True)
 class ApmosConfig:
     """local_rank  r1, right vectors kept per rank before the exchange
-    global_rank r2, singular values the stacked factorization must yield
-                (r2 <= P r1); only a bound on the dense route
-    k_modes     K,  modes assembled, and columns broadcast (K <= r2)
+    k_modes     K,  modes assembled, and columns broadcast
     sketch      factor the stacked W with the randomized kernel under these
-                settings (target_rank >= r2); None factors it densely."""
+                settings (target_rank >= K); None factors it densely.
+
+    K, or the sketch's width under a sketch, must fit in the min(N, P r1)
+    values the stacked W can yield (N columns, P ranks); apmos checks that
+    on every rank before the local step."""
 
     local_rank: int
-    global_rank: int
     k_modes: int
     sketch: Optional[RandomSketchConfig] = None
 
     def __post_init__(self):
         if self.local_rank < 1:
             raise ValueError(f"local_rank must be >= 1, got {self.local_rank}")
-        if self.global_rank < 1:
-            raise ValueError(f"global_rank must be >= 1, got {self.global_rank}")
         if self.k_modes < 1:
             raise ValueError(f"k_modes must be >= 1, got {self.k_modes}")
-        if self.k_modes > self.global_rank:
-            raise ValueError(
-                f"k_modes {self.k_modes} exceeds global_rank {self.global_rank}"
-            )
-        if self.sketch is not None and self.sketch.target_rank < self.global_rank:
+        if self.sketch is not None and self.sketch.target_rank < self.k_modes:
             raise ValueError(
                 f"sketch target_rank {self.sketch.target_rank} is below "
-                f"global_rank {self.global_rank}"
+                f"k_modes {self.k_modes}"
             )
 
 
@@ -150,33 +145,27 @@ def apmos(ctx, a_local, config):
     Every rank passes its slice and returns an SvdResult: u is this rank's
     rows of the K leading left singular vectors, s their singular values
     (the same on every rank), vt None. Stacking the u blocks in rank order
-    (gather_modes) reassembles the global modes. A zero singular value
-    among the first K cannot be normalized against and raises
-    DegenerateModeError on all ranks alike.
+    (gather_modes) reassembles the global modes. A K, or a sketch width,
+    above min(N, P r1) raises ValueError on every rank before the local
+    step. A zero singular value among the first K cannot be normalized
+    against and raises DegenerateModeError on all ranks alike.
     """
     # generate_right_vectors scans the slab for non-finite entries.
     a = as_matrix(a_local, "a_local", check_finite=False)
-    r1, r2, k = config.local_rank, config.global_rank, config.k_modes
-    if r2 > ctx.world_size * r1:
-        raise ValueError(
-            f"global_rank {r2} exceeds the {ctx.world_size * r1} columns "
-            f"the exchange can produce"
-        )
+    r1, k, sketch = config.local_rank, config.k_modes, config.sketch
+    size = min(a.shape[1], ctx.world_size * r1)
+    width = k if sketch is None else sketch.sketch_width
+    if width > size:
+        name = "k_modes" if sketch is None else "sketch width"
+        raise ValueError(f"{name} {width} exceeds min(N, P r1) = {size}, "
+                         f"the values the stacked W can yield")
     v, s = generate_right_vectors(a, r1)
     w_local = v * s
     parts = gather(ctx, w_local)
     packed = None
     if ctx.rank == 0:
         w = np.concatenate(parts, axis=1)
-        if config.sketch is not None:
-            res = low_rank_svd(w, config.sketch)
-        else:
-            res = svd_full(w, want_vt=False)
-        if res.s.size < r2:
-            raise ValueError(
-                f"stacked exchange matrix only has {res.s.size} singular "
-                f"values, global_rank is {r2}"
-            )
+        res = svd_full(w) if sketch is None else low_rank_svd(w, sketch)
         packed = np.vstack([res.u[:, :k], res.s[None, :k]])
     packed = broadcast(ctx, packed)
     x, lam = packed[:-1], packed[-1]

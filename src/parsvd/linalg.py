@@ -264,12 +264,11 @@ def qr_factor(a, overwrite_a=False, check_finite=True):
     return res
 
 
-def svd_full(a, want_vt=True):
+def svd_full(a):
     """Thin SVD of a dense matrix.
 
     Returns SvdResult(u, s, vt) with s in descending order and the column
-    sign convention applied. Pass want_vt=False to drop the right vectors
-    (vt is then None); u and s are unchanged by that choice.
+    sign convention applied.
     """
     a = as_matrix(a)
     try:
@@ -280,7 +279,7 @@ def svd_full(a, want_vt=True):
             f"(Frobenius norm {np.linalg.norm(a):.6e})"
         ) from exc
     u, vt = _positive_column_signs(u, vt)
-    return SvdResult(u, s, vt if want_vt else None)
+    return SvdResult(u, s, vt)
 
 
 def randomized_range(a, config):
@@ -316,7 +315,7 @@ def low_rank_svd(a, config):
     <= target_rank, near-optimal when the spectrum decays.
     """
     q = randomized_range(a, config)
-    small = svd_full(q.T @ a, want_vt=True)
+    small = svd_full(q.T @ a)
     k = config.target_rank
     u, vt = _positive_column_signs(q @ small.u[:, :k], small.vt[:k])
     return SvdResult(u, small.s[:k].copy(), vt)

@@ -221,7 +221,7 @@ def _settle(ctx, state):
     if _drift(gram) <= ORTHO_DRIFT_TOL:
         return state
     u, fold, tri = _reorthonormalize(ctx, u, gram)
-    res = svd_full(tri * s, want_vt=False)
+    res = svd_full(tri * s)
     rotation = res.u if fold is None else fold @ res.u
     return _state(_product(u, rotation), res.s, state.modes.shape[1],
                   state.total_rows)
@@ -270,7 +270,7 @@ def _update(ctx, u, s, rows, a_new, config, workspace):
     small[:width, :width] = top
     small[:width, width:] = coeff
     small[width:, width:] = r
-    res = svd_full(small, want_vt=False)
+    res = svd_full(small)
     keep = _keep(res.s, small.shape, config, rows)
     lift = res.u[:, :keep]
     lift_top = lift[:width] if fold is None else fold @ lift[:width]

@@ -43,7 +43,7 @@ def test_serial_vs_parallel_agreement(acceptance, burgers_snapshots,
     # partitioned decomposition must agree with a direct SVD well below
     # plotting resolution.
     start = time.perf_counter()
-    config = ApmosConfig(local_rank=50, global_rank=5, k_modes=2)
+    config = ApmosConfig(local_rank=50, k_modes=2)
     modes, values = _apmos_runner(burgers_snapshots, 4, config)
     direct = burgers_direct_svd.u[:, :2]
     mode_err = float(np.max(aligned_mode_difference(modes, direct)))
@@ -77,13 +77,13 @@ def test_streaming_equivalence(acceptance, burgers_snapshots,
 
 
 def test_exactness_limit(acceptance):
-    # Keeping every local and global vector (r1 = r2 = N) makes the
+    # Keeping every local vector (r1 = N) makes the
     # partitioned result exact, not approximate.
     start = time.perf_counter()
     rng = np.random.Generator(np.random.Philox(42))
     a = rng.standard_normal((64, 16))
-    direct = svd_full(a, want_vt=False)
-    config = ApmosConfig(local_rank=16, global_rank=16, k_modes=5)
+    direct = svd_full(a)
+    config = ApmosConfig(local_rank=16, k_modes=5)
     modes, values = _apmos_runner(a, 4, config)
     mode_err = float(np.max(aligned_mode_difference(modes, direct.u[:, :5])))
     value_err = float(np.max(np.abs(values[:5] - direct.s[:5]) / direct.s[:5]))
@@ -102,7 +102,7 @@ def test_rank_count_invariance(acceptance):
     start = time.perf_counter()
     rng = np.random.Generator(np.random.Philox(42))
     a = rng.standard_normal((64, 16))
-    config = ApmosConfig(local_rank=16, global_rank=16, k_modes=5)
+    config = ApmosConfig(local_rank=16, k_modes=5)
     results = [_apmos_runner(a, ws, config)[0] for ws in (1, 2, 4, 8)]
     worst = 0.0
     for i in range(len(results)):
@@ -198,7 +198,7 @@ def test_gather_payload_scaling(acceptance):
     start = time.perf_counter()
     n_cols, r1, world = 100, 10, 4
     expected = FRAME_HEADER.size + MATRIX_HEADER.size + 8 * n_cols * r1
-    config = ApmosConfig(local_rank=r1, global_rank=r1, k_modes=5)
+    config = ApmosConfig(local_rank=r1, k_modes=5)
     sent_by_case = []
     root_received = []
     for local_rows in (64, 1024, 8192):

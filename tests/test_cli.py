@@ -158,7 +158,7 @@ def test_decompose_serial_batch(tmp_path):
         assert modes.shape == (16, 4)
         assert np.max(np.abs(modes.T @ modes - np.eye(4))) <= 1e-14
         lead = min(rank, 4)
-        res = svd_full(a, want_vt=False)
+        res = svd_full(a)
         assert np.max(np.abs(values[:lead] - res.s[:lead])) \
             <= 1e-13 * res.s[0]
         assert np.max(aligned_mode_difference(modes[:, :lead],
@@ -208,7 +208,7 @@ def test_decompose_parallel_randomized_matches_library(tmp_path, capsys):
             "--randomized", "--seed", "7"]
     assert main(base + ["--outdir", str(outdir), "--sketch-rank", "5"]) == 0
 
-    config = ApmosConfig(local_rank=8, global_rank=4, k_modes=3,
+    config = ApmosConfig(local_rank=8, k_modes=3,
                          sketch=RandomSketchConfig(5, 10, 1, 7))
     bounds = partition_bounds(a.shape[0], 2)
 
@@ -227,6 +227,84 @@ def test_decompose_parallel_randomized_matches_library(tmp_path, capsys):
     assert main(base + ["--outdir", str(tmp_path / "narrow"),
                         "--sketch-rank", "3"]) == 1
     assert "sketch-rank 3" in capsys.readouterr().err
+
+
+def test_parallel_batch_r2_sets_no_size_on_the_dense_route(tmp_path):
+    # rank 0 broadcasts only the k columns the ranks lift, so r2 = k and
+    # r2 = 2k write the same files, rank 0's traffic in summary.txt included
+    mat = tmp_path / "a.bin"
+    _write_test_matrix(mat, rows=32, cols=16, rank=10)
+    outdirs = [tmp_path / "r2-3", tmp_path / "r2-6"]
+    for outdir, r2 in zip(outdirs, ("3", "6")):
+        assert main(["decompose", "--input", str(mat), "--outdir", str(outdir),
+                     "--mode", "parallel-batch", "--world-size", "2",
+                     "--r1", "8", "--r2", r2, "--k", "3"]) == 0
+    for name in RESULT_FILES:
+        assert (outdirs[0] / name).read_bytes() == \
+            (outdirs[1] / name).read_bytes(), name
+
+
+def test_parallel_batch_refuses_an_r2_above_what_the_stack_yields(
+        tmp_path, monkeypatch, capsys):
+    # k <= r2 <= min(cols, world-size * r1): an r2 above cols, or above
+    # world-size * r1, is refused by every rank before it reads its slab,
+    # in a simulated world and in a rank process
+    mat = tmp_path / "a.bin"
+    _write_test_matrix(mat, rows=16, cols=8)
+    reads = []
+    monkeypatch.setattr(parsvd.cli, "read_submatrix",
+                        lambda *args: reads.append(args))
+    monkeypatch.setenv("PARSVD_WORLD_SIZE", "1")
+    monkeypatch.setenv("PARSVD_RANK", "0")
+    monkeypatch.setenv("PARSVD_ROOT_ADDR", f"127.0.0.1:{free_port()}")
+    for command, world, r1, r2, size in (("decompose", 2, 6, 10, 8),
+                                         ("decompose", 2, 3, 7, 6),
+                                         ("rank", 1, 6, 7, 6)):
+        assert main([command, "--input", str(mat), "--outdir",
+                     str(tmp_path / "o"), "--mode", "parallel-batch",
+                     "--world-size", str(world), "--r1", str(r1),
+                     "--r2", str(r2), "--k", "2"]) == 1, (command, r2)
+        assert (f"r2 {r2} exceeds min(cols, world-size * r1) = {size}"
+                in capsys.readouterr().err)
+    assert reads == []
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_sketch_wider_than_the_stack_fails_on_every_rank_first(
+        tmp_path, subprocess_env, capsys):
+    # the sketch is 5 + 10 columns wide and the stacked W has 2 * 5: every
+    # rank refuses it before its local step, naming the width and the
+    # bound, in a simulated world and as two TCP rank processes
+    mat = tmp_path / "a.bin"
+    _write_test_matrix(mat, rows=64, cols=20)
+    outdir = tmp_path / "out"
+    args = ["--input", str(mat), "--outdir", str(outdir), "--mode",
+            "parallel-batch", "--randomized", "--r1", "5", "--r2", "5",
+            "--k", "5"]
+    port = free_port()
+    procs = []
+    for rank in range(2):
+        env = dict(subprocess_env, PARSVD_WORLD_SIZE="2", PARSVD_RANK=str(rank),
+                   PARSVD_ROOT_ADDR=f"127.0.0.1:{port}", PARSVD_DEADLINE="30")
+        procs.append(subprocess.Popen(
+            [sys.executable, "-m", "parsvd", "rank"] + args,
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+    try:
+        errs = [proc.communicate(timeout=60)[1].decode() for proc in procs]
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+    # rank 1 exited 2 ("root closed the connection") when only rank 0
+    # checked the width, after the exchange
+    assert [proc.returncode for proc in procs] == [1, 1], errs
+    message = "sketch width 15 exceeds min(N, P r1) = 10"
+    for err in errs:
+        assert message in err, err
+    assert main(["decompose", "--world-size", "2"] + args) == 1
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_decompose_parallel_stream_smoke(tmp_path):

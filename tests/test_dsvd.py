@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 import parsvd.comm
+import parsvd.dsvd
 from parsvd.comm import (FRAME_HEADER, MATRIX_HEADER, RankContext,
                          run_simulated)
 from test_comm import run_tcp
@@ -139,7 +140,7 @@ def test_right_vectors_validation():
 def test_apmos_world_size_one_matches_direct():
     a = _random(30, 10, seed=63)
     direct = svd_full(a)
-    config = ApmosConfig(local_rank=10, global_rank=6, k_modes=4)
+    config = ApmosConfig(local_rank=10, k_modes=4)
     [local] = run_simulated(1, lambda ctx: apmos(ctx, a, config))
     assert local.vt is None
     assert np.allclose(local.s, direct.s[:4], rtol=1e-10)
@@ -152,7 +153,7 @@ def test_apmos_matches_the_burgers_svd(burgers_snapshots, burgers_direct_svd,
     # r1 = 50 of 800 columns per rank, so every rank truncates; tall slabs
     # (P = 1, 2) take the Gram route, the 512-row slabs at P = 4 a direct SVD
     blocks = row_partition(burgers_snapshots, world_size)
-    config = ApmosConfig(local_rank=50, global_rank=5, k_modes=5)
+    config = ApmosConfig(local_rank=50, k_modes=5)
 
     def program(ctx):
         local = apmos(ctx, blocks[ctx.rank], config)
@@ -169,7 +170,7 @@ def test_apmos_four_ranks_exact_when_untrancated():
     a = _random(64, 16, seed=42)
     direct = svd_full(a)
     blocks = row_partition(a, 4)
-    config = ApmosConfig(local_rank=16, global_rank=16, k_modes=5)
+    config = ApmosConfig(local_rank=16, k_modes=5)
 
     def program(ctx):
         local = apmos(ctx, blocks[ctx.rank], config)
@@ -185,27 +186,18 @@ def test_apmos_four_ranks_exact_when_untrancated():
 
 
 def test_apmos_broadcasts_only_the_k_columns_it_lifts():
-    # on the dense route r2 only bounds the stacked factorization: r2 = K
-    # and r2 = 2K give the same bits, and rank 0 sends one broadcast frame
-    # of [X_K; lambda_K], (N + 1) x K
+    # rank 0 sends one broadcast frame of [X_K; lambda_K], (N + 1) x K
     a = _random(64, 16, seed=70)
     blocks = row_partition(a, 2)
     k = 3
+    config = ApmosConfig(local_rank=8, k_modes=k)
 
-    def run(r2):
-        config = ApmosConfig(local_rank=8, global_rank=r2, k_modes=k)
+    def program(ctx):
+        apmos(ctx, blocks[ctx.rank], config)
+        return ctx.stats.bytes_sent
 
-        def program(ctx):
-            local = apmos(ctx, blocks[ctx.rank], config)
-            return local.u, local.s, ctx.stats.bytes_sent
-
-        return run_simulated(2, program)
-
-    narrow, wide = run(k), run(2 * k)
-    for (u, s, _), (wide_u, wide_s, _) in zip(narrow, wide):
-        assert np.array_equal(u, wide_u) and np.array_equal(s, wide_s)
     frame = FRAME_HEADER.size + MATRIX_HEADER.size + 8 * (16 + 1) * k
-    assert narrow[0][2] == wide[0][2] == frame
+    assert run_simulated(2, program)[0] == frame
 
 
 def test_apmos_rank_count_invariance_with_short_blocks():
@@ -213,7 +205,7 @@ def test_apmos_rank_count_invariance_with_short_blocks():
     reference = None
     for world_size in (1, 2, 4, 8):
         blocks = row_partition(a, world_size)
-        config = ApmosConfig(local_rank=16, global_rank=16, k_modes=5)
+        config = ApmosConfig(local_rank=16, k_modes=5)
 
         def program(ctx):
             return gather_modes(ctx, apmos(ctx, blocks[ctx.rank], config).u)
@@ -232,7 +224,7 @@ def test_apmos_randomized_kernel_route():
     blocks = row_partition(a, 3)
     sketch = RandomSketchConfig(target_rank=6, oversampling=6,
                                 power_iterations=2, seed=9)
-    config = ApmosConfig(local_rank=12, global_rank=6, k_modes=3,
+    config = ApmosConfig(local_rank=12, k_modes=3,
                          sketch=sketch)
 
     def program(ctx):
@@ -250,12 +242,12 @@ def test_apmos_refuses_a_non_finite_slab(rows, bad):
     a = _random(rows, 6, seed=67)
     a[2, 3] = bad
     with pytest.raises(ValueError, match="a_local contains non-finite"):
-        apmos(RankContext(0, 1), a, ApmosConfig(3, 2, 2))
+        apmos(RankContext(0, 1), a, ApmosConfig(3, 2))
 
 
 def test_apmos_degenerate_mode_error_names_index():
     blocks = [np.zeros((4, 6)), np.zeros((4, 6))]
-    config = ApmosConfig(local_rank=3, global_rank=2, k_modes=2)
+    config = ApmosConfig(local_rank=3, k_modes=2)
 
     def program(ctx):
         return apmos(ctx, blocks[ctx.rank], config)
@@ -266,20 +258,37 @@ def test_apmos_degenerate_mode_error_names_index():
 
 def test_apmos_config_validation():
     with pytest.raises(ValueError):
-        ApmosConfig(local_rank=0, global_rank=2, k_modes=1)
+        ApmosConfig(local_rank=0, k_modes=1)
     with pytest.raises(ValueError):
-        ApmosConfig(local_rank=4, global_rank=2, k_modes=3)  # k > r2
-    with pytest.raises(ValueError):
-        ApmosConfig(local_rank=4, global_rank=4, k_modes=2,
+        ApmosConfig(local_rank=4, k_modes=0)
+    with pytest.raises(ValueError, match="target_rank 2 is below k_modes 3"):
+        ApmosConfig(local_rank=4, k_modes=3,
                     sketch=RandomSketchConfig(target_rank=2))
 
-    # r2 beyond what the exchange can deliver fails at run time
-    def program(ctx):
-        config = ApmosConfig(local_rank=2, global_rank=5, k_modes=2)
-        return apmos(ctx, np.ones((3, 4)), config)
 
-    with pytest.raises(ValueError, match="global_rank"):
-        run_simulated(2, program)
+@pytest.mark.parametrize("k, sketch, message", [
+    (5, None, "k_modes 5 exceeds min(N, P r1) = 4"),
+    (2, RandomSketchConfig(2, 3), "sketch width 5 exceeds min(N, P r1) = 4"),
+], ids=["dense", "sketch"])
+@pytest.mark.parametrize("world_size, r1, cols", [(2, 2, 6), (2, 3, 4)],
+                         ids=["P r1", "N"])
+def test_apmos_refuses_what_the_stack_cannot_yield_before_the_local_step(
+        monkeypatch, world_size, r1, cols, k, sketch, message):
+    # W stacks P blocks of r1 columns over N rows, so it has min(N, P r1)
+    # values; every rank refuses a larger K or sketch before any exchange
+    local_steps = []
+    monkeypatch.setattr(parsvd.dsvd, "generate_right_vectors",
+                        lambda *args: local_steps.append(args))
+    config = ApmosConfig(local_rank=r1, k_modes=k, sketch=sketch)
+
+    def program(ctx):
+        with pytest.raises(ValueError) as info:
+            apmos(ctx, np.ones((3, cols)), config)
+        return str(info.value), ctx.stats.bytes_sent
+
+    for error, sent in run_simulated(world_size, program):
+        assert message in error and sent == 0
+    assert local_steps == []
 
 
 # ---------- parallel_qr ----------
@@ -456,7 +465,7 @@ def test_a_world_of_one_never_touches_the_codec(monkeypatch):
         ONE, [a[:, i:i + 5] for i in range(0, 23, 5)],
         StreamConfig(k_modes=3, forget_factor=0.9))
     assert len(history) == 5
-    config = ApmosConfig(local_rank=10, global_rank=5, k_modes=3)
+    config = ApmosConfig(local_rank=10, k_modes=3)
     [modes] = run_simulated(
         1, lambda ctx: gather_modes(ctx, apmos(ctx, a, config).u))
     assert modes.shape == (40, 3)

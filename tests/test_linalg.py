@@ -430,16 +430,6 @@ def test_svd_post_conditions_and_sign_convention():
     assert np.all(peaks > 0.0)
 
 
-def test_svd_want_vt_false_same_left_factors():
-    rng = np.random.Generator(np.random.Philox(14))
-    a = rng.standard_normal((7, 5))
-    full = svd_full(a, want_vt=True)
-    left = svd_full(a, want_vt=False)
-    assert left.vt is None
-    assert np.array_equal(full.u, left.u)
-    assert np.array_equal(full.s, left.s)
-
-
 def test_svd_zero_matrix():
     res = svd_full(np.zeros((4, 3)))
     assert np.array_equal(res.s, np.zeros(3))
